@@ -9,12 +9,14 @@ Subcommands:
 
 Exit codes: 0 success, 1 mathematical mismatch, 2 input validation,
 3 unsupported request, 4 resource guard.  The resource ceiling (largest
-table bound) can be overridden via FROBGEN_MAX_BOUND.
+table bound for --bound requests, last entry scanned for unbounded ones)
+can be overridden via FROBGEN_MAX_BOUND.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from math import gcd
@@ -288,6 +290,9 @@ def _verify_job(job: tuple[int, int, int, int]) -> tuple[int, list[dict]]:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    if args.workers < 1:
+        raise ValidationError(f"--workers must be at least 1, got {args.workers}")
+    workers = min(args.workers, os.cpu_count() or 1)
     if args.params is not None:
         params = validate_params(args.params)
         if params.n != 2:
@@ -304,8 +309,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         raise ValidationError("verify needs --params or --sweep")
 
     jobs = [(a, b, args.kmax, args.mmax) for a, b in pairs]
-    if args.workers > 1:
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_verify_job, jobs))
     else:
         results = [_verify_job(job) for job in jobs]
@@ -313,7 +318,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     total_checks = sum(c for c, _ in results)
     failures = [f for _, fs in results for f in fs]
     if failures:
-        _emit(json.dumps(failures[0], separators=(",", ":")))
+        for failure in failures:
+            _emit(json.dumps(failure, separators=(",", ":")))
         return 1
     if args.format == "json":
         _emit(
@@ -394,7 +400,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sweep", type=int, default=None, metavar="MAXB")
     p.add_argument("--kmax", type=int, default=3)
     p.add_argument("--mmax", type=int, default=2)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument(
+        "--workers", type=int, default=1, help="worker processes (capped at the CPU count)"
+    )
     p.set_defaults(func=cmd_verify)
 
     return parser

@@ -68,11 +68,13 @@ class InfiniteSet(FrobgenError):
 
 
 class Indeterminate(FrobgenError):
-    """Enumeration hit the growth cap without certifying completeness
-    (CLI exit code 4)."""
+    """Enumeration cannot certify completeness within the cap on entries
+    scanned (CLI exit code 4)."""
 
     def __init__(self, cap: int) -> None:
-        super().__init__(f"enumeration did not terminate within bound cap {cap}")
+        super().__init__(
+            f"enumeration did not terminate within the cap of {cap} entries scanned"
+        )
         self.cap = cap
 
 

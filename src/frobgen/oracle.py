@@ -9,8 +9,11 @@ from __future__ import annotations
 
 import json
 import os
+from collections import deque
 from dataclasses import dataclass
-from math import gcd
+from functools import reduce
+from itertools import repeat
+from math import factorial, gcd, prod
 from typing import Iterator, Sequence
 
 from frobgen import dp
@@ -30,7 +33,8 @@ MAX_BOUND_ENV = "FROBGEN_MAX_BOUND"
 
 
 def max_bound_ceiling() -> int:
-    """Memory guard for table construction; override via FROBGEN_MAX_BOUND."""
+    """Resource guard: the largest table bound for bounded requests and the
+    last j scanned for unbounded ones; override via FROBGEN_MAX_BOUND."""
     raw = os.environ.get(MAX_BOUND_ENV)
     return int(raw) if raw else DEFAULT_MAX_BOUND
 
@@ -49,7 +53,7 @@ class Params:
         if not self.denominations:
             raise EmptyList()
         for a in self.denominations:
-            if not isinstance(a, int) or a < 1:
+            if isinstance(a, bool) or not isinstance(a, int) or a < 1:
                 raise NonPositive(a)
         if list(self.denominations) != sorted(self.denominations):
             raise ValueError("denominations must be sorted ascending")
@@ -80,7 +84,7 @@ def validate_params(raw: Sequence[int]) -> Params:
     if not raw:
         raise EmptyList()
     for a in raw:
-        if not isinstance(a, int) or a < 1:
+        if isinstance(a, bool) or not isinstance(a, int) or a < 1:
             raise NonPositive(a)
     return Params(tuple(sorted(raw)))
 
@@ -226,18 +230,62 @@ def _enumerate(
         return _single_coin_set(params, k, at_most)
 
     cap = max_bound_ceiling() if max_bound is None else max_bound
-    b = (k + 1) * params.smallest * params.largest
-    while True:
-        if b > cap:
-            raise Indeterminate(cap)
-        table = rep_table(params, b, max_bound=cap)
-        window = _find_window(table.counts, width, k)
-        if window is not None:
-            elements = tuple(
-                j for j in range(window) if pred(table.counts[j])
-            )
-            return GapSet(params, k, elements, complete=True)
-        b *= 2
+    return _stream(params, k, at_most, cap)
+
+
+def _window_beyond(coins: list[int], k: int, cap: int) -> bool:
+    """True when no window of a_1 counts > k can end at any j <= cap.
+
+    `coins` are a_1 and every other denomination <= cap; no other coin
+    reaches j <= cap.  If their gcd d is not 1, d divides a_1, so every
+    window holds a j not divisible by d, with r(j) = 0.  Otherwise the
+    counts in a window ending at W sum to the number of x' >= 0 with
+    a_2 x_2 + ... + a_m x_m <= W (exactly one x_1 puts each such x' in the
+    window), which must be at least a_1 (k+1).  The unit cubes above those
+    x' are disjoint and lie in a simplex of volume
+    (W + a_2 + ... + a_m)^(m-1) / ((m-1)! a_2 ... a_m).
+    """
+    if reduce(gcd, coins, 0) != 1:
+        return True
+    m = len(coins)
+    reach = cap + sum(coins) - coins[0]
+    return reach ** (m - 1) < factorial(m - 1) * prod(coins) * (k + 1)
+
+
+def _stream(params: Params, k: int, at_most: bool, cap: int) -> GapSet:
+    """Scan r(0), r(1), ... online and stop when the a_1-window closes.
+
+    r(j) is the z^j coefficient of 1 / prod(1 - z^{a_i}).  Taking the
+    factors one coin at a time gives t_i(j) = t_{i-1}(j) + t_i(j - a_i) with
+    t_0(j) = [j == 0] and r(j) = t_n(j), so coin i needs only the last a_i
+    values of t_i.  Each ring holds them oldest first; seeding the first
+    ring's head with 1 supplies t_0(0).  At most j = cap is scanned, so a
+    coin a_i > cap other than a_1 adds nothing and gets no ring, and a query
+    whose window provably ends past cap is refused before the scan.
+    """
+    width = params.smallest
+    coins = [width] + [a for a in params.denominations[1:] if a <= cap]
+    if _window_beyond(coins, k, cap):
+        raise Indeterminate(cap)
+    rings = [deque(repeat(0, a), maxlen=a) for a in coins]
+    rings[0][0] = 1
+    lowest = 0 if at_most else k
+    elements: list[int] = []
+    run = 0
+    for j in range(cap + 1):
+        c = 0
+        for ring in rings:
+            c += ring[0]
+            ring.append(c)
+        if c > k:
+            run += 1
+            if run == width:
+                return GapSet(params, k, tuple(elements), complete=True)
+        else:
+            run = 0
+            if c >= lowest:
+                elements.append(j)
+    raise Indeterminate(cap)
 
 
 def enumerate_exact_k(
@@ -250,9 +298,11 @@ def enumerate_exact_k(
     """All j with exactly k representations.
 
     With a bound: everything up to the bound, flagged complete only if the
-    termination window also occurred.  Without a bound: grow the table
-    geometrically until a window of a_1 consecutive counts all exceed k,
-    which proves the set has been seen in full.
+    termination window also occurred.  Without a bound: scan the counts
+    one j at a time until a window of a_1 consecutive counts all exceed k,
+    which proves the set has been seen in full; past j = max_bound (or the
+    FROBGEN_MAX_BOUND ceiling) raise Indeterminate, at once when a lower
+    bound on the window's position already lies past it.
     """
     return _enumerate(params, k, bound, at_most=False, max_bound=max_bound)
 

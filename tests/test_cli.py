@@ -1,8 +1,12 @@
 import json
 import subprocess
 import sys
+from dataclasses import replace
 from math import gcd
 
+import pytest
+
+from frobgen import cli
 from frobgen.cli import main
 
 
@@ -135,6 +139,30 @@ class TestExitCodes:
         code, _, err = run_cli("classify", "--params", "5,7", "--bound", "100")
         assert code == 4
         assert "BoundTooLarge" in err
+
+    def test_indeterminate(self, monkeypatch):
+        # the window for (5,7,9) at k=3 closes far beyond j = 20
+        monkeypatch.setenv("FROBGEN_MAX_BOUND", "20")
+        code, _, err = run_cli("compute", "--params", "5,7,9", "--k", "3", "--stat", "g")
+        assert code == 4
+        assert "Indeterminate" in err
+
+    def test_indeterminate_coins_beyond_cap(self):
+        # both coins exceed the default cap of 10^7 entries scanned
+        code, out, err = run_cli(
+            "compute", "--params", "1000000007,1000000009", "--k", "0", "--stat", "g",
+            "--oracle",
+        )
+        assert code == 4
+        assert out == ""
+        assert "Indeterminate" in err
+
+    @pytest.mark.parametrize("workers", ["0", "-2"])
+    def test_workers_below_one(self, workers):
+        code, out, err = run_cli("verify", "--params", "3,5", "--workers", workers)
+        assert code == 2
+        assert out == ""
+        assert "ValidationError" in err and "--workers" in err
 
     def test_bad_flag(self):
         code, _, _ = run_cli("compute", "--params", "5,7", "--stat", "median")
@@ -302,6 +330,50 @@ class TestVerify:
         )
         assert code1 == code2 == 0
         assert out1 == out2
+
+    def test_workers_capped_at_cpu_count(self, capsys, monkeypatch):
+        sizes = []
+
+        class InlinePool:
+            # records the requested pool size and runs the jobs in-process
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+        code, out = run_main(
+            capsys, "verify", "--sweep", "4", "--kmax", "0", "--mmax", "1",
+            "--workers", "64",
+        )
+        assert code == 0
+        assert "all passed" in out
+        assert sizes == [2]
+
+    def test_reports_every_failure(self, capsys, monkeypatch):
+        real = cli.count_k
+        monkeypatch.setattr(
+            cli, "count_k", lambda p, k: replace(real(p, k), value=real(p, k).value + 1)
+        )
+        code, out = run_main(
+            capsys, "verify", "--params", "3,5", "--kmax", "2", "--mmax", "0"
+        )
+        assert code == 1
+        lines = out.splitlines()
+        assert len(lines) == 3
+        failures = [json.loads(line) for line in lines]
+        assert [(f["check"], f["k"]) for f in failures] == [("c", 0), ("c", 1), ("c", 2)]
+        assert all(int(f["actual"]) == int(f["expected"]) + 1 for f in failures)
+        # the first line is the one a single-failure report always printed
+        assert lines[0] == '{"check":"c","a":3,"b":5,"k":0,"expected":"4","actual":"5"}'
 
     def test_needs_params_or_sweep(self):
         code, _, err = run_cli("verify")

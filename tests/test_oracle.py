@@ -1,16 +1,20 @@
+from functools import reduce
 from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from frobgen import oracle
 from frobgen.errors import (
     BoundTooLarge,
     EmptyList,
     IncompleteSet,
+    Indeterminate,
     InfiniteSet,
     NonPositive,
     NotCoprime,
+    ValidationError,
 )
 from frobgen.oracle import (
     GapSet,
@@ -49,6 +53,12 @@ class TestValidateParams:
         with pytest.raises(NonPositive) as exc:
             validate_params([bad, 3])
         assert exc.value.value == bad
+
+    def test_bool_rejected(self):
+        with pytest.raises(ValidationError):
+            validate_params([True, 2])
+        with pytest.raises(ValidationError):
+            Params((True, 2))
 
     def test_repeats_allowed(self):
         assert validate_params([1, 1]).denominations == (1, 1)
@@ -269,3 +279,95 @@ class TestSweepAgainstBruteForce:
             # beyond top + ab there can be no more exactly-k integers
             assert gs.elements == tuple(j for j in expected if j <= top)
             assert all(counts[j] > k for j in range(top + 1, top + a * b))
+
+
+def _first_window(counts, width, k):
+    """Start of the first run of `width` counts all > k, by direct search."""
+    for start in range(len(counts) - width + 1):
+        if all(c > k for c in counts[start:start + width]):
+            return start
+    return None
+
+
+def _window_and_counts(denoms, k):
+    """First window start, with brute counts reaching twice the window end."""
+    bound = 16
+    while True:
+        counts = brute_counts(denoms, bound)
+        start = _first_window(counts, denoms[0], k)
+        if start is not None and 2 * (start + denoms[0] - 1) <= bound:
+            return start, counts
+        bound *= 2
+
+
+@st.composite
+def coin_sets(draw):
+    n = draw(st.integers(2, 5))
+    top = {2: 14, 3: 10, 4: 9, 5: 8}[n]
+    denoms = draw(
+        st.lists(st.integers(1, top), min_size=n, max_size=n).filter(
+            lambda d: reduce(gcd, d) == 1
+        )
+    )
+    return tuple(sorted(denoms))
+
+
+class TestStreaming:
+    @given(coin_sets(), st.integers(0, 8), st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_brute_counts(self, denoms, k, at_most):
+        fn = enumerate_at_most_k if at_most else enumerate_exact_k
+        gs = fn(validate_params(list(denoms)), k)
+        start, counts = _window_and_counts(denoms, k)
+        end = start + denoms[0] - 1
+        member = (lambda c: c <= k) if at_most else (lambda c: c == k)
+        assert gs.complete
+        assert gs.elements == tuple(j for j in range(end + 1) if member(counts[j]))
+        # certificate soundness: nothing in the set from the window to twice its end
+        assert not any(member(counts[j]) for j in range(start, 2 * end + 1))
+
+    def test_window_far_below_old_first_guess(self):
+        # (k+1)*a_1*a_n = 11.2M, above the default cap; the window ends near 32,354
+        params = validate_params([31, 47, 60])
+        gs = enumerate_exact_k(params, 6000)
+        assert gs.complete
+        assert gs.maximum == 32323
+        counts = rep_table(params, 32323 + 2 * 31).counts
+        assert counts[32323] == 6000
+        assert gs.elements == tuple(j for j, c in enumerate(counts) if c == 6000)
+
+    def test_indeterminate_past_cap(self):
+        with pytest.raises(Indeterminate) as exc:
+            enumerate_exact_k(validate_params([5, 7, 9]), 3, max_bound=20)
+        assert exc.value.cap == 20
+
+    @given(coin_sets(), st.integers(0, 8), st.booleans(), st.integers(0, 80))
+    @settings(max_examples=80, deadline=None)
+    def test_cap_refuses_only_when_window_ends_past_it(self, denoms, k, at_most, cap):
+        # the refusal before the scan must never turn away a query the scan answers
+        fn = enumerate_at_most_k if at_most else enumerate_exact_k
+        params = validate_params(list(denoms))
+        start, _ = _window_and_counts(denoms, k)
+        if start + denoms[0] - 1 <= cap:
+            assert fn(params, k, max_bound=cap) == fn(params, k)
+        else:
+            with pytest.raises(Indeterminate):
+                fn(params, k, max_bound=cap)
+
+    @pytest.mark.parametrize(
+        "denoms, k",
+        [
+            ((1_000_000_007, 1_000_000_009), 0),  # no coin but a_1 within the cap
+            ((6, 9, 2_000_003), 0),  # the coins within the cap share the factor 3
+            ((999_979, 999_983), 0),  # far too few points below the cap
+            ((997, 1000, 1001), 100_000),  # the window ends near j = 1.4e7
+        ],
+    )
+    def test_cap_refused_before_scan(self, denoms, k, monkeypatch):
+        def no_ring(*args, **kwargs):
+            raise AssertionError("a ring was built for a query its bound refuses")
+
+        monkeypatch.setattr(oracle, "deque", no_ring)
+        with pytest.raises(Indeterminate) as exc:
+            enumerate_exact_k(validate_params(list(denoms)), k, max_bound=10**6)
+        assert exc.value.cap == 10**6
