@@ -30,6 +30,7 @@ from frobgen.oracle import (
     Params,
     RepTable,
     enumerate_at_most_k,
+    enumerate_by_count,
     enumerate_exact_k,
     oracle_stats,
     rep_table,
@@ -57,6 +58,7 @@ __all__ = [
     "cyclotomic_identity_check",
     "denham_term_count",
     "enumerate_at_most_k",
+    "enumerate_by_count",
     "enumerate_exact_k",
     "frobenius_k",
     "numerator_h",

@@ -6,13 +6,16 @@ throughout the closed forms is
 
     beta_k(x) := (B_k(x) - B_k(0)) / k = sum_{j=0}^{x-1} j^(k-1).
 
-Everything is exact rational arithmetic via fractions.Fraction.
+The polynomials are exact rational arithmetic via fractions.Fraction.  Their
+values at integers, which the closed forms use, are integer-exact: beta_value
+evaluates beta_k over one common denominator by integer Horner and divides
+exactly once.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, lcm
 from typing import Iterable
 
 
@@ -124,3 +127,35 @@ def beta_poly(k: int) -> RatPoly:
         raise ValueError("k must be >= 1")
     b = bernoulli_poly(k).coefficients
     return RatPoly([Fraction(0)] + [c / k for c in b[1:]])
+
+
+@lru_cache(maxsize=None)
+def beta_int_poly(k: int) -> tuple[tuple[int, ...], int]:
+    """beta_k over one common denominator: (integer coefficients, denominator).
+
+    >>> beta_int_poly(2)
+    ((0, -1, 1), 2)
+    """
+    cs = beta_poly(k).coefficients
+    den = lcm(*(c.denominator for c in cs))
+    return tuple(c.numerator * (den // c.denominator) for c in cs), den
+
+
+def beta_value(k: int, x: int) -> int:
+    """beta_k(x) at an integer x, in integer arithmetic.
+
+    Integer Horner on beta_int_poly(k), then one exact division by its
+    denominator; a nonzero remainder means the value is not an integer and
+    raises AssertionError.
+
+    >>> beta_value(3, 5)
+    30
+    """
+    coeffs, den = beta_int_poly(k)
+    acc = 0
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    value, rem = divmod(acc, den)
+    if rem:
+        raise AssertionError(f"expected an integer, got {acc}/{den}")
+    return value

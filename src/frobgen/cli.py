@@ -9,8 +9,8 @@ Subcommands:
 
 Exit codes: 0 success, 1 mathematical mismatch, 2 input validation,
 3 unsupported request, 4 resource guard.  The resource ceiling (largest
-table bound for --bound requests, last entry scanned for unbounded ones)
-can be overridden via FROBGEN_MAX_BOUND.
+table bound for --bound requests, last entry scanned for unbounded ones,
+largest N for genfun --cyclotomic) can be overridden via FROBGEN_MAX_BOUND.
 """
 from __future__ import annotations
 
@@ -49,7 +49,9 @@ from frobgen.oracle import (
     GapSet,
     Params,
     enumerate_at_most_k,
+    enumerate_by_count,
     enumerate_exact_k,
+    max_bound_ceiling,
     rep_table,
     validate_params,
 )
@@ -192,6 +194,10 @@ def _emit_poly(poly: IntPoly, fmt: str) -> None:
 
 def cmd_genfun(args: argparse.Namespace) -> int:
     if args.cyclotomic is not None:
+        # the output has degree phi(N) <= N
+        ceiling = max_bound_ceiling()
+        if args.cyclotomic > ceiling:
+            raise BoundTooLarge(args.cyclotomic, ceiling)
         _emit_poly(cyclotomic(args.cyclotomic), args.format)
         return 0
     if args.params is None:
@@ -237,6 +243,8 @@ def cmd_genfun(args: argparse.Namespace) -> int:
 def verify_pair(a: int, b: int, kmax: int, mmax: int) -> tuple[int, list[dict]]:
     """All closed-form vs oracle checks for one coprime pair.
 
+    The oracle side is one certified scan per pair (enumerate_by_count up to
+    the kmax window), which yields every exactly-k and at-most-k set.
     Returns (number of checks run, failures); each failure is a JSON-ready
     dict naming the check and both values.
     """
@@ -262,8 +270,9 @@ def verify_pair(a: int, b: int, kmax: int, mmax: int) -> tuple[int, list[dict]]:
     h = numerator_h(params)
     check("h == 1 - z^ab", None, None, IntPoly.one_minus_pow(a * b).to_text(), h.to_text())
 
+    exact_sets, at_most_sets = enumerate_by_count(params, kmax)
     for k in range(kmax + 1):
-        exact = enumerate_exact_k(params, k)
+        exact = exact_sets[k]
         check("g", k, None, exact.maximum, frobenius_k(pair, k).value)
         check("c", k, None, len(exact), count_k(pair, k).value)
         check("s", k, None, exact.power_sum(1), sum_k(pair, k).value)
@@ -272,7 +281,7 @@ def verify_pair(a: int, b: int, kmax: int, mmax: int) -> tuple[int, list[dict]]:
         check("p_k 0/1 coefficients", k, None, True, pk.is_zero_one())
         check("p_k support", k, None, exact.elements, pk.support())
 
-        at_most = enumerate_at_most_k(params, k)
+        at_most = at_most_sets[k]
         g_le, c_le, s_le = at_most_stats(pair, k)
         check("g<=", k, None, at_most.maximum, g_le.value)
         check("c<=", k, None, len(at_most), c_le.value)
@@ -292,6 +301,12 @@ def _verify_job(job: tuple[int, int, int, int]) -> tuple[int, list[dict]]:
 def cmd_verify(args: argparse.Namespace) -> int:
     if args.workers < 1:
         raise ValidationError(f"--workers must be at least 1, got {args.workers}")
+    if args.kmax < 0 or args.mmax < 0:
+        raise ValidationError(
+            f"--kmax and --mmax must be at least 0, got {args.kmax} and {args.mmax}"
+        )
+    if args.sweep is not None and args.sweep < 2:
+        raise ValidationError(f"--sweep must be at least 2, got {args.sweep}")
     workers = min(args.workers, os.cpu_count() or 1)
     if args.params is not None:
         params = validate_params(args.params)

@@ -11,7 +11,9 @@ sums all have closed forms:
 
 and for k >= 1 the power sum of order m is a trinomial convolution of
 power-sum polynomials (see power_sum_k).  Every function returns a
-StatReport with closed-form provenance; all arithmetic is exact.
+StatReport with closed-form provenance; all arithmetic is exact, and the
+power sums are integer-exact: each power-sum polynomial value is an integer
+Horner evaluation followed by one exact division.
 """
 from __future__ import annotations
 
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd
 
-from frobgen.bernoulli import beta_poly
+from frobgen.bernoulli import beta_value
 from frobgen.errors import NonPositive, NotCoprime, UnsupportedK
 from frobgen.oracle import GapSet, Params, enumerate_exact_k
 from frobgen.report import CLOSED_FORM, StatReport
@@ -103,8 +105,11 @@ def power_sum_k(p: PairParams, k: int, m: int) -> StatReport:
                       * beta_{v+1}(a) * beta_{u+1}(b)
 
     with the convention 0^0 = 1 in the (k-1)^l factor, which the k = 1 case
-    requires.  k = 0 with m <= 1 delegates to count_k / sum_k; k = 0 with
-    m >= 2 has no closed form and is refused.
+    requires.  The sum is integer-exact: the m+1 values beta_{v+1}(a) and
+    beta_{u+1}(b) are computed once per call by bernoulli.beta_value (integer
+    Horner, one exact division each) and the terms are summed as ints.
+    k = 0 with m <= 1 delegates to count_k / sum_k; k = 0 with m >= 2 has no
+    closed form and is refused.
     """
     if k < 0 or m < 0:
         raise ValueError("k and m must be >= 0")
@@ -117,7 +122,9 @@ def power_sum_k(p: PairParams, k: int, m: int) -> StatReport:
             raise UnsupportedK(k, m)
         return StatReport("s^m", p.pair, k, value, m=m, provenance=CLOSED_FORM)
     a, b = p.a, p.b
-    total = Fraction(0)
+    beta_a = [beta_value(v + 1, a) for v in range(m + 1)]
+    beta_b = [beta_value(u + 1, b) for u in range(m + 1)]
+    total = 0
     for lam in range(m + 1):
         kf = (k - 1) ** lam  # 0**0 == 1 covers k == 1, lam == 0
         if kf == 0:
@@ -130,10 +137,10 @@ def power_sum_k(p: PairParams, k: int, m: int) -> StatReport:
                 * a ** (lam + mu)
                 * b ** (lam + nu)
                 * kf
-                * beta_poly(nu + 1).evaluate(a)
-                * beta_poly(mu + 1).evaluate(b)
+                * beta_a[nu]
+                * beta_b[mu]
             )
-    return StatReport("s^m", p.pair, k, _exact_int(total), m=m, provenance=CLOSED_FORM)
+    return StatReport("s^m", p.pair, k, total, m=m, provenance=CLOSED_FORM)
 
 
 def at_most_stats(p: PairParams, k: int) -> tuple[StatReport, StatReport, StatReport]:

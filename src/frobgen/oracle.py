@@ -12,7 +12,7 @@ import os
 from collections import deque
 from dataclasses import dataclass
 from functools import reduce
-from itertools import repeat
+from itertools import compress, repeat
 from math import factorial, gcd, prod
 from typing import Iterator, Sequence
 
@@ -252,7 +252,13 @@ def _window_beyond(coins: list[int], k: int, cap: int) -> bool:
     return reach ** (m - 1) < factorial(m - 1) * prod(coins) * (k + 1)
 
 
-def _stream(params: Params, k: int, at_most: bool, cap: int) -> GapSet:
+def _stream(
+    params: Params,
+    k: int,
+    at_most: bool,
+    cap: int,
+    counts: list[int] | None = None,
+) -> GapSet:
     """Scan r(0), r(1), ... online and stop when the a_1-window closes.
 
     r(j) is the z^j coefficient of 1 / prod(1 - z^{a_i}).  Taking the
@@ -261,7 +267,8 @@ def _stream(params: Params, k: int, at_most: bool, cap: int) -> GapSet:
     values of t_i.  Each ring holds them oldest first; seeding the first
     ring's head with 1 supplies t_0(0).  At most j = cap is scanned, so a
     coin a_i > cap other than a_1 adds nothing and gets no ring, and a query
-    whose window provably ends past cap is refused before the scan.
+    whose window provably ends past cap is refused before the scan.  When
+    `counts` is given, r(j) of each collected j is appended to it.
     """
     width = params.smallest
     coins = [width] + [a for a in params.denominations[1:] if a <= cap]
@@ -285,6 +292,8 @@ def _stream(params: Params, k: int, at_most: bool, cap: int) -> GapSet:
             run = 0
             if c >= lowest:
                 elements.append(j)
+                if counts is not None:
+                    counts.append(c)
     raise Indeterminate(cap)
 
 
@@ -316,6 +325,46 @@ def enumerate_at_most_k(
 ) -> GapSet:
     """All j with at most k representations; same termination criterion."""
     return _enumerate(params, k, bound, at_most=True, max_bound=max_bound)
+
+
+def enumerate_by_count(
+    params: Params,
+    kmax: int,
+    *,
+    max_bound: int | None = None,
+) -> tuple[list[GapSet], list[GapSet]]:
+    """The exactly-k and at-most-k sets for every k <= kmax, from one scan.
+
+    Returns (exact, at_most), each indexed by k.  The scan is the one behind
+    enumerate_at_most_k(params, kmax), recording the count of every element
+    it collects; its window of a_1 counts > kmax also certifies every smaller
+    k, so every set is complete.  The cap and its refusal before the scan
+    apply at kmax.
+    """
+    if kmax < 0:
+        raise ValueError("k must be >= 0")
+    ks = range(kmax + 1)
+    if params.n == 1:
+        return (
+            [_single_coin_set(params, k, False) for k in ks],
+            [_single_coin_set(params, k, True) for k in ks],
+        )
+    cap = max_bound_ceiling() if max_bound is None else max_bound
+    counts: list[int] = []
+    elements = _stream(params, kmax, True, cap, counts).elements
+    exact = [
+        GapSet(
+            params, k, tuple(compress(elements, map(k.__eq__, counts))), complete=True
+        )
+        for k in ks
+    ]
+    at_most = [
+        GapSet(
+            params, k, tuple(compress(elements, map(k.__ge__, counts))), complete=True
+        )
+        for k in ks
+    ]
+    return exact, at_most
 
 
 def oracle_stats(

@@ -2,7 +2,15 @@ from fractions import Fraction as F
 
 import pytest
 
-from frobgen.bernoulli import RatPoly, bernoulli_number, bernoulli_poly, beta_poly
+from frobgen import bernoulli
+from frobgen.bernoulli import (
+    RatPoly,
+    bernoulli_number,
+    bernoulli_poly,
+    beta_int_poly,
+    beta_poly,
+    beta_value,
+)
 
 # B_0 .. B_6, coefficients by increasing exponent.
 BERNOULLI_TABLE = {
@@ -52,6 +60,30 @@ class TestBetaPoly:
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
             beta_poly(0)
+
+
+class TestBetaValue:
+    @pytest.mark.parametrize("k", range(1, 13))
+    def test_matches_polynomial_and_power_sum(self, k):
+        for x in range(61):
+            value = beta_value(k, x)
+            assert type(value) is int
+            assert value == beta_poly(k).evaluate(x)
+            assert value == sum(j ** (k - 1) for j in range(x))
+
+    def test_common_denominator(self):
+        coeffs, den = beta_int_poly(4)  # x^4/4 - x^3/2 + x^2/4
+        assert (coeffs, den) == ((0, 0, 1, -2, 1), 4)
+        assert RatPoly(F(c, den) for c in coeffs) == beta_poly(4)
+
+    def test_nonzero_remainder_raises(self, monkeypatch):
+        monkeypatch.setattr(bernoulli, "beta_int_poly", lambda k: ((1, 1), 2))
+        with pytest.raises(AssertionError):
+            beta_value(1, 2)  # (1 + 2) / 2
+
+    def test_rejects_zero(self):
+        with pytest.raises(ValueError):
+            beta_value(0, 3)
 
 
 class TestRatPoly:

@@ -164,6 +164,31 @@ class TestExitCodes:
         assert out == ""
         assert "ValidationError" in err and "--workers" in err
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("--params", "3,5", "--kmax", "-1"),
+            ("--params", "3,5", "--mmax", "-3"),
+            ("--sweep", "-5"),
+            ("--sweep", "1"),
+        ],
+    )
+    def test_verify_sizes_that_check_nothing(self, args):
+        code, out, err = run_cli("verify", *args)
+        assert code == 2
+        assert out == ""
+        assert "ValidationError" in err
+
+    def test_cyclotomic_guard(self, monkeypatch):
+        monkeypatch.setenv("FROBGEN_MAX_BOUND", "100")
+        code, out, err = run_cli("genfun", "--cyclotomic", "210")
+        assert code == 4
+        assert out == ""
+        assert "BoundTooLarge" in err
+        code, out, _ = run_cli("genfun", "--cyclotomic", "30")
+        assert code == 0
+        assert out.strip() != ""
+
     def test_bad_flag(self):
         code, _, _ = run_cli("compute", "--params", "5,7", "--stat", "median")
         assert code == 2

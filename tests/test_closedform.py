@@ -169,13 +169,13 @@ class TestSweepAgainstOracle:
             assert count_k(p, k).value == len(exact)
             assert sum_k(p, k).value == exact.power_sum(1)
 
-    @pytest.mark.parametrize("a,b", coprime_pairs(10))
+    @pytest.mark.parametrize("a,b", coprime_pairs(12))
     def test_power_sums_match_oracle(self, a, b):
         p = PairParams(a, b)
         params = validate_params([a, b])
         for k in (1, 2, 3):
             exact = enumerate_exact_k(params, k)
-            for m in range(4):
+            for m in range(7):
                 assert power_sum_k(p, k, m).value == exact.power_sum(m)
 
     @pytest.mark.parametrize("a,b", coprime_pairs(10))

@@ -20,6 +20,7 @@ from frobgen.oracle import (
     GapSet,
     Params,
     enumerate_at_most_k,
+    enumerate_by_count,
     enumerate_exact_k,
     oracle_stats,
     rep_table,
@@ -371,3 +372,34 @@ class TestStreaming:
         with pytest.raises(Indeterminate) as exc:
             enumerate_exact_k(validate_params(list(denoms)), k, max_bound=10**6)
         assert exc.value.cap == 10**6
+
+
+class TestEnumerateByCount:
+    @given(coin_sets(), st.integers(0, 8))
+    @settings(max_examples=60, deadline=None)
+    def test_every_k_from_one_scan(self, denoms, kmax):
+        params = validate_params(list(denoms))
+        exact, at_most = enumerate_by_count(params, kmax)
+        start, counts = _window_and_counts(denoms, kmax)
+        end = start + denoms[0] - 1
+        assert len(exact) == len(at_most) == kmax + 1
+        for k in range(kmax + 1):
+            assert exact[k] == enumerate_exact_k(params, k)
+            assert at_most[k] == enumerate_at_most_k(params, k)
+            assert exact[k].complete and at_most[k].complete
+            seen = range(end + 1)
+            assert exact[k].elements == tuple(j for j in seen if counts[j] == k)
+            assert at_most[k].elements == tuple(j for j in seen if counts[j] <= k)
+        with pytest.raises(Indeterminate):
+            enumerate_by_count(params, kmax, max_bound=end - 1)
+
+    def test_single_coin(self):
+        exact, at_most = enumerate_by_count(validate_params([1]), 0)
+        assert exact[0].elements == at_most[0].elements == ()
+        assert exact[0].complete and at_most[0].complete
+        with pytest.raises(InfiniteSet):
+            enumerate_by_count(validate_params([1]), 1)
+
+    def test_negative_kmax(self):
+        with pytest.raises(ValueError):
+            enumerate_by_count(validate_params([3, 5]), -1)
