@@ -10,7 +10,8 @@ Subcommands:
 Exit codes: 0 success, 1 mathematical mismatch, 2 input validation,
 3 unsupported request, 4 resource guard.  The resource ceiling (largest
 table bound for --bound requests, last entry scanned for unbounded ones,
-largest N for genfun --cyclotomic) can be overridden via FROBGEN_MAX_BOUND.
+largest N for genfun --cyclotomic) can be overridden via FROBGEN_MAX_BOUND,
+which must be a nonnegative integer (anything else exits 2).
 """
 from __future__ import annotations
 

@@ -1,80 +1,25 @@
 """Representation-count tables (denumerants) via dynamic programming.
 
 counts[j] = number of tuples (m_1, ..., m_n) of nonnegative integers with
-sum m_i * a_i = j.  Denominations are processed one at a time so each
-multiset is counted exactly once.
-
-Two interchangeable backends produce bit-identical tables:
-
-* "compiled" -- a Cython kernel over int64, selected only when a proven
-  ceiling on every table entry fits comfortably in int64;
-* "python"   -- the same loop over arbitrary-precision Python ints.
-
-The compiled module is optional; import falls back to pure Python.
+sum m_i * a_i = j, the z^j coefficient of 1 / prod(1 - z^{a_i}).
+Denominations are multiplied in one factor at a time, so each multiset is
+counted exactly once: the factor 1 / (1 - z^a) turns t(j) into
+t(j) + t(j - a) + t(j - 2a) + ..., a running sum along each residue class
+mod a.  Entries are Python ints, so tables are exact at any size.
 """
 from __future__ import annotations
 
-from array import array
+from itertools import accumulate
 from typing import Sequence
 
-try:
-    from frobgen import _dpcore
-except ImportError:  # extension not built
-    _dpcore = None
 
-# Entries are proven < this before the int64 kernel is allowed.
-INT64_SAFE_LIMIT = 1 << 62
-
-BACKENDS = ("compiled", "python")
-
-
-def have_compiled() -> bool:
-    return _dpcore is not None
-
-
-def count_ceiling(denoms: Sequence[int], bound: int) -> int:
-    """Upper bound on every entry of the table up to `bound`.
-
-    Fixing the multiplicities of all denominations but the smallest
-    determines the remaining one, so r(j) <= prod_{i>=2} (j // a_i + 1)
-    for ascending a_1 <= ... <= a_n.  Partial tables (coin prefixes) only
-    ever hold smaller counts.
-    """
-    c = 1
-    for a in denoms[1:]:
-        c *= bound // a + 1
-    return c
-
-
-def select_backend(denoms: Sequence[int], bound: int) -> str:
-    if _dpcore is not None and count_ceiling(denoms, bound) < INT64_SAFE_LIMIT:
-        return "compiled"
-    return "python"
-
-
-def rep_counts(
-    denoms: Sequence[int], bound: int, backend: str | None = None
-) -> list[int]:
-    """Exact table [r(0), r(1), ..., r(bound)] for ascending denominations."""
+def rep_counts(denoms: Sequence[int], bound: int) -> list[int]:
+    """Exact table [r(0), r(1), ..., r(bound)] for positive denominations."""
     if bound < 0:
         raise ValueError("bound must be >= 0")
-    if backend is None:
-        backend = select_backend(denoms, bound)
-    if backend == "compiled":
-        if _dpcore is None:
-            raise RuntimeError("compiled kernel is not available")
-        if count_ceiling(denoms, bound) >= INT64_SAFE_LIMIT:
-            raise OverflowError("table entries are not proven to fit in int64")
-        counts = array("q", bytes(8 * (bound + 1)))
-        counts[0] = 1
-        for a in denoms:
-            _dpcore.accumulate(counts, a)
-        return counts.tolist()
-    if backend == "python":
-        table = [0] * (bound + 1)
-        table[0] = 1
-        for a in denoms:
-            for j in range(a, bound + 1):
-                table[j] += table[j - a]
-        return table
-    raise ValueError(f"unknown backend {backend!r}")
+    table = [0] * (bound + 1)
+    table[0] = 1
+    for a in denoms:
+        for r in range(min(a, bound + 1)):
+            table[r::a] = accumulate(table[r::a])
+    return table

@@ -25,6 +25,7 @@ from frobgen.errors import (
     InfiniteSet,
     NonPositive,
     NotCoprime,
+    ValidationError,
 )
 from frobgen.report import ORACLE, StatReport
 
@@ -34,9 +35,19 @@ MAX_BOUND_ENV = "FROBGEN_MAX_BOUND"
 
 def max_bound_ceiling() -> int:
     """Resource guard: the largest table bound for bounded requests and the
-    last j scanned for unbounded ones; override via FROBGEN_MAX_BOUND."""
+    last j scanned for unbounded ones; override via FROBGEN_MAX_BOUND.
+
+    The override must be a nonnegative decimal integer; anything else
+    raises ValidationError naming the variable.
+    """
     raw = os.environ.get(MAX_BOUND_ENV)
-    return int(raw) if raw else DEFAULT_MAX_BOUND
+    if not raw:
+        return DEFAULT_MAX_BOUND
+    if not raw.strip().isdecimal():
+        raise ValidationError(
+            f"{MAX_BOUND_ENV} must be a nonnegative integer, got {raw!r}"
+        )
+    return int(raw)
 
 
 @dataclass(frozen=True)
@@ -109,7 +120,6 @@ def rep_table(
     bound: int,
     *,
     max_bound: int | None = None,
-    backend: str | None = None,
 ) -> RepTable:
     """Exact denumerant table; raises BoundTooLarge past the memory ceiling."""
     if bound < 0:
@@ -117,7 +127,7 @@ def rep_table(
     ceiling = max_bound_ceiling() if max_bound is None else max_bound
     if bound > ceiling:
         raise BoundTooLarge(bound, ceiling)
-    counts = dp.rep_counts(params.denominations, bound, backend=backend)
+    counts = dp.rep_counts(params.denominations, bound)
     return RepTable(params, tuple(counts))
 
 
@@ -151,6 +161,9 @@ class GapSet:
         return self.elements[-1] if self.elements else None
 
     def power_sum(self, m: int) -> int:
+        """Exact sum of j**m over the elements; m must be >= 0."""
+        if m < 0:
+            raise ValueError("m must be >= 0")
         return sum(j**m for j in self.elements)
 
     def to_json(self) -> str:

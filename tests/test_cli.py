@@ -140,6 +140,14 @@ class TestExitCodes:
         assert code == 4
         assert "BoundTooLarge" in err
 
+    @pytest.mark.parametrize("value", ["abc", "-1", "1e6"])
+    def test_malformed_max_bound(self, monkeypatch, value):
+        monkeypatch.setenv("FROBGEN_MAX_BOUND", value)
+        code, out, err = run_cli("enumerate", "--params", "3,5", "--k", "0")
+        assert code == 2
+        assert out == ""
+        assert "ValidationError" in err and "FROBGEN_MAX_BOUND" in err
+
     def test_indeterminate(self, monkeypatch):
         # the window for (5,7,9) at k=3 closes far beyond j = 20
         monkeypatch.setenv("FROBGEN_MAX_BOUND", "20")
@@ -192,6 +200,15 @@ class TestExitCodes:
     def test_bad_flag(self):
         code, _, _ = run_cli("compute", "--params", "5,7", "--stat", "median")
         assert code == 2
+
+    @pytest.mark.parametrize("k,m", [("2", "-1"), ("1", "-2")])
+    def test_negative_m_on_oracle_path(self, k, m):
+        code, out, err = run_cli(
+            "compute", "--params", "3,5,7", "--stat", "sm", "--k", k, "--m", m
+        )
+        assert code == 2
+        assert out == ""
+        assert "m must be >= 0" in err
 
     def test_negative_k(self):
         code, _, err = run_cli("compute", "--params", "5,7", "--k", "-1", "--stat", "g")

@@ -242,6 +242,15 @@ class TestOracleStats:
         c, s = oracle_stats(partial, m=1, stats=("c", "s^m"))
         assert c.value == 7
 
+    @pytest.mark.parametrize("k,m", [(2, -1), (1, -2)])
+    def test_negative_m_rejected(self, k, m):
+        # R_1(3,5,7) holds 0, where 0**m with m < 0 divides by zero
+        gaps = enumerate_exact_k(validate_params([3, 5, 7]), k)
+        with pytest.raises(ValueError, match="m must be >= 0"):
+            gaps.power_sum(m)
+        with pytest.raises(ValueError, match="m must be >= 0"):
+            oracle_stats(gaps, m=m, stats=("s^m",))
+
     def test_unknown_stat(self):
         gaps = enumerate_exact_k(validate_params([2, 3]), 0)
         with pytest.raises(ValueError):
