@@ -24,7 +24,7 @@ from frobgen.genfun import (
     rational_series,
     s_k_indicator,
 )
-from frobgen.intpoly import IntPoly, cyclotomic, poly_exact_div, poly_mul
+from frobgen.intpoly import IntPoly, cyclotomic, poly_exact_div
 from frobgen.oracle import (
     GapSet,
     Params,
@@ -65,7 +65,6 @@ __all__ = [
     "oracle_stats",
     "p_k_poly",
     "poly_exact_div",
-    "poly_mul",
     "power_sum_k",
     "rational_series",
     "rep_table",

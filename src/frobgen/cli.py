@@ -9,8 +9,8 @@ Subcommands:
 
 Exit codes: 0 success, 1 mathematical mismatch, 2 input validation,
 3 unsupported request, 4 resource guard.  The resource ceiling (largest
-table bound for --bound requests, last entry scanned for unbounded ones,
-largest N for genfun --cyclotomic) can be overridden via FROBGEN_MAX_BOUND,
+--bound, last entry scanned for unbounded queries, largest N for
+genfun --cyclotomic) can be overridden via FROBGEN_MAX_BOUND,
 which must be a nonnegative integer (anything else exits 2).
 """
 from __future__ import annotations
@@ -113,6 +113,8 @@ def cmd_compute(args: argparse.Namespace) -> int:
     params = validate_params(args.params)
     if args.stat == "sm" and args.m is None:
         raise ValidationError("--stat sm requires --m")
+    if args.stat == "sm" and args.m < 0:
+        raise ValidationError(f"--m must be >= 0, got {args.m}")
     if params.n == 2 and not args.oracle:
         p = PairParams(*params.denominations)
         report = _compute_closed(p, args.stat, args.k, args.m)

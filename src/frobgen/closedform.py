@@ -36,7 +36,7 @@ class PairParams:
 
     def __post_init__(self) -> None:
         for v in (self.a, self.b):
-            if not isinstance(v, int) or v < 1:
+            if isinstance(v, bool) or not isinstance(v, int) or v < 1:
                 raise NonPositive(v)
         g = gcd(self.a, self.b)
         if g != 1:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from frobgen.closedform import PairParams
 from frobgen.errors import NotPrime, WrongArity
-from frobgen.intpoly import IntPoly, cyclotomic, poly_mul
+from frobgen.intpoly import IntPoly, cyclotomic
 from frobgen.oracle import Params, enumerate_exact_k, rep_table
 
 
@@ -58,9 +58,7 @@ def p_k_poly(p: PairParams, k: int) -> IntPoly:
     if k == 0:
         gaps = enumerate_exact_k(p.as_params(), 0)
         return IntPoly.from_support(gaps.elements)
-    poly = poly_mul(IntPoly.geometric(a, b), IntPoly.geometric(b, a)).shift(
-        a * b * (k - 1)
-    )
+    poly = (IntPoly.geometric(a, b) * IntPoly.geometric(b, a)).shift(a * b * (k - 1))
     if not poly.is_zero_one():
         raise AssertionError("exactly-k polynomial has a coefficient outside {0,1}")
     return poly
@@ -116,10 +114,10 @@ def numerator_h(params: Params) -> IntPoly:
 
     h = IntPoly.geometric(1, denoms[0])
     for a in denoms[1:]:
-        h = poly_mul(h, IntPoly.one_minus_pow(a))
+        h *= IntPoly.one_minus_pow(a)
     full = p0
     for a in denoms:
-        full = poly_mul(full, IntPoly.one_minus_pow(a))
+        full *= IntPoly.one_minus_pow(a)
     h = h - full
 
     g0 = gaps.elements[-1] if gaps.elements else -1
@@ -173,8 +171,8 @@ def cyclotomic_identity_check(p: PairParams) -> bool:
     if a == b or not _is_prime(a) or not _is_prime(b):
         raise NotPrime(a if not _is_prime(a) else b)
     phi = cyclotomic(a * b)
-    lhs = poly_mul(phi, poly_mul(IntPoly.one_minus_pow(a), IntPoly.one_minus_pow(b)))
-    rhs = poly_mul(IntPoly.one_minus_pow(a * b), IntPoly.one_minus_pow(1))
+    lhs = phi * (IntPoly.one_minus_pow(a) * IntPoly.one_minus_pow(b))
+    rhs = IntPoly.one_minus_pow(a * b) * IntPoly.one_minus_pow(1)
     if lhs != rhs:
         return False
     g0 = a * b - a - b

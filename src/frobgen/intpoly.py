@@ -209,11 +209,6 @@ class IntPoly:
         return f"IntPoly('{self.to_text()}')"
 
 
-def poly_mul(p: IntPoly, q: IntPoly) -> IntPoly:
-    """Exact product."""
-    return p * q
-
-
 def poly_exact_div(p: IntPoly, d: IntPoly) -> IntPoly:
     """Exact quotient q with q*d == p.
 

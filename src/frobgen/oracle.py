@@ -34,7 +34,7 @@ MAX_BOUND_ENV = "FROBGEN_MAX_BOUND"
 
 
 def max_bound_ceiling() -> int:
-    """Resource guard: the largest table bound for bounded requests and the
+    """Resource guard: the largest bound of a table or a bounded scan and the
     last j scanned for unbounded ones; override via FROBGEN_MAX_BOUND.
 
     The override must be a nonnegative decimal integer; anything else
@@ -115,6 +115,16 @@ class RepTable:
         return self.counts[j]
 
 
+def _check_bound(bound: int, max_bound: int | None) -> None:
+    """Refuse a negative bound (ValueError) or one past max_bound, else the
+    FROBGEN_MAX_BOUND ceiling (BoundTooLarge), before any work is done."""
+    if bound < 0:
+        raise ValueError("bound must be >= 0")
+    ceiling = max_bound_ceiling() if max_bound is None else max_bound
+    if bound > ceiling:
+        raise BoundTooLarge(bound, ceiling)
+
+
 def rep_table(
     params: Params,
     bound: int,
@@ -122,11 +132,7 @@ def rep_table(
     max_bound: int | None = None,
 ) -> RepTable:
     """Exact denumerant table; raises BoundTooLarge past the memory ceiling."""
-    if bound < 0:
-        raise ValueError("bound must be >= 0")
-    ceiling = max_bound_ceiling() if max_bound is None else max_bound
-    if bound > ceiling:
-        raise BoundTooLarge(bound, ceiling)
+    _check_bound(bound, max_bound)
     counts = dp.rep_counts(params.denominations, bound)
     return RepTable(params, tuple(counts))
 
@@ -192,24 +198,6 @@ class GapSet:
         return "".join(f"{j}\n" for j in self.elements)
 
 
-def _find_window(counts: Sequence[int], width: int, k: int) -> int | None:
-    """Start of the first run of `width` consecutive counts all > k.
-
-    Such a window certifies that every j >= start has more than k
-    representations: adding copies of the smallest denomination never
-    decreases the count, and every larger j is reachable from the window.
-    """
-    run = 0
-    for j, c in enumerate(counts):
-        if c > k:
-            run += 1
-            if run == width:
-                return j - width + 1
-        else:
-            run = 0
-    return None
-
-
 def _single_coin_set(params: Params, k: int, at_most: bool) -> GapSet:
     # One denomination forces a_1 = 1 and r(j) = 1 for every j >= 0, so the
     # window criterion can never certify k >= 1; settle analytically.
@@ -227,23 +215,26 @@ def _enumerate(
     bound: int | None,
     at_most: bool,
     max_bound: int | None,
+    counts: list[int] | None = None,
 ) -> GapSet:
     if k < 0:
         raise ValueError("k must be >= 0")
-    pred = (lambda c: c <= k) if at_most else (lambda c: c == k)
-    width = params.smallest
-
     if bound is not None:
-        table = rep_table(params, bound, max_bound=max_bound)
-        window = _find_window(table.counts, width, k)
-        elements = tuple(j for j, c in enumerate(table.counts) if pred(c))
-        return GapSet(params, k, elements, complete=window is not None)
-
+        _check_bound(bound, max_bound)
+        return _stream(params, k, at_most, bound)
     if params.n == 1:
         return _single_coin_set(params, k, at_most)
-
     cap = max_bound_ceiling() if max_bound is None else max_bound
-    return _stream(params, k, at_most, cap)
+    if not _window_beyond(_coins_within(params, cap), k, cap):
+        gap_set = _stream(params, k, at_most, cap, counts)
+        if gap_set.complete:
+            return gap_set
+    raise Indeterminate(cap)
+
+
+def _coins_within(params: Params, cap: int) -> list[int]:
+    """a_1, whose window certifies, and every other coin that reaches j <= cap."""
+    return [params.smallest] + [a for a in params.denominations[1:] if a <= cap]
 
 
 def _window_beyond(coins: list[int], k: int, cap: int) -> bool:
@@ -272,22 +263,25 @@ def _stream(
     cap: int,
     counts: list[int] | None = None,
 ) -> GapSet:
-    """Scan r(0), r(1), ... online and stop when the a_1-window closes.
+    """Scan r(0), r(1), ..., r(cap) online and stop when the a_1-window closes.
+
+    A window of a_1 consecutive counts > k proves that every later j has
+    more than k representations too: adding a_1 never lowers a count, and
+    every later j is a window entry plus copies of a_1.
 
     r(j) is the z^j coefficient of 1 / prod(1 - z^{a_i}).  Taking the
     factors one coin at a time gives t_i(j) = t_{i-1}(j) + t_i(j - a_i) with
     t_0(j) = [j == 0] and r(j) = t_n(j), so coin i needs only the last a_i
     values of t_i.  Each ring holds them oldest first; seeding the first
     ring's head with 1 supplies t_0(0).  At most j = cap is scanned, so a
-    coin a_i > cap other than a_1 adds nothing and gets no ring, and a query
-    whose window provably ends past cap is refused before the scan.  When
-    `counts` is given, r(j) of each collected j is appended to it.
+    coin a_i > cap other than a_1 adds nothing and gets no ring, and no ring
+    needs more than cap + 1 values (one at least, for the seed).  The set is
+    complete iff the window closes by cap; else it holds every element up to
+    cap.  When `counts` is given, r(j) of each collected j is appended to it.
     """
     width = params.smallest
-    coins = [width] + [a for a in params.denominations[1:] if a <= cap]
-    if _window_beyond(coins, k, cap):
-        raise Indeterminate(cap)
-    rings = [deque(repeat(0, a), maxlen=a) for a in coins]
+    sizes = [min(a, max(cap, 0) + 1) for a in _coins_within(params, cap)]
+    rings = [deque(repeat(0, n), maxlen=n) for n in sizes]
     rings[0][0] = 1
     lowest = 0 if at_most else k
     elements: list[int] = []
@@ -307,7 +301,7 @@ def _stream(
                 elements.append(j)
                 if counts is not None:
                     counts.append(c)
-    raise Indeterminate(cap)
+    return GapSet(params, k, tuple(elements), complete=False)
 
 
 def enumerate_exact_k(
@@ -319,12 +313,13 @@ def enumerate_exact_k(
 ) -> GapSet:
     """All j with exactly k representations.
 
-    With a bound: everything up to the bound, flagged complete only if the
-    termination window also occurred.  Without a bound: scan the counts
-    one j at a time until a window of a_1 consecutive counts all exceed k,
-    which proves the set has been seen in full; past j = max_bound (or the
-    FROBGEN_MAX_BOUND ceiling) raise Indeterminate, at once when a lower
-    bound on the window's position already lies past it.
+    Scan the counts one j at a time until a window of a_1 consecutive
+    counts all exceed k, which proves the set has been seen in full.  With
+    a bound (at most max_bound, or the FROBGEN_MAX_BOUND ceiling, else
+    BoundTooLarge): stop there at the latest, with everything found and
+    complete only if the window closed.  Without one: past j = max_bound
+    (or the ceiling) raise Indeterminate, at once when a lower bound on the
+    window's position already lies past it.
     """
     return _enumerate(params, k, bound, at_most=False, max_bound=max_bound)
 
@@ -362,9 +357,8 @@ def enumerate_by_count(
             [_single_coin_set(params, k, False) for k in ks],
             [_single_coin_set(params, k, True) for k in ks],
         )
-    cap = max_bound_ceiling() if max_bound is None else max_bound
     counts: list[int] = []
-    elements = _stream(params, kmax, True, cap, counts).elements
+    elements = _enumerate(params, kmax, None, True, max_bound, counts).elements
     exact = [
         GapSet(
             params, k, tuple(compress(elements, map(k.__eq__, counts))), complete=True

@@ -140,6 +140,14 @@ class TestExitCodes:
         assert code == 4
         assert "BoundTooLarge" in err
 
+    def test_enumerate_bound_guard(self, monkeypatch, capsys):
+        monkeypatch.setenv("FROBGEN_MAX_BOUND", "10")
+        code = main(["enumerate", "--params", "5,7", "--k", "0", "--bound", "100"])
+        captured = capsys.readouterr()
+        assert code == 4
+        assert captured.out == ""
+        assert "BoundTooLarge" in captured.err
+
     @pytest.mark.parametrize("value", ["abc", "-1", "1e6"])
     def test_malformed_max_bound(self, monkeypatch, value):
         monkeypatch.setenv("FROBGEN_MAX_BOUND", value)
@@ -209,6 +217,20 @@ class TestExitCodes:
         assert code == 2
         assert out == ""
         assert "m must be >= 0" in err
+
+    @pytest.mark.parametrize("params", ["997,1000,1001", "5,7"])
+    def test_negative_m_refused_before_scan(self, params, monkeypatch, capsys):
+        def no_ring(*args, **kwargs):
+            raise AssertionError("a ring was built for a query --m refuses")
+
+        monkeypatch.setattr("frobgen.oracle.deque", no_ring)
+        code = main(
+            ["compute", "--params", params, "--k", "3000", "--stat", "sm", "--m", "-1"]
+        )
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "ValidationError" in captured.err and "m must be >= 0" in captured.err
 
     def test_negative_k(self):
         code, _, err = run_cli("compute", "--params", "5,7", "--k", "-1", "--stat", "g")

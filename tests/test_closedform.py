@@ -29,6 +29,11 @@ class TestPairParams:
     def test_order_immaterial(self):
         assert PairParams(7, 5).as_params().denominations == (5, 7)
 
+    @pytest.mark.parametrize("a,b", [(True, 3), (3, True)])
+    def test_bool_rejected(self, a, b):
+        with pytest.raises(NonPositive):
+            PairParams(a, b)
+
 
 class TestFrobenius:
     def test_golden(self):

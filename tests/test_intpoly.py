@@ -2,8 +2,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import frobgen
 from frobgen.errors import NotDivisible
-from frobgen.intpoly import IntPoly, cyclotomic, poly_exact_div, poly_mul
+from frobgen.intpoly import IntPoly, cyclotomic, poly_exact_div
 
 from helpers import totient
 
@@ -28,20 +29,25 @@ polys = st.builds(
 nonzero_polys = polys.filter(lambda p: not p.is_zero())
 
 
+def test_every_exported_name_resolves():
+    missing = [name for name in frobgen.__all__ if not hasattr(frobgen, name)]
+    assert missing == []
+
+
 class TestMul:
     def test_difference_of_squares(self):
-        got = poly_mul(IntPoly({0: 1, 1: -1}), IntPoly({0: 1, 1: 1}))
+        got = IntPoly({0: 1, 1: -1}) * IntPoly({0: 1, 1: 1})
         assert got == IntPoly({0: 1, 2: -1})
 
     def test_identity(self):
         p = IntPoly({0: 2, 7: -3, 19: 1})
-        assert poly_mul(p, IntPoly.one()) == p
+        assert p * IntPoly.one() == p
 
     def test_geometric_product_expansion(self):
         # (1 + z^3 + ... + z^12)(1 + z^5 + z^10): 15-term 0/1 poly of degree 22
         p = IntPoly.geometric(3, 5)
         q = IntPoly.geometric(5, 3)
-        got = poly_mul(p, q)
+        got = p * q
         assert got == brute_mul(p, q)
         assert got.num_terms() == 15
         assert got.degree == 22
@@ -49,19 +55,19 @@ class TestMul:
 
     @given(polys, polys)
     def test_commutative(self, p, q):
-        assert poly_mul(p, q) == poly_mul(q, p)
+        assert p * q == q * p
 
     @given(polys, polys, polys)
     def test_associative(self, p, q, r):
-        assert poly_mul(poly_mul(p, q), r) == poly_mul(p, poly_mul(q, r))
+        assert (p * q) * r == p * (q * r)
 
     @given(polys, polys)
     def test_matches_bruteforce(self, p, q):
-        assert poly_mul(p, q) == brute_mul(p, q)
+        assert p * q == brute_mul(p, q)
 
     @given(nonzero_polys, nonzero_polys)
     def test_degree_adds(self, p, q):
-        assert poly_mul(p, q).degree == p.degree + q.degree
+        assert (p * q).degree == p.degree + q.degree
 
 
 class TestExactDiv:
@@ -83,7 +89,7 @@ class TestExactDiv:
 
     @given(polys, nonzero_polys)
     def test_mul_div_roundtrip(self, p, d):
-        assert poly_exact_div(poly_mul(p, d), d) == p
+        assert poly_exact_div(p * d, d) == p
 
 
 class TestCyclotomic:
@@ -131,7 +137,7 @@ class TestCyclotomic:
         prod = IntPoly.one()
         for d in range(1, n + 1):
             if n % d == 0:
-                prod = poly_mul(prod, cyclotomic(d))
+                prod *= cyclotomic(d)
         assert prod == IntPoly({n: 1, 0: -1})
 
 

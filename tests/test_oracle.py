@@ -383,6 +383,55 @@ class TestStreaming:
         assert exc.value.cap == 10**6
 
 
+class TestBoundedScan:
+    @given(coin_sets(), st.integers(0, 8), st.booleans(), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_brute_counts_up_to_bound(self, denoms, k, at_most, data):
+        start, counts = _window_and_counts(denoms, k)
+        end = start + denoms[0] - 1
+        bound = data.draw(st.integers(0, 2 * end), label="bound")
+        fn = enumerate_at_most_k if at_most else enumerate_exact_k
+        gs = fn(validate_params(list(denoms)), k, bound)
+        member = (lambda c: c <= k) if at_most else (lambda c: c == k)
+        assert gs.elements == tuple(j for j in range(bound + 1) if member(counts[j]))
+        assert gs.complete == (end <= bound)
+
+    @pytest.mark.parametrize("at_most", [False, True])
+    def test_single_coin(self, at_most):
+        fn = enumerate_at_most_k if at_most else enumerate_exact_k
+        gs = fn(validate_params([1]), 1, bound=5)
+        assert gs.elements == (0, 1, 2, 3, 4, 5)
+        assert not gs.complete
+
+    def test_rings_no_longer_than_bound(self, monkeypatch):
+        real, sizes = oracle.deque, []
+
+        def short_deque(iterable, maxlen):
+            sizes.append(maxlen)
+            return real(iterable, maxlen)
+
+        monkeypatch.setattr(oracle, "deque", short_deque)
+        gs = enumerate_exact_k(validate_params([1_000_000_007, 1_000_000_009]), 0, 10)
+        assert gs.elements == tuple(range(1, 11))
+        assert not gs.complete
+        assert sizes == [11]
+
+    def test_bound_zero(self):
+        # r(0) = 1: a window of a_1 = 1 count > 0 closes at once, none > 1 does
+        for k, elements, complete in [(0, (), True), (1, (0,), False)]:
+            gs = enumerate_at_most_k(validate_params([1, 1]), k, bound=0)
+            assert (gs.elements, gs.complete) == (elements, complete)
+
+    def test_negative_bound(self):
+        with pytest.raises(ValueError, match="bound must be >= 0"):
+            enumerate_exact_k(validate_params([5, 7]), 0, bound=-1)
+
+    def test_cap_below_zero(self):
+        with pytest.raises(Indeterminate) as exc:
+            enumerate_exact_k(validate_params([1, 1]), 0, max_bound=-1)
+        assert exc.value.cap == -1
+
+
 class TestEnumerateByCount:
     @given(coin_sets(), st.integers(0, 8))
     @settings(max_examples=60, deadline=None)
