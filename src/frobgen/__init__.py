@@ -9,6 +9,7 @@ from frobgen.bernoulli import RatPoly, bernoulli_number, bernoulli_poly, beta_po
 from frobgen.closedform import (
     PairParams,
     at_most_stats,
+    closed_report,
     count_k,
     frobenius_k,
     power_sum_k,
@@ -32,6 +33,7 @@ from frobgen.oracle import (
     enumerate_at_most_k,
     enumerate_by_count,
     enumerate_exact_k,
+    oracle_report,
     oracle_stats,
     rep_table,
     validate_params,
@@ -53,6 +55,7 @@ __all__ = [
     "bernoulli_number",
     "bernoulli_poly",
     "beta_poly",
+    "closed_report",
     "count_k",
     "cyclotomic",
     "cyclotomic_identity_check",
@@ -62,6 +65,7 @@ __all__ = [
     "enumerate_exact_k",
     "frobenius_k",
     "numerator_h",
+    "oracle_report",
     "oracle_stats",
     "p_k_poly",
     "poly_exact_div",

@@ -21,10 +21,12 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from math import gcd
+from typing import Iterable
 
 from frobgen.closedform import (
     PairParams,
     at_most_stats,
+    closed_report,
     count_k,
     frobenius_k,
     power_sum_k,
@@ -48,18 +50,18 @@ from frobgen.genfun import (
 from frobgen.intpoly import IntPoly, cyclotomic
 from frobgen.oracle import (
     GapSet,
-    Params,
     enumerate_at_most_k,
     enumerate_by_count,
     enumerate_exact_k,
     max_bound_ceiling,
+    oracle_report,
     rep_table,
     validate_params,
 )
-from frobgen.report import CLOSED_FORM, ORACLE, StatReport
+from frobgen.report import AT_MOST_STATS
 
-STATS = ("g", "c", "s", "sm", "gle", "cle", "sle")
-_AT_MOST_NAMES = {"gle": "g<=", "cle": "c<=", "sle": "s<="}
+# --stat flag -> StatReport name
+STATS = {"g": "g", "c": "c", "s": "s", "sm": "s^m", "gle": "g<=", "cle": "c<=", "sle": "s<="}
 
 
 def _parse_params(text: str) -> list[int]:
@@ -73,62 +75,38 @@ def _emit(text: str) -> None:
     sys.stdout.write(text if text.endswith("\n") else text + "\n")
 
 
+def _emit_json(obj) -> None:
+    _emit(json.dumps(obj, separators=(",", ":")))
+
+
+def _emit_csv(header: str, rows: Iterable[str]) -> None:
+    """The header line, then one line per row; each row is already comma-joined."""
+    _emit("\n".join([header, *rows]))
+
+
 # -- compute -----------------------------------------------------------------
-
-
-def _compute_closed(p: PairParams, stat: str, k: int, m: int | None) -> StatReport:
-    if stat == "g":
-        return frobenius_k(p, k)
-    if stat == "c":
-        return count_k(p, k)
-    if stat == "s":
-        return sum_k(p, k)
-    if stat == "sm":
-        return power_sum_k(p, k, m)
-    g_le, c_le, s_le = at_most_stats(p, k)
-    return {"gle": g_le, "cle": c_le, "sle": s_le}[stat]
-
-
-def _compute_oracle(params: Params, stat: str, k: int, m: int | None) -> StatReport:
-    den = params.denominations
-    if stat in _AT_MOST_NAMES:
-        gs = enumerate_at_most_k(params, k)
-        name = _AT_MOST_NAMES[stat]
-        if stat == "gle":
-            return StatReport(name, den, k, gs.maximum, provenance=ORACLE)
-        if stat == "cle":
-            return StatReport(name, den, k, len(gs), provenance=ORACLE)
-        return StatReport(name, den, k, gs.power_sum(1), provenance=ORACLE)
-    gs = enumerate_exact_k(params, k)
-    if stat == "g":
-        return StatReport("g", den, k, gs.maximum, provenance=ORACLE)
-    if stat == "c":
-        return StatReport("c", den, k, len(gs), provenance=ORACLE)
-    if stat == "s":
-        return StatReport("s", den, k, gs.power_sum(1), provenance=ORACLE)
-    return StatReport("s^m", den, k, gs.power_sum(m), m=m, provenance=ORACLE)
 
 
 def cmd_compute(args: argparse.Namespace) -> int:
     params = validate_params(args.params)
-    if args.stat == "sm" and args.m is None:
+    stat = STATS[args.stat]
+    if stat == "s^m" and args.m is None:
         raise ValidationError("--stat sm requires --m")
-    if args.stat == "sm" and args.m < 0:
+    if stat == "s^m" and args.m < 0:
         raise ValidationError(f"--m must be >= 0, got {args.m}")
     if params.n == 2 and not args.oracle:
-        p = PairParams(*params.denominations)
-        report = _compute_closed(p, args.stat, args.k, args.m)
+        report = closed_report(PairParams(*params.denominations), stat, args.k, args.m)
     else:
-        report = _compute_oracle(params, args.stat, args.k, args.m)
+        fn = enumerate_at_most_k if stat in AT_MOST_STATS else enumerate_exact_k
+        report = oracle_report(fn(params, args.k), stat, args.m)
     if args.format == "json":
         _emit(report.to_json())
     elif args.format == "csv":
+        params_field = " ".join(map(str, report.params))
+        m = "" if report.m is None else report.m
         value = str(report.value) if report.value is not None else "-1"
-        _emit(
-            "stat,params,k,m,value,provenance\n"
-            f"{report.stat},{' '.join(map(str, report.params))},{report.k},"
-            f"{'' if report.m is None else report.m},{value},{report.provenance}"
-        )
+        row = f"{report.stat},{params_field},{report.k},{m},{value},{report.provenance}"
+        _emit_csv("stat,params,k,m,value,provenance", [row])
     else:
         _emit(report.to_plain())
     return 0
@@ -165,20 +143,12 @@ def cmd_classify(args: argparse.Namespace) -> int:
         rows = [
             {"j": j, "count": str(c), "k": str(c)} for j, c in enumerate(table.counts)
         ]
-        _emit(
-            json.dumps(
-                {"params": list(params.denominations), "bound": args.bound, "rows": rows},
-                separators=(",", ":"),
-            )
-        )
+        _emit_json({"params": list(params.denominations), "bound": args.bound, "rows": rows})
     elif args.format == "csv":
-        lines = ["j,count,k"]
-        lines += [f"{j},{c},{c}" for j, c in enumerate(table.counts)]
-        _emit("\n".join(lines))
+        _emit_csv("j,count,k", [f"{j},{c},{c}" for j, c in enumerate(table.counts)])
     else:
         width = max(len(str(args.bound)), 1)
-        for j, c in enumerate(table.counts):
-            _emit(f"{j:>{width}}  r={c}")
+        _emit("\n".join([f"{j:>{width}}  r={c}" for j, c in enumerate(table.counts)]))
     return 0
 
 
@@ -189,8 +159,7 @@ def _emit_poly(poly: IntPoly, fmt: str) -> None:
     if fmt == "json":
         _emit(poly.to_json())
     elif fmt == "csv":
-        lines = ["exp,coeff"] + [f"{e},{c}" for e, c in poly.terms()]
-        _emit("\n".join(lines))
+        _emit_csv("exp,coeff", [f"{e},{c}" for e, c in poly.terms()])
     else:
         _emit(poly.to_text())
 
@@ -212,12 +181,7 @@ def cmd_genfun(args: argparse.Namespace) -> int:
     if args.denham:
         count = denham_term_count(params)
         if args.format == "json":
-            _emit(
-                json.dumps(
-                    {"params": list(params.denominations), "term_count": count},
-                    separators=(",", ":"),
-                )
-            )
+            _emit_json({"params": list(params.denominations), "term_count": count})
         else:
             _emit(str(count))
         return 0
@@ -231,8 +195,7 @@ def cmd_genfun(args: argparse.Namespace) -> int:
         if args.format == "json":
             _emit(series.to_json())
         elif args.format == "csv":
-            lines = ["j,bit"] + [f"{j},{b}" for j, b in enumerate(series.bits)]
-            _emit("\n".join(lines))
+            _emit_csv("j,bit", [f"{j},{b}" for j, b in enumerate(series.bits)])
         else:
             _emit(series.to_bitstring())
         return 0
@@ -276,19 +239,18 @@ def verify_pair(a: int, b: int, kmax: int, mmax: int) -> tuple[int, list[dict]]:
     exact_sets, at_most_sets = enumerate_by_count(params, kmax)
     for k in range(kmax + 1):
         exact = exact_sets[k]
-        check("g", k, None, exact.maximum, frobenius_k(pair, k).value)
-        check("c", k, None, len(exact), count_k(pair, k).value)
-        check("s", k, None, exact.power_sum(1), sum_k(pair, k).value)
+        for closed in (frobenius_k(pair, k), count_k(pair, k), sum_k(pair, k)):
+            oracle = oracle_report(exact, closed.stat)
+            check(closed.stat, k, None, oracle.value, closed.value)
 
         pk = p_k_poly(pair, k)
         check("p_k 0/1 coefficients", k, None, True, pk.is_zero_one())
         check("p_k support", k, None, exact.elements, pk.support())
 
         at_most = at_most_sets[k]
-        g_le, c_le, s_le = at_most_stats(pair, k)
-        check("g<=", k, None, at_most.maximum, g_le.value)
-        check("c<=", k, None, len(at_most), c_le.value)
-        check("s<=", k, None, at_most.power_sum(1), s_le.value)
+        for closed in at_most_stats(pair, k):
+            oracle = oracle_report(at_most, closed.stat)
+            check(closed.stat, k, None, oracle.value, closed.value)
 
         if k >= 1:
             for m in range(mmax + 1):
@@ -337,15 +299,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
     failures = [f for _, fs in results for f in fs]
     if failures:
         for failure in failures:
-            _emit(json.dumps(failure, separators=(",", ":")))
+            _emit_json(failure)
         return 1
     if args.format == "json":
-        _emit(
-            json.dumps(
-                {"pairs": len(pairs), "checks": total_checks, "failures": 0},
-                separators=(",", ":"),
-            )
-        )
+        _emit_json({"pairs": len(pairs), "checks": total_checks, "failures": 0})
     else:
         _emit(f"verified {len(pairs)} pair(s), {total_checks} checks, all passed")
     return 0
@@ -429,6 +386,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # Exact values print in full, however many digits they have; the limit
+    # on int/str conversion stays on for argv parsing above.
+    set_digits = getattr(sys, "set_int_max_str_digits", None)
+    if set_digits is not None:
+        old_digits = sys.get_int_max_str_digits()
+        set_digits(0)
     try:
         return args.func(args)
     except (ValidationError, ValueError) as exc:
@@ -443,6 +406,9 @@ def main(argv: list[str] | None = None) -> int:
     except FrobgenError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
+    finally:
+        if set_digits is not None:
+            set_digits(old_digits)
 
 
 if __name__ == "__main__":

@@ -24,7 +24,7 @@ from math import comb, gcd
 from frobgen.bernoulli import beta_value
 from frobgen.errors import NonPositive, NotCoprime, UnsupportedK
 from frobgen.oracle import GapSet, Params, enumerate_exact_k
-from frobgen.report import CLOSED_FORM, StatReport
+from frobgen.report import AT_MOST_STATS, CLOSED_FORM, StatReport
 
 
 @dataclass(frozen=True)
@@ -172,6 +172,28 @@ def at_most_stats(p: PairParams, k: int) -> tuple[StatReport, StatReport, StatRe
     )
     s_le = StatReport("s<=", p.pair, k, _exact_int(s_value), provenance=CLOSED_FORM)
     return g_le, c_le, s_le
+
+
+def closed_report(p: PairParams, stat: str, k: int, m: int | None = None) -> StatReport:
+    """The closed form of one statistic, under its StatReport name.
+
+    g, c, s and s^m (which needs m) are frobenius_k, count_k, sum_k and
+    power_sum_k; g<=, c<= and s<= are the entries of at_most_stats.  Any
+    other name raises ValueError.
+    """
+    if stat == "g":
+        return frobenius_k(p, k)
+    if stat == "c":
+        return count_k(p, k)
+    if stat == "s":
+        return sum_k(p, k)
+    if stat == "s^m":
+        if m is None:
+            raise ValueError("s^m needs an order m")
+        return power_sum_k(p, k, m)
+    if stat in AT_MOST_STATS:
+        return at_most_stats(p, k)[AT_MOST_STATS.index(stat)]
+    raise ValueError(f"unknown statistic {stat!r}")
 
 
 def structured_r_k(p: PairParams, k: int) -> GapSet:

@@ -82,10 +82,6 @@ class Params:
     def smallest(self) -> int:
         return self.denominations[0]
 
-    @property
-    def largest(self) -> int:
-        return self.denominations[-1]
-
     def __iter__(self) -> Iterator[int]:
         return iter(self.denominations)
 
@@ -111,28 +107,21 @@ class RepTable:
     def bound(self) -> int:
         return len(self.counts) - 1
 
-    def count(self, j: int) -> int:
-        return self.counts[j]
 
-
-def _check_bound(bound: int, max_bound: int | None) -> None:
-    """Refuse a negative bound (ValueError) or one past max_bound, else the
-    FROBGEN_MAX_BOUND ceiling (BoundTooLarge), before any work is done."""
+def _check_bound(bound: int) -> None:
+    """Refuse a negative bound (ValueError) or one past the FROBGEN_MAX_BOUND
+    ceiling (BoundTooLarge), before any work is done."""
     if bound < 0:
         raise ValueError("bound must be >= 0")
-    ceiling = max_bound_ceiling() if max_bound is None else max_bound
+    ceiling = max_bound_ceiling()
     if bound > ceiling:
         raise BoundTooLarge(bound, ceiling)
 
 
-def rep_table(
-    params: Params,
-    bound: int,
-    *,
-    max_bound: int | None = None,
-) -> RepTable:
-    """Exact denumerant table; raises BoundTooLarge past the memory ceiling."""
-    _check_bound(bound, max_bound)
+def rep_table(params: Params, bound: int) -> RepTable:
+    """Exact denumerant table for 0 <= j <= bound; raises BoundTooLarge past
+    the FROBGEN_MAX_BOUND ceiling."""
+    _check_bound(bound)
     counts = dp.rep_counts(params.denominations, bound)
     return RepTable(params, tuple(counts))
 
@@ -214,17 +203,16 @@ def _enumerate(
     k: int,
     bound: int | None,
     at_most: bool,
-    max_bound: int | None,
     counts: list[int] | None = None,
 ) -> GapSet:
     if k < 0:
         raise ValueError("k must be >= 0")
     if bound is not None:
-        _check_bound(bound, max_bound)
+        _check_bound(bound)
         return _stream(params, k, at_most, bound)
     if params.n == 1:
         return _single_coin_set(params, k, at_most)
-    cap = max_bound_ceiling() if max_bound is None else max_bound
+    cap = max_bound_ceiling()
     if not _window_beyond(_coins_within(params, cap), k, cap):
         gap_set = _stream(params, k, at_most, cap, counts)
         if gap_set.complete:
@@ -280,7 +268,7 @@ def _stream(
     cap.  When `counts` is given, r(j) of each collected j is appended to it.
     """
     width = params.smallest
-    sizes = [min(a, max(cap, 0) + 1) for a in _coins_within(params, cap)]
+    sizes = [min(a, cap + 1) for a in _coins_within(params, cap)]
     rings = [deque(repeat(0, n), maxlen=n) for n in sizes]
     rings[0][0] = 1
     lowest = 0 if at_most else k
@@ -304,50 +292,34 @@ def _stream(
     return GapSet(params, k, tuple(elements), complete=False)
 
 
-def enumerate_exact_k(
-    params: Params,
-    k: int,
-    bound: int | None = None,
-    *,
-    max_bound: int | None = None,
-) -> GapSet:
+def enumerate_exact_k(params: Params, k: int, bound: int | None = None) -> GapSet:
     """All j with exactly k representations.
 
     Scan the counts one j at a time until a window of a_1 consecutive
     counts all exceed k, which proves the set has been seen in full.  With
-    a bound (at most max_bound, or the FROBGEN_MAX_BOUND ceiling, else
-    BoundTooLarge): stop there at the latest, with everything found and
-    complete only if the window closed.  Without one: past j = max_bound
-    (or the ceiling) raise Indeterminate, at once when a lower bound on the
+    a bound (at most the FROBGEN_MAX_BOUND ceiling, else BoundTooLarge):
+    stop there at the latest, with everything found and complete only if
+    the window closed.  Without one: raise Indeterminate when the window
+    has not closed by j = the ceiling, at once when a lower bound on the
     window's position already lies past it.
     """
-    return _enumerate(params, k, bound, at_most=False, max_bound=max_bound)
+    return _enumerate(params, k, bound, at_most=False)
 
 
-def enumerate_at_most_k(
-    params: Params,
-    k: int,
-    bound: int | None = None,
-    *,
-    max_bound: int | None = None,
-) -> GapSet:
-    """All j with at most k representations; same termination criterion."""
-    return _enumerate(params, k, bound, at_most=True, max_bound=max_bound)
+def enumerate_at_most_k(params: Params, k: int, bound: int | None = None) -> GapSet:
+    """All j with at most k representations; same termination criterion and
+    the same FROBGEN_MAX_BOUND ceiling."""
+    return _enumerate(params, k, bound, at_most=True)
 
 
-def enumerate_by_count(
-    params: Params,
-    kmax: int,
-    *,
-    max_bound: int | None = None,
-) -> tuple[list[GapSet], list[GapSet]]:
+def enumerate_by_count(params: Params, kmax: int) -> tuple[list[GapSet], list[GapSet]]:
     """The exactly-k and at-most-k sets for every k <= kmax, from one scan.
 
     Returns (exact, at_most), each indexed by k.  The scan is the one behind
     enumerate_at_most_k(params, kmax), recording the count of every element
     it collects; its window of a_1 counts > kmax also certifies every smaller
-    k, so every set is complete.  The cap and its refusal before the scan
-    apply at kmax.
+    k, so every set is complete.  The FROBGEN_MAX_BOUND cap and its
+    refusal before the scan apply at kmax.
     """
     if kmax < 0:
         raise ValueError("k must be >= 0")
@@ -358,7 +330,7 @@ def enumerate_by_count(
             [_single_coin_set(params, k, True) for k in ks],
         )
     counts: list[int] = []
-    elements = _enumerate(params, kmax, None, True, max_bound, counts).elements
+    elements = _enumerate(params, kmax, None, True, counts).elements
     exact = [
         GapSet(
             params, k, tuple(compress(elements, map(k.__eq__, counts))), complete=True
@@ -374,35 +346,48 @@ def enumerate_by_count(
     return exact, at_most
 
 
+def oracle_report(gap_set: GapSet, stat: str, m: int | None = None) -> StatReport:
+    """One statistic read off an enumerated set, under its StatReport name.
+
+    g and g<= are the maximum, which requires a complete set (IncompleteSet
+    otherwise); c and c<= the cardinality; s and s<= the sum; s^m the power
+    sum of order m, which must be given.  Counts and sums are over the
+    elements as given.  Any other name raises ValueError.
+    """
+    if stat in ("g", "g<="):
+        value = gap_set.maximum
+    elif stat in ("c", "c<="):
+        value = len(gap_set)
+    elif stat in ("s", "s<="):
+        value = gap_set.power_sum(1)
+    elif stat == "s^m":
+        if m is None:
+            raise ValueError("s^m needs an order m")
+        value = gap_set.power_sum(m)
+    else:
+        raise ValueError(f"unknown statistic {stat!r}")
+    return StatReport(
+        stat,
+        gap_set.params.denominations,
+        gap_set.k,
+        value,
+        m=m if stat == "s^m" else None,
+        provenance=ORACLE,
+    )
+
+
 def oracle_stats(
     gap_set: GapSet,
     m: int = 1,
     stats: Sequence[str] = ("g", "c", "s^m"),
 ) -> list[StatReport]:
-    """Exact max / cardinality / power sum reports for an enumerated set.
+    """oracle_report for each name in stats.
 
-    Maxima require a complete set (IncompleteSet otherwise); counts and
-    sums are over the elements as given.
+    "s" and "s^m" both give the power sum of order m, reported as "s" when
+    m is 1 and as "s^m" otherwise.
     """
-    reports: list[StatReport] = []
-    p = gap_set.params.denominations
-    for name in stats:
-        if name == "g":
-            reports.append(
-                StatReport("g", p, gap_set.k, gap_set.maximum, provenance=ORACLE)
-            )
-        elif name == "c":
-            reports.append(
-                StatReport("c", p, gap_set.k, len(gap_set), provenance=ORACLE)
-            )
-        elif name in ("s", "s^m"):
-            value = gap_set.power_sum(m)
-            if m == 1:
-                reports.append(StatReport("s", p, gap_set.k, value, provenance=ORACLE))
-            else:
-                reports.append(
-                    StatReport("s^m", p, gap_set.k, value, m=m, provenance=ORACLE)
-                )
-        else:
-            raise ValueError(f"unknown statistic {name!r}")
-    return reports
+    power = "s" if m == 1 else "s^m"
+    return [
+        oracle_report(gap_set, power if name in ("s", "s^m") else name, m)
+        for name in stats
+    ]

@@ -7,6 +7,10 @@ from dataclasses import dataclass
 CLOSED_FORM = "closed-form"
 ORACLE = "oracle"
 
+# The at-most-k statistics, read off the at-most-k set; the rest of the
+# StatReport names (g, c, s, s^m) belong to the exactly-k set.
+AT_MOST_STATS = ("g<=", "c<=", "s<=")
+
 
 @dataclass(frozen=True)
 class StatReport:

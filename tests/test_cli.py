@@ -104,6 +104,26 @@ class TestCompute:
         assert code == 0
         assert json.loads(out)["value"] == "179"
 
+    @pytest.mark.skipif(
+        not hasattr(sys, "set_int_max_str_digits"), reason="no int/str digit limit"
+    )
+    def test_value_past_the_digit_limit(self, capsys):
+        limit = sys.get_int_max_str_digits()
+        code, out = run_main(
+            capsys,
+            "compute", "--params", "3,5,7", "--k", "1", "--stat", "sm", "--m", "5000",
+            "--format", "json",
+        )
+        assert code == 0
+        assert sys.get_int_max_str_digits() == limit
+        # R_1(3,5,7), the integers with exactly one representation
+        expected = sum(j**5000 for j in (0, 3, 5, 6, 7, 8, 9, 11))
+        sys.set_int_max_str_digits(0)
+        try:
+            assert json.loads(out)["value"] == str(expected)
+        finally:
+            sys.set_int_max_str_digits(limit)
+
     def test_oracle_sm_k0_m2(self, capsys):
         # no closed form, but the oracle path is explicit and exact
         code, out = run_main(
@@ -113,6 +133,31 @@ class TestCompute:
         )
         assert code == 0
         assert json.loads(out)["value"] == str(1 + 4 + 16 + 49)
+
+
+def _stat_cases():
+    for params in ("3,5", "5,7"):
+        for flag in cli.STATS:
+            for k in range(4):
+                for m in range(4) if flag == "sm" else [None]:
+                    if k == 0 and m is not None and m >= 2:
+                        continue  # no closed form: exit 3
+                    yield params, flag, k, m
+
+
+class TestStatDispatch:
+    @pytest.mark.parametrize("params,flag,k,m", list(_stat_cases()))
+    def test_closed_form_matches_oracle(self, capsys, params, flag, k, m):
+        argv = ["compute", "--params", params, "--stat", flag, "--k", str(k)]
+        if m is not None:
+            argv += ["--m", str(m)]
+        code, closed = run_main(capsys, *argv, "--format", "json")
+        oracle_code, oracle = run_main(capsys, *argv, "--oracle", "--format", "json")
+        assert code == oracle_code == 0
+        closed, oracle = json.loads(closed), json.loads(oracle)
+        assert closed.pop("provenance") == "closed-form"
+        assert oracle.pop("provenance") == "oracle"
+        assert closed == oracle
 
 
 class TestExitCodes:
@@ -442,3 +487,93 @@ class TestVerify:
     def test_needs_params_or_sweep(self):
         code, _, err = run_cli("verify")
         assert code == 2
+
+
+class TestGoldenOutput:
+    @pytest.mark.parametrize(
+        "argv,expected",
+        [
+            pytest.param(
+                ("compute", "--params", "3,5", "--k", "1", "--stat", "sm", "--m", "2",
+                 "--format", "csv"),
+                "stat,params,k,m,value,provenance\ns^m,3 5,1,2,2335,closed-form\n",
+                id="compute-csv-closed",
+            ),
+            pytest.param(
+                ("compute", "--params", "1,7", "--stat", "g", "--oracle", "--format", "csv"),
+                "stat,params,k,m,value,provenance\ng,1 7,0,,-1,oracle\n",
+                id="compute-csv-oracle",
+            ),
+            pytest.param(
+                ("compute", "--params", "5,7", "--k", "1", "--stat", "cle"),
+                "c<=_1(5,7) = 47  (closed-form)\n",
+                id="compute-plain-closed",
+            ),
+            pytest.param(
+                ("compute", "--params", "3,5,7", "--k", "2", "--stat", "sm", "--m", "3"),
+                "s^3_2(3,5,7) = 11765  (oracle)\n",
+                id="compute-plain-oracle",
+            ),
+            pytest.param(
+                ("classify", "--params", "3,5", "--bound", "11"),
+                " 0  r=1\n 1  r=0\n 2  r=0\n 3  r=1\n 4  r=0\n 5  r=1\n"
+                " 6  r=1\n 7  r=0\n 8  r=1\n 9  r=1\n10  r=1\n11  r=1\n",
+                id="classify-plain",
+            ),
+            pytest.param(
+                ("classify", "--params", "2,3", "--bound", "3", "--format", "json"),
+                '{"params":[2,3],"bound":3,"rows":[{"j":0,"count":"1","k":"1"},'
+                '{"j":1,"count":"0","k":"0"},{"j":2,"count":"1","k":"1"},'
+                '{"j":3,"count":"1","k":"1"}]}\n',
+                id="classify-json",
+            ),
+            pytest.param(
+                ("genfun", "--params", "3,5", "--k", "1", "--format", "csv"),
+                "exp,coeff\n0,1\n3,1\n5,1\n6,1\n8,1\n9,1\n10,1\n11,1\n12,1\n"
+                "13,1\n14,1\n16,1\n17,1\n19,1\n22,1\n",
+                id="polynomial-csv",
+            ),
+            pytest.param(
+                ("genfun", "--params", "2,3", "--indicator", "--k", "1", "--bound", "8",
+                 "--format", "csv"),
+                "j,bit\n0,0\n1,0\n2,0\n3,0\n4,0\n5,0\n6,1\n7,0\n8,1\n",
+                id="indicator-csv",
+            ),
+            pytest.param(
+                ("genfun", "--params", "2,3", "--indicator", "--k", "1", "--bound", "8",
+                 "--format", "json"),
+                '{"params":[2,3],"k":1,"bound":8,"bits":[0,0,0,0,0,0,1,0,1]}\n',
+                id="indicator-json",
+            ),
+            pytest.param(
+                ("genfun", "--params", "2,3,5", "--denham", "--format", "json"),
+                '{"params":[2,3,5],"term_count":4}\n',
+                id="denham-json",
+            ),
+            pytest.param(
+                ("verify", "--params", "3,5", "--kmax", "5", "--mmax", "4"),
+                "verified 1 pair(s), 74 checks, all passed\n",
+                id="verify-plain",
+            ),
+            pytest.param(
+                ("verify", "--sweep", "5", "--kmax", "2", "--mmax", "1", "--format", "json"),
+                '{"pairs":9,"checks":261,"failures":0}\n',
+                id="verify-json",
+            ),
+            pytest.param(
+                ("enumerate", "--params", "3,5", "--k", "1", "--at-most"),
+                "# params=3,5 at-most k=1 count=19 complete=true\n"
+                "0 1 2 3 4 5 6 7 8 9 10 11 12 13 14 16 17 19 22\n",
+                id="enumerate-plain",
+            ),
+            pytest.param(
+                ("enumerate", "--params", "5,7", "--bound", "10"),
+                "# params=5,7 exactly k=0 count=7 complete=false\n1 2 3 4 6 8 9\n",
+                id="enumerate-plain-bounded",
+            ),
+        ],
+    )
+    def test_stdout_bytes(self, capsys, argv, expected):
+        code, out = run_main(capsys, *argv)
+        assert code == 0
+        assert out == expected

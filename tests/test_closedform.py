@@ -5,6 +5,7 @@ import pytest
 from frobgen.closedform import (
     PairParams,
     at_most_stats,
+    closed_report,
     count_k,
     frobenius_k,
     power_sum_k,
@@ -132,6 +133,30 @@ class TestAtMost:
                 assert c.value == sum(count_k(p, i).value for i in range(k + 1))
                 assert s.value == sum(sum_k(p, i).value for i in range(k + 1))
                 assert g.value == frobenius_k(p, k).value
+
+
+class TestClosedReport:
+    @pytest.mark.parametrize(
+        "stat,m,value",
+        [
+            ("g", None, 22),
+            ("c", None, 15),
+            ("s", None, 165),
+            ("s^m", 2, 2335),
+            ("g<=", None, 22),
+            ("c<=", None, 19),
+            ("s<=", None, 179),
+        ],
+    )
+    def test_each_name(self, stat, m, value):
+        report = closed_report(PairParams(3, 5), stat, 1, m)
+        assert (report.stat, report.params, report.k, report.m) == (stat, (3, 5), 1, m)
+        assert (report.value, report.provenance) == (value, "closed-form")
+
+    @pytest.mark.parametrize("stat,m", [("median", None), ("sm", 2), ("s^m", None)])
+    def test_unknown_name_or_missing_m(self, stat, m):
+        with pytest.raises(ValueError):
+            closed_report(PairParams(3, 5), stat, 1, m)
 
 
 class TestStructured:

@@ -1,5 +1,7 @@
+import os
 from functools import reduce
 from math import gcd
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
@@ -17,11 +19,13 @@ from frobgen.errors import (
     ValidationError,
 )
 from frobgen.oracle import (
+    MAX_BOUND_ENV,
     GapSet,
     Params,
     enumerate_at_most_k,
     enumerate_by_count,
     enumerate_exact_k,
+    oracle_report,
     oracle_stats,
     rep_table,
     validate_params,
@@ -83,9 +87,10 @@ class TestRepTable:
         params = validate_params(list(denoms))
         assert rep_table(params, 45).counts == tuple(brute_counts(denoms, 45))
 
-    def test_bound_too_large(self):
+    def test_bound_too_large(self, monkeypatch):
+        monkeypatch.setenv(MAX_BOUND_ENV, "999")
         with pytest.raises(BoundTooLarge):
-            rep_table(validate_params([5, 7]), 1000, max_bound=999)
+            rep_table(validate_params([5, 7]), 1000)
 
     def test_env_ceiling(self, monkeypatch):
         monkeypatch.setenv("FROBGEN_MAX_BOUND", "50")
@@ -257,6 +262,43 @@ class TestOracleStats:
             oracle_stats(gaps, stats=("median",))
 
 
+class TestOracleReport:
+    # R_0(3,5) and the at-most-1 set of (2,3), whose counts are 1,0,1,1,1,1,2,1,2,...
+    EXACT = GapSet(Params((3, 5)), 0, (1, 2, 4, 7), complete=True)
+    AT_MOST = GapSet(Params((2, 3)), 1, (0, 1, 2, 3, 4, 5, 7), complete=True)
+
+    @pytest.mark.parametrize(
+        "stat,m,value",
+        [("g", None, 7), ("c", None, 4), ("s", None, 14), ("s^m", 0, 4), ("s^m", 2, 70)],
+    )
+    def test_exact_names(self, stat, m, value):
+        report = oracle_report(self.EXACT, stat, m)
+        assert (report.stat, report.params, report.k, report.m) == (stat, (3, 5), 0, m)
+        assert (report.value, report.provenance) == (value, "oracle")
+
+    @pytest.mark.parametrize("stat,value", [("g<=", 7), ("c<=", 7), ("s<=", 22)])
+    def test_at_most_names(self, stat, value):
+        assert enumerate_at_most_k(validate_params([2, 3]), 1) == self.AT_MOST
+        report = oracle_report(self.AT_MOST, stat)
+        assert (report.stat, report.params, report.k, report.m) == (stat, (2, 3), 1, None)
+        assert (report.value, report.provenance) == (value, "oracle")
+
+    def test_m_kept_only_for_power_sums(self):
+        assert oracle_report(self.EXACT, "c", 3).m is None
+
+    @pytest.mark.parametrize("stat,m", [("median", None), ("sm", 2), ("s^m", None)])
+    def test_unknown_name_or_missing_m(self, stat, m):
+        with pytest.raises(ValueError):
+            oracle_report(self.EXACT, stat, m)
+
+    @pytest.mark.parametrize("stat", ["g", "g<="])
+    def test_maximum_needs_complete_set(self, stat):
+        partial = enumerate_exact_k(validate_params([5, 7]), 0, bound=10)
+        with pytest.raises(IncompleteSet):
+            oracle_report(partial, stat)
+        assert oracle_report(partial, "c").value == 7
+
+
 class TestGapSetSerialization:
     def test_json_roundtrip(self):
         gs = enumerate_exact_k(validate_params([3, 5]), 1)
@@ -346,9 +388,10 @@ class TestStreaming:
         assert counts[32323] == 6000
         assert gs.elements == tuple(j for j, c in enumerate(counts) if c == 6000)
 
-    def test_indeterminate_past_cap(self):
+    def test_indeterminate_past_cap(self, monkeypatch):
+        monkeypatch.setenv(MAX_BOUND_ENV, "20")
         with pytest.raises(Indeterminate) as exc:
-            enumerate_exact_k(validate_params([5, 7, 9]), 3, max_bound=20)
+            enumerate_exact_k(validate_params([5, 7, 9]), 3)
         assert exc.value.cap == 20
 
     @given(coin_sets(), st.integers(0, 8), st.booleans(), st.integers(0, 80))
@@ -358,11 +401,14 @@ class TestStreaming:
         fn = enumerate_at_most_k if at_most else enumerate_exact_k
         params = validate_params(list(denoms))
         start, _ = _window_and_counts(denoms, k)
-        if start + denoms[0] - 1 <= cap:
-            assert fn(params, k, max_bound=cap) == fn(params, k)
-        else:
-            with pytest.raises(Indeterminate):
-                fn(params, k, max_bound=cap)
+        uncapped = fn(params, k)
+        # patch.dict, not monkeypatch: fixtures are not reset between examples
+        with patch.dict(os.environ, {MAX_BOUND_ENV: str(cap)}):
+            if start + denoms[0] - 1 <= cap:
+                assert fn(params, k) == uncapped
+            else:
+                with pytest.raises(Indeterminate):
+                    fn(params, k)
 
     @pytest.mark.parametrize(
         "denoms, k",
@@ -378,8 +424,9 @@ class TestStreaming:
             raise AssertionError("a ring was built for a query its bound refuses")
 
         monkeypatch.setattr(oracle, "deque", no_ring)
+        monkeypatch.setenv(MAX_BOUND_ENV, str(10**6))
         with pytest.raises(Indeterminate) as exc:
-            enumerate_exact_k(validate_params(list(denoms)), k, max_bound=10**6)
+            enumerate_exact_k(validate_params(list(denoms)), k)
         assert exc.value.cap == 10**6
 
 
@@ -426,10 +473,14 @@ class TestBoundedScan:
         with pytest.raises(ValueError, match="bound must be >= 0"):
             enumerate_exact_k(validate_params([5, 7]), 0, bound=-1)
 
-    def test_cap_below_zero(self):
+    def test_cap_zero(self, monkeypatch):
+        # the scan of r(0) = 1 alone closes the window of a_1 = 1 count > 0
+        monkeypatch.setenv(MAX_BOUND_ENV, "0")
+        gs = enumerate_exact_k(validate_params([1, 1]), 0)
+        assert (gs.elements, gs.complete) == ((), True)
         with pytest.raises(Indeterminate) as exc:
-            enumerate_exact_k(validate_params([1, 1]), 0, max_bound=-1)
-        assert exc.value.cap == -1
+            enumerate_exact_k(validate_params([1, 1]), 1)
+        assert exc.value.cap == 0
 
 
 class TestEnumerateByCount:
@@ -448,8 +499,10 @@ class TestEnumerateByCount:
             seen = range(end + 1)
             assert exact[k].elements == tuple(j for j in seen if counts[j] == k)
             assert at_most[k].elements == tuple(j for j in seen if counts[j] <= k)
-        with pytest.raises(Indeterminate):
-            enumerate_by_count(params, kmax, max_bound=end - 1)
+        if end >= 1:  # a cap of end - 1 < 0 cannot be set
+            with patch.dict(os.environ, {MAX_BOUND_ENV: str(end - 1)}):
+                with pytest.raises(Indeterminate):
+                    enumerate_by_count(params, kmax)
 
     def test_single_coin(self):
         exact, at_most = enumerate_by_count(validate_params([1]), 0)
