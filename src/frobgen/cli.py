@@ -10,8 +10,9 @@ Subcommands:
 Exit codes: 0 success, 1 mathematical mismatch, 2 input validation,
 3 unsupported request, 4 resource guard.  The resource ceiling (largest
 --bound, last entry scanned for unbounded queries, largest N for
-genfun --cyclotomic) can be overridden via FROBGEN_MAX_BOUND,
-which must be a nonnegative integer (anything else exits 2).
+genfun --cyclotomic, largest --m for compute --stat sm) can be overridden
+via FROBGEN_MAX_BOUND, which must be a nonnegative integer (anything else
+exits 2).
 """
 from __future__ import annotations
 
@@ -90,10 +91,15 @@ def _emit_csv(header: str, rows: Iterable[str]) -> None:
 def cmd_compute(args: argparse.Namespace) -> int:
     params = validate_params(args.params)
     stat = STATS[args.stat]
-    if stat == "s^m" and args.m is None:
-        raise ValidationError("--stat sm requires --m")
-    if stat == "s^m" and args.m < 0:
-        raise ValidationError(f"--m must be >= 0, got {args.m}")
+    if stat == "s^m":
+        if args.m is None:
+            raise ValidationError("--stat sm requires --m")
+        if args.m < 0:
+            raise ValidationError(f"--m must be >= 0, got {args.m}")
+        # m sizes the Bernoulli work of the closed form and every power j**m
+        ceiling = max_bound_ceiling()
+        if args.m > ceiling:
+            raise BoundTooLarge(args.m, ceiling)
     if params.n == 2 and not args.oracle:
         report = closed_report(PairParams(*params.denominations), stat, args.k, args.m)
     else:
@@ -210,7 +216,8 @@ def verify_pair(a: int, b: int, kmax: int, mmax: int) -> tuple[int, list[dict]]:
     """All closed-form vs oracle checks for one coprime pair.
 
     The oracle side is one certified scan per pair (enumerate_by_count up to
-    the kmax window), which yields every exactly-k and at-most-k set.
+    the kmax window), which yields every exactly-k and at-most-k set, and
+    one power_sums walk per exactly-k set for its s^m checks.
     Returns (number of checks run, failures); each failure is a JSON-ready
     dict naming the check and both values.
     """
@@ -253,8 +260,8 @@ def verify_pair(a: int, b: int, kmax: int, mmax: int) -> tuple[int, list[dict]]:
             check(closed.stat, k, None, oracle.value, closed.value)
 
         if k >= 1:
-            for m in range(mmax + 1):
-                check("s^m", k, m, exact.power_sum(m), power_sum_k(pair, k, m).value)
+            for m, oracle_sum in enumerate(exact.power_sums(mmax)):
+                check("s^m", k, m, oracle_sum, power_sum_k(pair, k, m).value)
 
     return checks, failures
 

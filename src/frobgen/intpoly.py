@@ -94,8 +94,8 @@ class IntPoly:
         return len(self._terms)
 
     def is_zero_one(self) -> bool:
-        """True when every coefficient is 0 or 1."""
-        return all(c == 1 for c in self._terms.values())
+        """True when every coefficient is 0 or 1 (so also for the zero polynomial)."""
+        return set(self._terms.values()) <= {1}
 
     def evaluate(self, x: int) -> int:
         return sum(c * x**e for e, c in self._terms.items())

@@ -12,8 +12,9 @@ import os
 from collections import deque
 from dataclasses import dataclass
 from functools import reduce
-from itertools import compress, repeat
+from itertools import islice, repeat
 from math import factorial, gcd, prod
+from operator import lt, mul
 from typing import Iterator, Sequence
 
 from frobgen import dp
@@ -140,7 +141,8 @@ class GapSet:
     complete: bool
 
     def __post_init__(self) -> None:
-        if any(a >= b for a, b in zip(self.elements, self.elements[1:])):
+        e = self.elements
+        if not all(map(lt, e, islice(e, 1, None))):
             raise ValueError("elements must be strictly increasing")
 
     def __len__(self) -> int:
@@ -159,7 +161,28 @@ class GapSet:
         """Exact sum of j**m over the elements; m must be >= 0."""
         if m < 0:
             raise ValueError("m must be >= 0")
-        return sum(j**m for j in self.elements)
+        e = self.elements
+        if m == 0:
+            return len(e)
+        if m == 1:
+            return sum(e)
+        return sum(map(pow, e, repeat(m)))
+
+    def power_sums(self, mmax: int) -> list[int]:
+        """[power_sum(0), ..., power_sum(mmax)]; mmax must be >= 0.
+
+        Each row of powers is the row before times the elements, so each
+        j**m costs one multiplication.
+        """
+        if mmax < 0:
+            raise ValueError("m must be >= 0")
+        e = self.elements
+        sums = [len(e), sum(e)]
+        powers = e
+        for _ in range(mmax - 1):
+            powers = list(map(mul, powers, e))
+            sums.append(sum(powers))
+        return sums[: mmax + 1]
 
     def to_json(self) -> str:
         return json.dumps(
@@ -203,7 +226,7 @@ def _enumerate(
     k: int,
     bound: int | None,
     at_most: bool,
-    counts: list[int] | None = None,
+    by_count: list[list[int]] | None = None,
 ) -> GapSet:
     if k < 0:
         raise ValueError("k must be >= 0")
@@ -214,7 +237,7 @@ def _enumerate(
         return _single_coin_set(params, k, at_most)
     cap = max_bound_ceiling()
     if not _window_beyond(_coins_within(params, cap), k, cap):
-        gap_set = _stream(params, k, at_most, cap, counts)
+        gap_set = _stream(params, k, at_most, cap, by_count)
         if gap_set.complete:
             return gap_set
     raise Indeterminate(cap)
@@ -249,7 +272,7 @@ def _stream(
     k: int,
     at_most: bool,
     cap: int,
-    counts: list[int] | None = None,
+    by_count: list[list[int]] | None = None,
 ) -> GapSet:
     """Scan r(0), r(1), ..., r(cap) online and stop when the a_1-window closes.
 
@@ -265,7 +288,8 @@ def _stream(
     coin a_i > cap other than a_1 adds nothing and gets no ring, and no ring
     needs more than cap + 1 values (one at least, for the seed).  The set is
     complete iff the window closes by cap; else it holds every element up to
-    cap.  When `counts` is given, r(j) of each collected j is appended to it.
+    cap.  When `by_count` is given (one list per count 0..k), each collected
+    j is also appended to by_count[r(j)], so each list ends up sorted.
     """
     width = params.smallest
     sizes = [min(a, cap + 1) for a in _coins_within(params, cap)]
@@ -287,8 +311,8 @@ def _stream(
             run = 0
             if c >= lowest:
                 elements.append(j)
-                if counts is not None:
-                    counts.append(c)
+                if by_count is not None:
+                    by_count[c].append(j)
     return GapSet(params, k, tuple(elements), complete=False)
 
 
@@ -316,10 +340,12 @@ def enumerate_by_count(params: Params, kmax: int) -> tuple[list[GapSet], list[Ga
     """The exactly-k and at-most-k sets for every k <= kmax, from one scan.
 
     Returns (exact, at_most), each indexed by k.  The scan is the one behind
-    enumerate_at_most_k(params, kmax), recording the count of every element
-    it collects; its window of a_1 counts > kmax also certifies every smaller
-    k, so every set is complete.  The FROBGEN_MAX_BOUND cap and its
-    refusal before the scan apply at kmax.
+    enumerate_at_most_k(params, kmax); it files every element it collects
+    under its count, and those lists are the exactly-k sets.  Each at-most-k
+    set merges the one below it with the exactly-k set (two sorted runs), and
+    the at-most-kmax set is the scan's own.  The scan's window of a_1 counts
+    > kmax also certifies every smaller k, so every set is complete.  The
+    FROBGEN_MAX_BOUND cap and its refusal before the scan apply at kmax.
     """
     if kmax < 0:
         raise ValueError("k must be >= 0")
@@ -329,20 +355,16 @@ def enumerate_by_count(params: Params, kmax: int) -> tuple[list[GapSet], list[Ga
             [_single_coin_set(params, k, False) for k in ks],
             [_single_coin_set(params, k, True) for k in ks],
         )
-    counts: list[int] = []
-    elements = _enumerate(params, kmax, None, True, counts).elements
-    exact = [
-        GapSet(
-            params, k, tuple(compress(elements, map(k.__eq__, counts))), complete=True
-        )
-        for k in ks
-    ]
-    at_most = [
-        GapSet(
-            params, k, tuple(compress(elements, map(k.__ge__, counts))), complete=True
-        )
-        for k in ks
-    ]
+    by_count: list[list[int]] = [[] for _ in ks]
+    scanned = _enumerate(params, kmax, None, True, by_count)
+    exact = [GapSet(params, k, tuple(js), complete=True) for k, js in enumerate(by_count)]
+    at_most = []
+    below: tuple[int, ...] = ()
+    for k in range(kmax):
+        # sorted() finds the two ascending runs and merges them
+        below = tuple(sorted(below + exact[k].elements))
+        at_most.append(GapSet(params, k, below, complete=True))
+    at_most.append(scanned)
     return exact, at_most
 
 

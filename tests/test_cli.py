@@ -9,6 +9,8 @@ import pytest
 from frobgen import cli
 from frobgen.cli import main
 
+from helpers import brute_counts
+
 
 def run_cli(*args: str) -> tuple[int, str, str]:
     """Run ``python -m frobgen *args`` in a fresh child process.
@@ -277,6 +279,24 @@ class TestExitCodes:
         assert captured.out == ""
         assert "ValidationError" in captured.err and "m must be >= 0" in captured.err
 
+    @pytest.mark.parametrize("route", [(), ("--oracle",)], ids=["closed", "oracle"])
+    def test_m_past_the_ceiling(self, route, monkeypatch, capsys):
+        monkeypatch.setenv("FROBGEN_MAX_BOUND", "100")
+        argv = ["compute", "--params", "3,5", "--k", "1", "--stat", "sm", *route]
+        assert main([*argv, "--m", "100"]) == 0
+        capsys.readouterr()
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("work was started for an --m the ceiling refuses")
+
+        monkeypatch.setattr(cli, "closed_report", no_work)
+        monkeypatch.setattr(cli, "enumerate_exact_k", no_work)
+        code = main([*argv, "--m", "101"])
+        captured = capsys.readouterr()
+        assert code == 4
+        assert captured.out == ""
+        assert "BoundTooLarge" in captured.err and "101" in captured.err
+
     def test_negative_k(self):
         code, _, err = run_cli("compute", "--params", "5,7", "--k", "-1", "--stat", "g")
         assert code == 2
@@ -484,6 +504,29 @@ class TestVerify:
         # the first line is the one a single-failure report always printed
         assert lines[0] == '{"check":"c","a":3,"b":5,"k":0,"expected":"4","actual":"5"}'
 
+    def test_reports_a_wrong_power_sum(self, capsys, monkeypatch):
+        real = cli.power_sum_k
+
+        def off_at_cube(p, k, m):
+            report = real(p, k, m)
+            return replace(report, value=report.value + 1) if m == 3 else report
+
+        monkeypatch.setattr(cli, "power_sum_k", off_at_cube)
+        code, out = run_main(
+            capsys, "verify", "--params", "3,5", "--kmax", "2", "--mmax", "3"
+        )
+        assert code == 1
+        failures = [json.loads(line) for line in out.splitlines()]
+        assert [(f["check"], f["k"], f["m"]) for f in failures] == [
+            ("s^m", 1, 3),
+            ("s^m", 2, 3),
+        ]
+        counts = brute_counts((3, 5), 60)  # R_2(3,5) ends at 37
+        for f in failures:
+            cubes = sum(j**3 for j, c in enumerate(counts) if c == f["k"])
+            assert f["expected"] == str(cubes)
+            assert int(f["actual"]) == cubes + 1
+
     def test_needs_params_or_sweep(self):
         code, _, err = run_cli("verify")
         assert code == 2
@@ -559,6 +602,11 @@ class TestGoldenOutput:
                 ("verify", "--sweep", "5", "--kmax", "2", "--mmax", "1", "--format", "json"),
                 '{"pairs":9,"checks":261,"failures":0}\n',
                 id="verify-json",
+            ),
+            pytest.param(
+                ("verify", "--sweep", "30", "--kmax", "5", "--mmax", "4", "--format", "json"),
+                '{"pairs":277,"checks":20498,"failures":0}\n',
+                id="verify-json-sweep-30",
             ),
             pytest.param(
                 ("enumerate", "--params", "3,5", "--k", "1", "--at-most"),

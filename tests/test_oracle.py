@@ -318,6 +318,42 @@ class TestGapSetSerialization:
         with pytest.raises(ValueError):
             GapSet(Params((2, 3)), 0, (3, 1), True)
 
+    @pytest.mark.parametrize(
+        "elements", [(1, 1), (0, 2, 2), (0, 3, 1)], ids=["equal", "equal-tail", "late-descent"]
+    )
+    def test_equal_or_late_descent_refused(self, elements):
+        with pytest.raises(ValueError):
+            GapSet(Params((2, 3)), 0, elements, True)
+
+    @pytest.mark.parametrize("elements", [(), (5,)], ids=["empty", "one"])
+    def test_short_sets_accepted(self, elements):
+        assert GapSet(Params((2, 3)), 0, elements, True).elements == elements
+
+
+class TestPowerSums:
+    @given(st.sets(st.integers(0, 10**6), max_size=40), st.integers(0, 8))
+    @settings(max_examples=80, deadline=None)
+    def test_against_brute_force(self, js, mmax):
+        gs = GapSet(Params((2, 3)), 0, tuple(sorted(js)), True)
+        brute = [sum(j**m for j in gs.elements) for m in range(mmax + 1)]
+        assert gs.power_sums(mmax) == brute
+        assert [gs.power_sum(m) for m in range(mmax + 1)] == brute
+
+    @pytest.mark.parametrize(
+        "elements,sums",
+        [((), [0] * 9), ((0,), [1] + [0] * 8)],  # 0**0 == 1
+        ids=["empty", "zero"],
+    )
+    def test_empty_set_and_zero(self, elements, sums):
+        gs = GapSet(Params((2, 3)), 0, elements, True)
+        assert gs.power_sums(8) == sums
+        assert [gs.power_sum(m) for m in range(9)] == sums
+
+    def test_negative_order_refused(self):
+        gs = GapSet(Params((2, 3)), 0, (1, 2), True)
+        with pytest.raises(ValueError, match="m must be >= 0"):
+            gs.power_sums(-1)
+
 
 class TestSweepAgainstBruteForce:
     @pytest.mark.parametrize("a,b", coprime_pairs(12))
