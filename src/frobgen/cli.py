@@ -21,6 +21,7 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from functools import cache
 from math import gcd
 from typing import Iterable
 
@@ -73,7 +74,12 @@ def _parse_params(text: str) -> list[int]:
 
 
 def _emit(text: str) -> None:
-    sys.stdout.write(text if text.endswith("\n") else text + "\n")
+    """Write text ending in a newline; a missing one is written on its own
+    rather than appended, which would copy the whole text."""
+    write = sys.stdout.write
+    write(text)
+    if not text.endswith("\n"):
+        write("\n")
 
 
 def _emit_json(obj) -> None:
@@ -143,18 +149,20 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def cmd_classify(args: argparse.Namespace) -> int:
+    # Rows are formatted straight into the output text, with no object per row.
     params = validate_params(args.params)
-    table = rep_table(params, args.bound)
+    counts = rep_table(params, args.bound).counts
     if args.format == "json":
-        rows = [
-            {"j": j, "count": str(c), "k": str(c)} for j, c in enumerate(table.counts)
-        ]
-        _emit_json({"params": list(params.denominations), "bound": args.bound, "rows": rows})
+        write = sys.stdout.write
+        denoms = ",".join(map(str, params.denominations))
+        write(f'{{"params":[{denoms}],"bound":{args.bound},"rows":[')
+        write(",".join([f'{{"j":{j},"count":"{c}","k":"{c}"}}' for j, c in enumerate(counts)]))
+        write("]}\n")
     elif args.format == "csv":
-        _emit_csv("j,count,k", [f"{j},{c},{c}" for j, c in enumerate(table.counts)])
+        _emit_csv("j,count,k", [f"{j},{c},{c}" for j, c in enumerate(counts)])
     else:
         width = max(len(str(args.bound)), 1)
-        _emit("\n".join([f"{j:>{width}}  r={c}" for j, c in enumerate(table.counts)]))
+        _emit("\n".join([f"{str(j).rjust(width)}  r={c}" for j, c in enumerate(counts)]))
     return 0
 
 
@@ -201,7 +209,7 @@ def cmd_genfun(args: argparse.Namespace) -> int:
         if args.format == "json":
             _emit(series.to_json())
         elif args.format == "csv":
-            _emit_csv("j,bit", [f"{j},{b}" for j, b in enumerate(series.bits)])
+            _emit_csv("j,bit", [f"{j},{b}" for j, b in enumerate(series.to_bitstring())])
         else:
             _emit(series.to_bitstring())
         return 0
@@ -318,7 +326,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
 # -- parser ---------------------------------------------------------------
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The frobgen argument parser, built once per process.
+
+    Reuse carries no state between calls: parse_args returns a fresh
+    Namespace each time.
+    """
     parser = argparse.ArgumentParser(
         prog="frobgen",
         description="Exact Frobenius coin-problem statistics, sets, and generating functions.",

@@ -9,13 +9,14 @@ are all materialized exactly and cross-checked against the oracle.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from frobgen.closedform import PairParams
 from frobgen.errors import NotPrime, WrongArity
 from frobgen.intpoly import IntPoly, cyclotomic
 from frobgen.oracle import Params, enumerate_exact_k, rep_table
+
+_BIT_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 
 
 @dataclass(frozen=True)
@@ -28,18 +29,13 @@ class IndicatorSeries:
     bits: tuple[int, ...]
 
     def to_bitstring(self) -> str:
-        return "".join(str(b) for b in self.bits)
+        return bytes(self.bits).translate(_BIT_DIGITS).decode("ascii")
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "params": list(self.params),
-                "k": self.k,
-                "bound": self.bound,
-                "bits": list(self.bits),
-            },
-            separators=(",", ":"),
-        )
+        # The bits array is the bitstring joined by commas, one C-level call.
+        params = ",".join(map(str, self.params))
+        bits = ",".join(self.to_bitstring())
+        return f'{{"params":[{params}],"k":{self.k},"bound":{self.bound},"bits":[{bits}]}}'
 
 
 def p_k_poly(p: PairParams, k: int) -> IntPoly:
@@ -49,15 +45,22 @@ def p_k_poly(p: PairParams, k: int) -> IntPoly:
 
         z^(ab(k-1)) * (1 + z^a + ... + z^((b-1)a)) * (1 + z^b + ... + z^((a-1)b))
 
-    k = 0 reads the gap set off the oracle, since the rational form would
-    need a series subtraction with cancellation.
+    k = 0 lists the gaps by Sylvester's reflection, with no oracle call: a
+    positive n is a gap exactly when ab - n = xa + yb with x, y >= 1, so the
+    gaps are
+
+        {ab - xa - yb : 1 <= x < b, 1 <= y < a, xa + yb < ab},
+
+    each met once.  (The rational form would need a series subtraction with
+    cancellation.)
     """
     if k < 0:
         raise ValueError("k must be >= 0")
     a, b = p.a, p.b
     if k == 0:
-        gaps = enumerate_exact_k(p.as_params(), 0)
-        return IntPoly.from_support(gaps.elements)
+        return IntPoly.from_support(
+            n for x in range(1, b) for n in range(a * b - x * a - b, 0, -b)
+        )
     poly = (IntPoly.geometric(a, b) * IntPoly.geometric(b, a)).shift(a * b * (k - 1))
     if not poly.is_zero_one():
         raise AssertionError("exactly-k polynomial has a coefficient outside {0,1}")
@@ -78,9 +81,8 @@ def s_k_indicator(p: PairParams, k: int, bound: int) -> IndicatorSeries:
     if shift > bound:
         bits = (0,) * (bound + 1)
     else:
-        table = rep_table(p.as_params(), bound - shift)
-        base = tuple(1 if c > 0 else 0 for c in table.counts)
-        bits = (0,) * shift + base
+        counts = rep_table(p.as_params(), bound - shift).counts
+        bits = (0,) * shift + tuple(bytes(map(bool, counts)))
     return IndicatorSeries(p.pair, k, bound, bits)
 
 

@@ -532,6 +532,31 @@ class TestVerify:
         assert code == 2
 
 
+class TestParserReuse:
+    def test_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_flags_do_not_carry_over(self, capsys):
+        code, out = run_main(capsys, "enumerate", "--params", "3,5", "--k", "1", "--at-most")
+        assert code == 0
+        assert out.startswith("# params=3,5 at-most k=1 ")
+        code, out = run_main(capsys, "enumerate", "--params", "3,5", "--k", "1")
+        assert code == 0
+        assert out == (
+            "# params=3,5 exactly k=1 count=15 complete=true\n"
+            "0 3 5 6 8 9 10 11 12 13 14 16 17 19 22\n"
+        )
+
+    def test_usage_error_then_valid_call(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["classify", "--params", "3,5"])
+        assert exc.value.code == 2
+        assert "--bound" in capsys.readouterr().err
+        code, out = run_main(capsys, "classify", "--params", "3,5", "--bound", "0")
+        assert code == 0
+        assert out == "0  r=1\n"
+
+
 class TestGoldenOutput:
     @pytest.mark.parametrize(
         "argv,expected",
@@ -571,6 +596,61 @@ class TestGoldenOutput:
                 id="classify-json",
             ),
             pytest.param(
+                ("classify", "--params", "3,5", "--bound", "11", "--format", "csv"),
+                "j,count,k\n0,1,1\n1,0,0\n2,0,0\n3,1,1\n4,0,0\n5,1,1\n6,1,1\n7,0,0\n"
+                "8,1,1\n9,1,1\n10,1,1\n11,1,1\n",
+                id="classify-csv",
+            ),
+            pytest.param(
+                ("classify", "--params", "1,2", "--bound", "25", "--format", "json"),
+                '{"params":[1,2],"bound":25,"rows":[{"j":0,"count":"1","k":"1"},'
+                '{"j":1,"count":"1","k":"1"},{"j":2,"count":"2","k":"2"},'
+                '{"j":3,"count":"2","k":"2"},{"j":4,"count":"3","k":"3"},'
+                '{"j":5,"count":"3","k":"3"},{"j":6,"count":"4","k":"4"},'
+                '{"j":7,"count":"4","k":"4"},{"j":8,"count":"5","k":"5"},'
+                '{"j":9,"count":"5","k":"5"},{"j":10,"count":"6","k":"6"},'
+                '{"j":11,"count":"6","k":"6"},{"j":12,"count":"7","k":"7"},'
+                '{"j":13,"count":"7","k":"7"},{"j":14,"count":"8","k":"8"},'
+                '{"j":15,"count":"8","k":"8"},{"j":16,"count":"9","k":"9"},'
+                '{"j":17,"count":"9","k":"9"},{"j":18,"count":"10","k":"10"},'
+                '{"j":19,"count":"10","k":"10"},{"j":20,"count":"11","k":"11"},'
+                '{"j":21,"count":"11","k":"11"},{"j":22,"count":"12","k":"12"},'
+                '{"j":23,"count":"12","k":"12"},{"j":24,"count":"13","k":"13"},'
+                '{"j":25,"count":"13","k":"13"}]}\n',
+                id="classify-json-two-digit-counts",
+            ),
+            pytest.param(
+                ("classify", "--params", "1,2", "--bound", "25", "--format", "csv"),
+                "j,count,k\n0,1,1\n1,1,1\n2,2,2\n3,2,2\n4,3,3\n5,3,3\n6,4,4\n7,4,4\n"
+                "8,5,5\n9,5,5\n10,6,6\n11,6,6\n12,7,7\n13,7,7\n14,8,8\n15,8,8\n"
+                "16,9,9\n17,9,9\n18,10,10\n19,10,10\n20,11,11\n21,11,11\n"
+                "22,12,12\n23,12,12\n24,13,13\n25,13,13\n",
+                id="classify-csv-two-digit-counts",
+            ),
+            pytest.param(
+                ("classify", "--params", "1,2", "--bound", "25"),
+                " 0  r=1\n 1  r=1\n 2  r=2\n 3  r=2\n 4  r=3\n 5  r=3\n 6  r=4\n"
+                " 7  r=4\n 8  r=5\n 9  r=5\n10  r=6\n11  r=6\n12  r=7\n13  r=7\n"
+                "14  r=8\n15  r=8\n16  r=9\n17  r=9\n18  r=10\n19  r=10\n"
+                "20  r=11\n21  r=11\n22  r=12\n23  r=12\n24  r=13\n25  r=13\n",
+                id="classify-plain-two-digit-counts",
+            ),
+            pytest.param(
+                ("classify", "--params", "3,5", "--bound", "0", "--format", "json"),
+                '{"params":[3,5],"bound":0,"rows":[{"j":0,"count":"1","k":"1"}]}\n',
+                id="classify-json-bound-0",
+            ),
+            pytest.param(
+                ("classify", "--params", "3,5", "--bound", "0", "--format", "csv"),
+                "j,count,k\n0,1,1\n",
+                id="classify-csv-bound-0",
+            ),
+            pytest.param(
+                ("classify", "--params", "3,5", "--bound", "0"),
+                "0  r=1\n",
+                id="classify-plain-bound-0",
+            ),
+            pytest.param(
                 ("genfun", "--params", "3,5", "--k", "1", "--format", "csv"),
                 "exp,coeff\n0,1\n3,1\n5,1\n6,1\n8,1\n9,1\n10,1\n11,1\n12,1\n"
                 "13,1\n14,1\n16,1\n17,1\n19,1\n22,1\n",
@@ -587,6 +667,21 @@ class TestGoldenOutput:
                  "--format", "json"),
                 '{"params":[2,3],"k":1,"bound":8,"bits":[0,0,0,0,0,0,1,0,1]}\n',
                 id="indicator-json",
+            ),
+            pytest.param(
+                ("genfun", "--params", "2,3", "--indicator", "--k", "1", "--bound", "8"),
+                "000000101\n",
+                id="indicator-plain",
+            ),
+            pytest.param(
+                ("genfun", "--params", "3,5", "--k", "0"),
+                "z + z^2 + z^4 + z^7\n",
+                id="gap-polynomial-plain",
+            ),
+            pytest.param(
+                ("genfun", "--params", "3,5", "--k", "0", "--format", "json"),
+                '{"terms":[[1,"1"],[2,"1"],[4,"1"],[7,"1"]]}\n',
+                id="gap-polynomial-json",
             ),
             pytest.param(
                 ("genfun", "--params", "2,3,5", "--denham", "--format", "json"),

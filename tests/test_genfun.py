@@ -1,4 +1,5 @@
 import random
+from math import gcd
 
 import pytest
 
@@ -15,7 +16,7 @@ from frobgen.genfun import (
 from frobgen.intpoly import IntPoly
 from frobgen.oracle import enumerate_exact_k, rep_table, validate_params
 
-from helpers import coprime_pairs
+from helpers import brute_counts, coprime_pairs
 
 
 class TestPkPoly:
@@ -42,6 +43,24 @@ class TestPkPoly:
             assert poly.evaluate(1) == count_k(p, k).value
             g = frobenius_k(p, k).value
             assert poly.degree == g
+
+    @pytest.mark.parametrize("b", range(2, 41))
+    def test_gaps_by_reflection_match_brute_force(self, b):
+        for a in range(1, b):
+            if gcd(a, b) != 1:
+                continue
+            counts = brute_counts((a, b), a * b)
+            gaps = tuple(j for j, c in enumerate(counts) if c == 0)
+            assert p_k_poly(PairParams(a, b), 0).support() == gaps
+            assert p_k_poly(PairParams(b, a), 0).support() == gaps
+
+    def test_gap_polynomial_calls_no_oracle(self, monkeypatch):
+        def no_oracle(*args, **kwargs):
+            raise AssertionError("p_k_poly(pair, 0) called the oracle")
+
+        monkeypatch.setattr("frobgen.genfun.enumerate_exact_k", no_oracle)
+        got = p_k_poly(PairParams(5, 7), 0)
+        assert got == IntPoly.from_support([1, 2, 3, 4, 6, 8, 9, 11, 13, 16, 18, 23])
 
     def test_shift_structure(self):
         # p_k is p_1 translated by ab(k-1)
