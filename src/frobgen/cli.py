@@ -10,7 +10,8 @@ Subcommands:
 Exit codes: 0 success, 1 mathematical mismatch, 2 input validation,
 3 unsupported request, 4 resource guard.  The resource ceiling (largest
 --bound, last entry scanned for unbounded queries, largest N for
-genfun --cyclotomic, largest --m for compute --stat sm) can be overridden
+genfun --cyclotomic, largest --m for compute --stat sm and --mmax for
+verify) can be overridden
 via FROBGEN_MAX_BOUND, which must be a nonnegative integer (anything else
 exits 2).
 """
@@ -102,7 +103,7 @@ def cmd_compute(args: argparse.Namespace) -> int:
             raise ValidationError("--stat sm requires --m")
         if args.m < 0:
             raise ValidationError(f"--m must be >= 0, got {args.m}")
-        # m sizes the Bernoulli work of the closed form and every power j**m
+        # m sizes the power-sum work of the closed form and every power j**m
         ceiling = max_bound_ceiling()
         if args.m > ceiling:
             raise BoundTooLarge(args.m, ceiling)
@@ -287,6 +288,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
         )
     if args.sweep is not None and args.sweep < 2:
         raise ValidationError(f"--sweep must be at least 2, got {args.sweep}")
+    # mmax sizes every closed-form power-sum list and every power j**m
+    ceiling = max_bound_ceiling()
+    if args.mmax > ceiling:
+        raise BoundTooLarge(args.mmax, ceiling)
     workers = min(args.workers, os.cpu_count() or 1)
     if args.params is not None:
         params = validate_params(args.params)

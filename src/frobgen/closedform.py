@@ -9,19 +9,18 @@ sums all have closed forms:
     s_0 = (a-1)(b-1)(2ab-a-b-1)/12        (Brown--Shiue)
     s_k = ab(2abk - a - b)/2              for k >= 1
 
-and for k >= 1 the power sum of order m is a trinomial convolution of
-power-sum polynomials (see power_sum_k).  Every function returns a
-StatReport with closed-form provenance; all arithmetic is exact, and the
-power sums are integer-exact: each power-sum polynomial value is an integer
-Horner evaluation followed by one exact division.
+and for k >= 1 the power sum of order m is a trinomial convolution of the
+sums S_i(x) = sum_{j<x} j^i at x = a and x = b (see power_sum_k), which
+power_sums_below gets by Pascal's identity.  Every function returns a
+StatReport with closed-form provenance.  All arithmetic is in integers;
+each division is exact and checked by _exact_div.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import comb, gcd
+from operator import add, mul
 
-from frobgen.bernoulli import beta_value
 from frobgen.errors import NonPositive, NotCoprime, UnsupportedK
 from frobgen.oracle import GapSet, Params, enumerate_exact_k
 from frobgen.report import AT_MOST_STATS, CLOSED_FORM, StatReport
@@ -50,10 +49,37 @@ class PairParams:
         return (self.a, self.b)
 
 
-def _exact_int(x: Fraction) -> int:
-    if x.denominator != 1:
-        raise AssertionError(f"expected an integer, got {x}")
-    return x.numerator
+def _exact_div(num: int, den: int) -> int:
+    """num / den, which must be an integer; a remainder raises AssertionError."""
+    value, rem = divmod(num, den)
+    if rem:
+        raise AssertionError(f"expected an integer, got {num}/{den}")
+    return value
+
+
+def power_sums_below(x: int, m: int) -> list[int]:
+    """[S_0(x), ..., S_m(x)] with S_i(x) = sum_{j=0}^{x-1} j^i (0^0 = 1).
+
+    Summing (j+1)^(i+1) - j^(i+1) over j < x gives Pascal's identity
+
+        (i+1) S_i(x) = x^(i+1) - sum_{t<i} C(i+1, t) S_t(x),
+
+    so each order costs one pass over the lower ones and one exact
+    division.  The binomials are carried as one Pascal row.
+
+    >>> power_sums_below(5, 2)
+    [5, 10, 30]
+    """
+    if m < 0:
+        raise ValueError("m must be >= 0")
+    sums: list[int] = []
+    row = [1]  # C(i, 0..i), advanced to C(i+1, ...) at the top of order i
+    power = 1
+    for i in range(m + 1):
+        row = [1, *map(add, row, row[1:]), 1]
+        power *= x
+        sums.append(_exact_div(power - sum(map(mul, row, sums)), i + 1))
+    return sums
 
 
 def frobenius_k(p: PairParams, k: int) -> StatReport:
@@ -80,7 +106,7 @@ def count_k(p: PairParams, k: int) -> StatReport:
         raise ValueError("k must be >= 0")
     a, b = p.a, p.b
     if k == 0:
-        value = _exact_int(Fraction((a - 1) * (b - 1), 2))
+        value = _exact_div((a - 1) * (b - 1), 2)
     else:
         value = a * b
     return StatReport("c", p.pair, k, value, provenance=CLOSED_FORM)
@@ -92,9 +118,9 @@ def sum_k(p: PairParams, k: int) -> StatReport:
         raise ValueError("k must be >= 0")
     a, b = p.a, p.b
     if k == 0:
-        value = _exact_int(Fraction((a - 1) * (b - 1) * (2 * a * b - a - b - 1), 12))
+        value = _exact_div((a - 1) * (b - 1) * (2 * a * b - a - b - 1), 12)
     else:
-        value = _exact_int(Fraction(a * b * (2 * a * b * k - a - b), 2))
+        value = _exact_div(a * b * (2 * a * b * k - a - b), 2)
     return StatReport("s", p.pair, k, value, provenance=CLOSED_FORM)
 
 
@@ -102,14 +128,16 @@ def power_sum_k(p: PairParams, k: int, m: int) -> StatReport:
     """Power sum of order m over the exactly-k set, for k >= 1:
 
         sum_{l+u+v=m} multinomial(m; l,u,v) a^(l+u) b^(l+v) (k-1)^l
-                      * beta_{v+1}(a) * beta_{u+1}(b)
+                      * S_v(a) * S_u(b)
 
     with the convention 0^0 = 1 in the (k-1)^l factor, which the k = 1 case
-    requires.  The sum is integer-exact: the m+1 values beta_{v+1}(a) and
-    beta_{u+1}(b) are computed once per call by bernoulli.beta_value (integer
-    Horner, one exact division each) and the terms are summed as ints.
-    k = 0 with m <= 1 delegates to count_k / sum_k; k = 0 with m >= 2 has no
-    closed form and is refused.
+    requires.  This is the m-th power sum of the translate
+    ab(k-1) + {ia + jb : 0 <= i < b, 0 <= j < a}, expanded by the
+    multinomial theorem.  The m+1 sums S_v(a) and S_u(b) come from
+    power_sums_below, once per call, and the terms are summed as ints.
+    k = 0 with m <= 1 delegates to count_k / sum_k; k = 0 with m >= 2 is
+    refused: a closed form exists (Rodseth 1994; Tuenter 2006) but is not
+    implemented.
     """
     if k < 0 or m < 0:
         raise ValueError("k and m must be >= 0")
@@ -122,8 +150,8 @@ def power_sum_k(p: PairParams, k: int, m: int) -> StatReport:
             raise UnsupportedK(k, m)
         return StatReport("s^m", p.pair, k, value, m=m, provenance=CLOSED_FORM)
     a, b = p.a, p.b
-    beta_a = [beta_value(v + 1, a) for v in range(m + 1)]
-    beta_b = [beta_value(u + 1, b) for u in range(m + 1)]
+    sums_a = power_sums_below(a, m)
+    sums_b = power_sums_below(b, m)
     total = 0
     for lam in range(m + 1):
         kf = (k - 1) ** lam  # 0**0 == 1 covers k == 1, lam == 0
@@ -137,40 +165,27 @@ def power_sum_k(p: PairParams, k: int, m: int) -> StatReport:
                 * a ** (lam + mu)
                 * b ** (lam + nu)
                 * kf
-                * beta_a[nu]
-                * beta_b[mu]
+                * sums_a[nu]
+                * sums_b[mu]
             )
     return StatReport("s^m", p.pair, k, total, m=m, provenance=CLOSED_FORM)
 
 
 def at_most_stats(p: PairParams, k: int) -> tuple[StatReport, StatReport, StatReport]:
-    """Exact (max, cardinality, sum) of the at-most-k set:
+    """Exact (max, cardinality, sum) of the at-most-k set, read off the
+    exactly-k forms:
 
-        g<= = (k+1)ab - a - b        (equals g_k; a two-denomination fact)
-        c<= = (a-1)(b-1)/2 + abk
-        s<= = a^2 b^2 k^2 / 2 + (ab-a-b) ab k / 2 + a^2 b^2 / 6
-              - (a+b-1) ab / 4 + (a^2 + b^2 - 1) / 12
+        g<= = g_k = (k+1)ab - a - b  (a two-denomination fact)
+        c<= = c_0 + abk
+        s<= = s_0 + k(s_1 + s_k)/2   (s_i is linear in i for i >= 1)
     """
     if k < 0:
         raise ValueError("k must be >= 0")
     a, b = p.a, p.b
-    g = frobenius_k(p, k)
-    g_le = StatReport("g<=", p.pair, k, g.value, provenance=CLOSED_FORM)
-    c_le = StatReport(
-        "c<=",
-        p.pair,
-        k,
-        _exact_int(Fraction((a - 1) * (b - 1), 2) + a * b * k),
-        provenance=CLOSED_FORM,
-    )
-    s_value = (
-        Fraction(a * a * b * b * k * k, 2)
-        + Fraction((a * b - a - b) * a * b * k, 2)
-        + Fraction(a * a * b * b, 6)
-        - Fraction((a + b - 1) * a * b, 4)
-        + Fraction(a * a + b * b - 1, 12)
-    )
-    s_le = StatReport("s<=", p.pair, k, _exact_int(s_value), provenance=CLOSED_FORM)
+    g_le = StatReport("g<=", p.pair, k, frobenius_k(p, k).value, provenance=CLOSED_FORM)
+    c_le = StatReport("c<=", p.pair, k, count_k(p, 0).value + a * b * k, provenance=CLOSED_FORM)
+    s_value = sum_k(p, 0).value + _exact_div(k * (sum_k(p, 1).value + sum_k(p, k).value), 2)
+    s_le = StatReport("s<=", p.pair, k, s_value, provenance=CLOSED_FORM)
     return g_le, c_le, s_le
 
 

@@ -49,11 +49,11 @@ class NotDivisible(FrobgenError):
 
 
 class UnsupportedK(FrobgenError):
-    """No closed form exists for this (k, m) combination (CLI exit code 3)."""
+    """frobgen implements no closed form for this (k, m) combination (CLI exit code 3)."""
 
     def __init__(self, k: int, m: int) -> None:
         super().__init__(
-            f"no closed form for power sums with k={k}, m={m}; use the oracle"
+            f"no closed form implemented for power sums with k={k}, m={m}; use the oracle"
         )
         self.k = k
         self.m = m

@@ -2,15 +2,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from frobgen import bernoulli
-from frobgen.bernoulli import (
-    RatPoly,
-    bernoulli_number,
-    bernoulli_poly,
-    beta_int_poly,
-    beta_poly,
-    beta_value,
-)
+from frobgen.bernoulli import RatPoly, bernoulli_number, bernoulli_poly, beta_poly
+from frobgen.closedform import _exact_div, power_sums_below
 
 # B_0 .. B_6, coefficients by increasing exponent.
 BERNOULLI_TABLE = {
@@ -63,27 +56,25 @@ class TestBetaPoly:
 
 
 class TestBetaValue:
+    """beta_k at integers, as the closed forms get it: S_{k-1}(x) from
+    power_sums_below, in plain integers."""
+
     @pytest.mark.parametrize("k", range(1, 13))
     def test_matches_polynomial_and_power_sum(self, k):
         for x in range(61):
-            value = beta_value(k, x)
+            value = power_sums_below(x, k - 1)[k - 1]
             assert type(value) is int
             assert value == beta_poly(k).evaluate(x)
             assert value == sum(j ** (k - 1) for j in range(x))
 
-    def test_common_denominator(self):
-        coeffs, den = beta_int_poly(4)  # x^4/4 - x^3/2 + x^2/4
-        assert (coeffs, den) == ((0, 0, 1, -2, 1), 4)
-        assert RatPoly(F(c, den) for c in coeffs) == beta_poly(4)
-
-    def test_nonzero_remainder_raises(self, monkeypatch):
-        monkeypatch.setattr(bernoulli, "beta_int_poly", lambda k: ((1, 1), 2))
+    def test_nonzero_remainder_raises(self):
+        assert _exact_div(6, 2) == 3
         with pytest.raises(AssertionError):
-            beta_value(1, 2)  # (1 + 2) / 2
+            _exact_div(3, 2)
 
-    def test_rejects_zero(self):
+    def test_rejects_negative_order(self):
         with pytest.raises(ValueError):
-            beta_value(0, 3)
+            power_sums_below(3, -1)
 
 
 class TestRatPoly:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -127,7 +128,7 @@ class TestCompute:
             sys.set_int_max_str_digits(limit)
 
     def test_oracle_sm_k0_m2(self, capsys):
-        # no closed form, but the oracle path is explicit and exact
+        # no closed form implemented, but the oracle path is explicit and exact
         code, out = run_main(
             capsys,
             "compute", "--params", "3,5", "--k", "0", "--stat", "sm", "--m", "2",
@@ -143,7 +144,7 @@ def _stat_cases():
             for k in range(4):
                 for m in range(4) if flag == "sm" else [None]:
                     if k == 0 and m is not None and m >= 2:
-                        continue  # no closed form: exit 3
+                        continue  # no closed form implemented: exit 3
                     yield params, flag, k, m
 
 
@@ -292,6 +293,22 @@ class TestExitCodes:
         monkeypatch.setattr(cli, "closed_report", no_work)
         monkeypatch.setattr(cli, "enumerate_exact_k", no_work)
         code = main([*argv, "--m", "101"])
+        captured = capsys.readouterr()
+        assert code == 4
+        assert captured.out == ""
+        assert "BoundTooLarge" in captured.err and "101" in captured.err
+
+    def test_mmax_past_the_ceiling(self, monkeypatch, capsys):
+        monkeypatch.setenv("FROBGEN_MAX_BOUND", "100")
+        argv = ["verify", "--params", "2,3", "--kmax", "1"]
+        assert main([*argv, "--mmax", "100"]) == 0
+        capsys.readouterr()
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("work was started for an --mmax the ceiling refuses")
+
+        monkeypatch.setattr(cli, "verify_pair", no_work)
+        code = main([*argv, "--mmax", "101"])
         captured = capsys.readouterr()
         assert code == 4
         assert captured.out == ""
@@ -720,3 +737,14 @@ class TestGoldenOutput:
         code, out = run_main(capsys, *argv)
         assert code == 0
         assert out == expected
+
+    def test_power_sum_m1000_json(self, capsys):
+        # s^1000_1(3,5) is 1,423 bytes of JSON; its hash pins every digit
+        code, out = run_main(
+            capsys, "compute", "--params", "3,5", "--k", "1", "--stat", "sm", "--m", "1000",
+            "--format", "json",
+        )
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "5881df8db0c97fd22940ef0147a89e2965da753ecf70c6c562987267a75fdad3"
+        )

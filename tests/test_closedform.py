@@ -1,6 +1,8 @@
 from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from frobgen.closedform import (
     PairParams,
@@ -109,6 +111,15 @@ class TestPowerSum:
         for _ in range(m):
             diffs = [y - x for x, y in zip(diffs, diffs[1:])]
         assert all(d == factorial(m) * (a * b) ** (m + 1) for d in diffs)
+
+
+class TestPowerSumHighOrders:
+    @given(st.sampled_from(coprime_pairs(15)), st.integers(1, 3), st.integers(0, 40))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_oracle(self, pair, k, m):
+        exact = enumerate_exact_k(validate_params(list(pair)), k)
+        p = PairParams(*pair)
+        assert [power_sum_k(p, k, i).value for i in range(m + 1)] == exact.power_sums(m)
 
 
 class TestAtMost:
