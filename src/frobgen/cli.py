@@ -11,9 +11,8 @@ Exit codes: 0 success, 1 mathematical mismatch, 2 input validation,
 3 unsupported request, 4 resource guard.  The resource ceiling (largest
 --bound, last entry scanned for unbounded queries, largest N for
 genfun --cyclotomic, largest --m for compute --stat sm and --mmax for
-verify) can be overridden
-via FROBGEN_MAX_BOUND, which must be a nonnegative integer (anything else
-exits 2).
+verify) can be overridden via FROBGEN_MAX_BOUND, which must be a
+nonnegative integer (anything else exits 2).
 """
 from __future__ import annotations
 

@@ -49,7 +49,8 @@ class NotDivisible(FrobgenError):
 
 
 class UnsupportedK(FrobgenError):
-    """frobgen implements no closed form for this (k, m) combination (CLI exit code 3)."""
+    """frobgen implements no closed form for this (k, m) combination (CLI
+    exit code 3)."""
 
     def __init__(self, k: int, m: int) -> None:
         super().__init__(
