@@ -13,6 +13,7 @@ from frobgen.closedform import (
     count_k,
     frobenius_k,
     power_sum_k,
+    power_sums_k,
     structured_r_k,
     sum_k,
 )
@@ -70,6 +71,7 @@ __all__ = [
     "p_k_poly",
     "poly_exact_div",
     "power_sum_k",
+    "power_sums_k",
     "rational_series",
     "rep_table",
     "s_k_indicator",

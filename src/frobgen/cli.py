@@ -31,7 +31,7 @@ from frobgen.closedform import (
     closed_report,
     count_k,
     frobenius_k,
-    power_sum_k,
+    power_sums_k,
     sum_k,
 )
 from frobgen.errors import (
@@ -225,7 +225,12 @@ def verify_pair(a: int, b: int, kmax: int, mmax: int) -> tuple[int, list[dict]]:
 
     The oracle side is one certified scan per pair (enumerate_by_count up to
     the kmax window), which yields every exactly-k and at-most-k set, and
-    one power_sums walk per exactly-k set for its s^m checks.
+    one power_sums walk per exactly-k set for its s^m checks.  numerator_h
+    works from that scan's gap set, so with a >= 2 nothing scans again
+    (for a = 1, frobenius_k's empty k = 0 set is confirmed by its own scan).
+    The closed-form side is one object per check or per k: p_k_poly fills
+    its 0/1 coefficients as dense rows, and power_sums_k gives every order
+    of one k as a single table.
     Returns (number of checks run, failures); each failure is a JSON-ready
     dict naming the check and both values.
     """
@@ -248,10 +253,10 @@ def verify_pair(a: int, b: int, kmax: int, mmax: int) -> tuple[int, list[dict]]:
     pair = PairParams(a, b)
     params = pair.as_params()
 
-    h = numerator_h(params)
+    exact_sets, at_most_sets = enumerate_by_count(params, kmax)
+    h = numerator_h(params, exact_sets[0])
     check("h == 1 - z^ab", None, None, IntPoly.one_minus_pow(a * b).to_text(), h.to_text())
 
-    exact_sets, at_most_sets = enumerate_by_count(params, kmax)
     for k in range(kmax + 1):
         exact = exact_sets[k]
         for closed in (frobenius_k(pair, k), count_k(pair, k), sum_k(pair, k)):
@@ -268,8 +273,9 @@ def verify_pair(a: int, b: int, kmax: int, mmax: int) -> tuple[int, list[dict]]:
             check(closed.stat, k, None, oracle.value, closed.value)
 
         if k >= 1:
-            for m, oracle_sum in enumerate(exact.power_sums(mmax)):
-                check("s^m", k, m, oracle_sum, power_sum_k(pair, k, m).value)
+            sums = zip(exact.power_sums(mmax), power_sums_k(pair, k, mmax))
+            for m, (oracle_sum, closed_sum) in enumerate(sums):
+                check("s^m", k, m, oracle_sum, closed_sum)
 
     return checks, failures
 

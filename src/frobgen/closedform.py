@@ -11,13 +11,15 @@ sums all have closed forms:
 
 and for k >= 1 the power sum of order m is a trinomial convolution of the
 sums S_i(x) = sum_{j<x} j^i at x = a and x = b (see power_sum_k), which
-power_sums_below gets by Pascal's identity.  Every function returns a
-StatReport with closed-form provenance.  All arithmetic is in integers;
-each division is exact and checked by _exact_div.
+power_sums_below gets by Pascal's identity; power_sums_k gives every order
+up to m as one list.  Every other statistic comes as a StatReport with
+closed-form provenance.  All arithmetic is in integers; each division is
+exact and checked by _exact_div.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate, repeat
 from math import comb, gcd
 from operator import add, mul
 
@@ -124,6 +126,65 @@ def sum_k(p: PairParams, k: int) -> StatReport:
     return StatReport("s", p.pair, k, value, provenance=CLOSED_FORM)
 
 
+def _powers(x: int, m: int) -> list[int]:
+    """[x^0, ..., x^m] (0^0 = 1)."""
+    return list(accumulate(repeat(x, m), mul, initial=1))
+
+
+def _grid_power_sums(p: PairParams, m: int) -> tuple[list[int], list[int]]:
+    """Power sums of orders 0..m of {ia : 0 <= i < b} and of {jb : 0 <= j < a}.
+
+    The order-t sum of the first is a^t S_t(b), of the second b^t S_t(a).
+    """
+    a, b = p.a, p.b
+    return (
+        list(map(mul, _powers(a, m), power_sums_below(b, m))),
+        list(map(mul, _powers(b, m), power_sums_below(a, m))),
+    )
+
+
+def _binomial_convolution(x: list[int], y: list[int]) -> list[int]:
+    """[z_0, ..., z_m], z_n = sum_t C(n, t) x_t y_(n-t), for m + 1 = len(x) <= len(y).
+
+    When x and y are the power sums of orders 0..m of two sets X and Y, z
+    holds those of the sums {s + t : s in X, t in Y}, counted with
+    multiplicity (binomial theorem).  The binomials are carried as one
+    Pascal row.
+    """
+    out = []
+    row = [1]
+    for n in range(len(x)):
+        out.append(sum(map(mul, map(mul, row, x), y[n::-1])))
+        row = [1, *map(add, row, row[1:]), 1]
+    return out
+
+
+def _binomial_term(x: list[int], y: list[int], n: int) -> int:
+    """z_n of _binomial_convolution(x, y) alone, in n + 1 terms."""
+    return sum(comb(n, t) * x[t] * y[n - t] for t in range(n + 1))
+
+
+def power_sums_k(p: PairParams, k: int, m: int) -> list[int]:
+    """[P_0, ..., P_m], P_n the power sum of order n over the exactly-k set,
+    for k >= 1.
+
+    The set is the translate ab(k-1) + {ia + jb : 0 <= i < b, 0 <= j < a},
+    all ab sums distinct, so its power sums are two binomial convolutions:
+    the sumset's from those of {ia} and {jb} (_grid_power_sums), then the
+    translate's from the sumset's and the powers of ab(k-1).  That is
+    O(m^2) integer operations for all m + 1 orders together.
+    """
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    if m < 0:
+        raise ValueError("m must be >= 0")
+    sums = _binomial_convolution(*_grid_power_sums(p, m))
+    base = p.a * p.b * (k - 1)
+    if base:
+        sums = _binomial_convolution(sums, _powers(base, m))
+    return sums
+
+
 def power_sum_k(p: PairParams, k: int, m: int) -> StatReport:
     """Power sum of order m over the exactly-k set, for k >= 1:
 
@@ -133,11 +194,13 @@ def power_sum_k(p: PairParams, k: int, m: int) -> StatReport:
     with the convention 0^0 = 1 in the (k-1)^l factor, which the k = 1 case
     requires.  This is the m-th power sum of the translate
     ab(k-1) + {ia + jb : 0 <= i < b, 0 <= j < a}, expanded by the
-    multinomial theorem.  The m+1 sums S_v(a) and S_u(b) come from
-    power_sums_below, once per call, and the terms are summed as ints.
-    k = 0 with m <= 1 delegates to count_k / sum_k; k = 0 with m >= 2 is
-    refused: a closed form exists (Rodseth 1994; Tuenter 2006) but is not
-    implemented.
+    multinomial theorem.  Only order m is computed: for k = 1 one binomial
+    sum over the power sums of {ia} and {jb}; for k >= 2 the sumset's sums
+    of every order up to m (the translate mixes them all), then one
+    binomial sum with the powers of ab(k-1).  power_sums_k gives every
+    order at once.  k = 0 with m <= 1 delegates to count_k / sum_k; k = 0
+    with m >= 2 is refused: a closed form exists (Rodseth 1994; Tuenter
+    2006) but is not implemented.
     """
     if k < 0 or m < 0:
         raise ValueError("k and m must be >= 0")
@@ -149,25 +212,12 @@ def power_sum_k(p: PairParams, k: int, m: int) -> StatReport:
         else:
             raise UnsupportedK(k, m)
         return StatReport("s^m", p.pair, k, value, m=m, provenance=CLOSED_FORM)
-    a, b = p.a, p.b
-    sums_a = power_sums_below(a, m)
-    sums_b = power_sums_below(b, m)
-    total = 0
-    for lam in range(m + 1):
-        kf = (k - 1) ** lam  # 0**0 == 1 covers k == 1, lam == 0
-        if kf == 0:
-            continue
-        for mu in range(m - lam + 1):
-            nu = m - lam - mu
-            coeff = comb(m, lam) * comb(m - lam, mu)
-            total += (
-                coeff
-                * a ** (lam + mu)
-                * b ** (lam + nu)
-                * kf
-                * sums_a[nu]
-                * sums_b[mu]
-            )
+    along_a, along_b = _grid_power_sums(p, m)
+    if k == 1:
+        total = _binomial_term(along_a, along_b, m)
+    else:
+        sumset = _binomial_convolution(along_a, along_b)
+        total = _binomial_term(sumset, _powers(p.a * p.b * (k - 1), m), m)
     return StatReport("s^m", p.pair, k, total, m=m, provenance=CLOSED_FORM)
 
 

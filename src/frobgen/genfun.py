@@ -10,11 +10,13 @@ are all materialized exactly and cross-checked against the oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
+from operator import add, mul
 
 from frobgen.closedform import PairParams
 from frobgen.errors import NotPrime, WrongArity
 from frobgen.intpoly import IntPoly, cyclotomic
-from frobgen.oracle import Params, enumerate_exact_k, rep_table
+from frobgen.oracle import GapSet, Params, enumerate_exact_k, rep_table
 
 _BIT_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 
@@ -41,9 +43,17 @@ class IndicatorSeries:
 def p_k_poly(p: PairParams, k: int) -> IntPoly:
     """0/1 polynomial whose support is the exactly-k set.
 
-    k >= 1 expands the product form directly (no division involved):
+    k >= 1 writes out the product form directly (no division involved):
 
         z^(ab(k-1)) * (1 + z^a + ... + z^((b-1)a)) * (1 + z^b + ... + z^((a-1)b))
+
+    The coefficients of the two factors' product are filled in as one dense
+    0/1 row per term z^(ia) of the first factor: that row is
+    z^(ia) * (1 + z^b + ... + z^((a-1)b)), a single strided slice of a
+    bytearray.  The ab terms of the product are distinct exactly when ab
+    bytes end up set; a row landing on a set byte would be a coefficient
+    >= 2 and raises AssertionError.  IntPoly.from_indicator then reads the
+    support off the bytes in one pass.
 
     k = 0 lists the gaps by Sylvester's reflection, with no oracle call: a
     positive n is a gap exactly when ab - n = xa + yb with x, y >= 1, so the
@@ -61,10 +71,14 @@ def p_k_poly(p: PairParams, k: int) -> IntPoly:
         return IntPoly.from_support(
             n for x in range(1, b) for n in range(a * b - x * a - b, 0, -b)
         )
-    poly = (IntPoly.geometric(a, b) * IntPoly.geometric(b, a)).shift(a * b * (k - 1))
-    if not poly.is_zero_one():
+    width = (a - 1) * b + 1  # one row: exponents 0, b, ..., (a-1)b
+    coeffs = bytearray((b - 1) * a + width)
+    row = b"\x01" * a
+    for start in range(0, b * a, a):
+        coeffs[start : start + width : b] = row
+    if coeffs.count(1) != a * b:
         raise AssertionError("exactly-k polynomial has a coefficient outside {0,1}")
-    return poly
+    return IntPoly.from_indicator(coeffs, a * b * (k - 1))
 
 
 def s_k_indicator(p: PairParams, k: int, bound: int) -> IndicatorSeries:
@@ -87,18 +101,19 @@ def s_k_indicator(p: PairParams, k: int, bound: int) -> IndicatorSeries:
 
 
 def rational_series(numer: IntPoly, params: Params, bound: int) -> list[int]:
-    """Coefficients 0..bound of numer(z) / prod_i (1 - z^(a_i)), exactly."""
+    """Coefficients 0..bound of numer(z) / prod_i (1 - z^(a_i)), exactly.
+
+    Each term c z^e adds c times the counts, shifted up by e, in one map.
+    """
     counts = rep_table(params, bound).counts
     out = [0] * (bound + 1)
     for e, c in numer.terms():
-        if e > bound:
-            continue
-        for t in range(e, bound + 1):
-            out[t] += c * counts[t - e]
+        if e <= bound:
+            out[e:] = map(add, out[e:], map(mul, counts, repeat(c)))
     return out
 
 
-def numerator_h(params: Params) -> IntPoly:
+def numerator_h(params: Params, gaps: GapSet | None = None) -> IntPoly:
     """The numerator h(z) of the representable-set generating function.
 
     Computed by the exact identity
@@ -106,12 +121,22 @@ def numerator_h(params: Params) -> IntPoly:
         h = (1 + z + ... + z^(a_1 - 1)) * prod_{i>=2} (1 - z^(a_i))
             - p_0(z) * prod_i (1 - z^(a_i))
 
-    where p_0 is the gap polynomial from the oracle, so deg h never exceeds
-    g_0 + sum(a_i).  The result is re-expanded as a series and compared
-    with the oracle indicator before being returned.
+    where p_0 is the gap polynomial, so deg h never exceeds g_0 + sum(a_i).
+    The gaps come from the oracle's certified scan: `gaps` when the caller
+    already holds that set (it must be for params, k = 0 and complete, else
+    ValueError), otherwise enumerate_exact_k(params, 0).  The result is
+    re-expanded as a series up to g_0 + sum(a_i) and compared with the gap
+    indicator before being returned.
     """
+    if gaps is None:
+        gaps = enumerate_exact_k(params, 0)
+    elif gaps.params != params:
+        raise ValueError(
+            f"gap set is for {gaps.params.denominations}, not {params.denominations}"
+        )
+    elif gaps.k != 0 or not gaps.complete:
+        raise ValueError("numerator_h needs the certified gap set: k = 0 and complete")
     denoms = params.denominations
-    gaps = enumerate_exact_k(params, 0)
     p0 = IntPoly.from_support(gaps.elements)
 
     h = IntPoly.geometric(1, denoms[0])
@@ -125,11 +150,12 @@ def numerator_h(params: Params) -> IntPoly:
     g0 = gaps.elements[-1] if gaps.elements else -1
     check_to = g0 + sum(denoms)
     series = rational_series(h, params, check_to)
-    gap_elems = set(gaps.elements)
-    for j, v in enumerate(series):
-        expected = 0 if j in gap_elems else 1
-        if v != expected:
-            raise AssertionError(f"numerator series mismatch at degree {j}")
+    expected = [1] * (check_to + 1)
+    for g in gaps.elements:
+        expected[g] = 0
+    if series != expected:
+        j = next(j for j, (v, e) in enumerate(zip(series, expected)) if v != e)
+        raise AssertionError(f"numerator series mismatch at degree {j}")
     return h
 
 

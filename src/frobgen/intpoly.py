@@ -10,6 +10,7 @@ All arithmetic is exact; there is no floating-point path anywhere.
 from __future__ import annotations
 
 import json
+from itertools import compress
 from typing import Iterable, Mapping
 
 from frobgen.errors import NotDivisible
@@ -69,6 +70,22 @@ class IntPoly:
     def from_support(cls, exponents: Iterable[int]) -> IntPoly:
         """0/1 polynomial with a 1 at each given exponent."""
         return cls({e: 1 for e in exponents})
+
+    @classmethod
+    def from_indicator(cls, bits: bytes | bytearray, base: int = 0) -> IntPoly:
+        """0/1 polynomial with a 1 at base + i for each nonzero bits[i].
+
+        The terms are built in one dict.fromkeys call over the set positions.
+        Every exponent is an int >= base, so only base needs checking.
+
+        >>> IntPoly.from_indicator(b"\\x01\\x00\\x01", 3).to_text()
+        'z^3 + z^5'
+        """
+        if not isinstance(base, int) or base < 0:
+            raise ValueError(f"exponent must be a nonnegative integer, got {base!r}")
+        res = cls()
+        res._terms = dict.fromkeys(compress(range(base, base + len(bits)), bits), 1)
+        return res
 
     # -- inspection --------------------------------------------------------
 
@@ -156,14 +173,6 @@ class IntPoly:
         return res
 
     __rmul__ = __mul__
-
-    def shift(self, s: int) -> IntPoly:
-        """Multiply by z^s (translate every exponent up by s)."""
-        if s < 0:
-            raise ValueError("shift must be nonnegative")
-        res = IntPoly.zero()
-        res._terms = {e + s: c for e, c in self._terms.items()}
-        return res
 
     # -- serialization -----------------------------------------------------
 

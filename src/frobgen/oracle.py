@@ -228,6 +228,12 @@ def _enumerate(
     at_most: bool,
     by_count: list[list[int]] | None = None,
 ) -> GapSet:
+    """The certified set of an unbounded query, or the scan up to `bound`.
+
+    `by_count`, when given, must be empty: once the window pre-check has
+    passed, it gets one list per count 0..k for _stream to fill, so a
+    refused query allocates nothing for them.
+    """
     if k < 0:
         raise ValueError("k must be >= 0")
     if bound is not None:
@@ -237,6 +243,8 @@ def _enumerate(
         return _single_coin_set(params, k, at_most)
     cap = max_bound_ceiling()
     if not _window_beyond(_coins_within(params, cap), k, cap):
+        if by_count is not None:
+            by_count.extend([] for _ in range(k + 1))
         gap_set = _stream(params, k, at_most, cap, by_count)
         if gap_set.complete:
             return gap_set
@@ -345,7 +353,8 @@ def enumerate_by_count(params: Params, kmax: int) -> tuple[list[GapSet], list[Ga
     set merges the one below it with the exactly-k set (two sorted runs), and
     the at-most-kmax set is the scan's own.  The scan's window of a_1 counts
     > kmax also certifies every smaller k, so every set is complete.  The
-    FROBGEN_MAX_BOUND cap and its refusal before the scan apply at kmax.
+    FROBGEN_MAX_BOUND cap and its refusal before the scan apply at kmax; the
+    kmax + 1 per-count lists are allocated only after that refusal check.
     """
     if kmax < 0:
         raise ValueError("k must be >= 0")
@@ -355,7 +364,7 @@ def enumerate_by_count(params: Params, kmax: int) -> tuple[list[GapSet], list[Ga
             [_single_coin_set(params, k, False) for k in ks],
             [_single_coin_set(params, k, True) for k in ks],
         )
-    by_count: list[list[int]] = [[] for _ in ks]
+    by_count: list[list[int]] = []
     scanned = _enumerate(params, kmax, None, True, by_count)
     exact = [GapSet(params, k, tuple(js), complete=True) for k, js in enumerate(by_count)]
     at_most = []

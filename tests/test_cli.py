@@ -2,12 +2,13 @@ import hashlib
 import json
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from math import gcd
 
 import pytest
 
-from frobgen import cli
+from frobgen import cli, oracle
 from frobgen.cli import main
 
 from helpers import brute_counts
@@ -314,6 +315,23 @@ class TestExitCodes:
         assert captured.out == ""
         assert "BoundTooLarge" in captured.err and "101" in captured.err
 
+    def test_huge_kmax_refused_before_allocating(self, monkeypatch, capsys):
+        # the window for k = 10^6 cannot end by j = 100: refused before the
+        # scan, and before its 10^6 + 1 per-count lists exist
+        monkeypatch.setenv("FROBGEN_MAX_BOUND", "100")
+        cli.build_parser()  # built outside the measurement
+        tracemalloc.start()
+        try:
+            code = main(["verify", "--params", "2,3", "--kmax", "1000000", "--mmax", "1"])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        captured = capsys.readouterr()
+        assert code == 4
+        assert captured.out == ""
+        assert "Indeterminate" in captured.err
+        assert peak < 1_000_000
+
     def test_negative_k(self):
         code, _, err = run_cli("compute", "--params", "5,7", "--k", "-1", "--stat", "g")
         assert code == 2
@@ -522,13 +540,14 @@ class TestVerify:
         assert lines[0] == '{"check":"c","a":3,"b":5,"k":0,"expected":"4","actual":"5"}'
 
     def test_reports_a_wrong_power_sum(self, capsys, monkeypatch):
-        real = cli.power_sum_k
+        real = cli.power_sums_k
 
         def off_at_cube(p, k, m):
-            report = real(p, k, m)
-            return replace(report, value=report.value + 1) if m == 3 else report
+            sums = real(p, k, m)
+            sums[3] += 1
+            return sums
 
-        monkeypatch.setattr(cli, "power_sum_k", off_at_cube)
+        monkeypatch.setattr(cli, "power_sums_k", off_at_cube)
         code, out = run_main(
             capsys, "verify", "--params", "3,5", "--kmax", "2", "--mmax", "3"
         )
@@ -543,6 +562,21 @@ class TestVerify:
             cubes = sum(j**3 for j, c in enumerate(counts) if c == f["k"])
             assert f["expected"] == str(cubes)
             assert int(f["actual"]) == cubes + 1
+
+    @pytest.mark.parametrize("a,b", [(2, 3), (3, 5), (7, 10), (29, 30)])
+    def test_one_scan_per_pair(self, a, b, monkeypatch):
+        real = oracle._stream
+        scans = []
+
+        def counted(*args, **kwargs):
+            scans.append(args[:2])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(oracle, "_stream", counted)
+        checks, failures = cli.verify_pair(a, b, 5, 4)
+        assert failures == []
+        assert checks > 0
+        assert len(scans) == 1
 
     def test_needs_params_or_sweep(self):
         code, _, err = run_cli("verify")
@@ -737,6 +771,31 @@ class TestGoldenOutput:
         code, out = run_main(capsys, *argv)
         assert code == 0
         assert out == expected
+
+    @pytest.mark.parametrize(
+        "argv,digest",
+        [
+            pytest.param(
+                ("genfun", "--params", "61,97", "--k", "3", "--format", "csv"),
+                "a15e8e935576d8726c7a42c09fb12eedaf89653843ce75ee65ef86cac0ea000b",
+                id="p_k-csv-61-97-k3",
+            ),
+            pytest.param(
+                ("genfun", "--params", "31,47,60", "--numerator", "--format", "json"),
+                "e9ee38d69645f187e56230ce144bd1a5894acee1fe751f6698b6521e49c72f92",
+                id="numerator-json-31-47-60",
+            ),
+            pytest.param(
+                ("compute", "--params", "37,61", "--k", "9", "--stat", "sm", "--m", "200"),
+                "f13c3c073b41db5fc87958ed469f794d5a82012a76d6b75ba4adb30268d1d162",
+                id="power-sum-37-61-k9-m200",
+            ),
+        ],
+    )
+    def test_stdout_digest(self, capsys, argv, digest):
+        code, out = run_main(capsys, *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_power_sum_m1000_json(self, capsys):
         # s^1000_1(3,5) is 1,423 bytes of JSON; its hash pins every digit

@@ -11,6 +11,7 @@ from frobgen.closedform import (
     count_k,
     frobenius_k,
     power_sum_k,
+    power_sums_k,
     structured_r_k,
     sum_k,
 )
@@ -114,12 +115,24 @@ class TestPowerSum:
 
 
 class TestPowerSumHighOrders:
-    @given(st.sampled_from(coprime_pairs(15)), st.integers(1, 3), st.integers(0, 40))
+    @given(st.sampled_from(coprime_pairs(15)), st.integers(1, 4), st.integers(0, 40))
     @settings(max_examples=60, deadline=None)
     def test_matches_oracle(self, pair, k, m):
+        # the single orders and the one-table form against the oracle's sums
         exact = enumerate_exact_k(validate_params(list(pair)), k)
         p = PairParams(*pair)
         assert [power_sum_k(p, k, i).value for i in range(m + 1)] == exact.power_sums(m)
+        assert power_sums_k(p, k, m) == exact.power_sums(m)
+
+
+class TestPowerSumsTable:
+    def test_order_is_immaterial(self):
+        assert power_sums_k(PairParams(5, 3), 2, 6) == power_sums_k(PairParams(3, 5), 2, 6)
+
+    @pytest.mark.parametrize("k,m", [(0, 2), (1, -1), (-1, 0)])
+    def test_refused(self, k, m):
+        with pytest.raises(ValueError):
+            power_sums_k(PairParams(3, 5), k, m)
 
 
 class TestAtMost:

@@ -14,7 +14,7 @@ from frobgen.genfun import (
     s_k_indicator,
 )
 from frobgen.intpoly import IntPoly
-from frobgen.oracle import enumerate_exact_k, rep_table, validate_params
+from frobgen.oracle import GapSet, enumerate_exact_k, rep_table, validate_params
 
 from helpers import brute_counts, coprime_pairs
 
@@ -53,6 +53,36 @@ class TestPkPoly:
             gaps = tuple(j for j, c in enumerate(counts) if c == 0)
             assert p_k_poly(PairParams(a, b), 0).support() == gaps
             assert p_k_poly(PairParams(b, a), 0).support() == gaps
+
+    @pytest.mark.parametrize("b", range(2, 41))
+    def test_product_form_matches_brute_force(self, b):
+        for a in range(1, b):
+            if gcd(a, b) != 1:
+                continue
+            counts = brute_counts((a, b), 4 * a * b)  # R_3 ends at 4ab - a - b
+            for k in (1, 2, 3):
+                exact = tuple(j for j, c in enumerate(counts) if c == k)
+                for pair in (PairParams(a, b), PairParams(b, a)):
+                    poly = p_k_poly(pair, k)
+                    assert poly.is_zero_one()
+                    assert poly.support() == exact
+
+    def test_colliding_rows_raise(self):
+        # (2, 4) is not coprime, so two rows of the product share an exponent
+        pair = PairParams(3, 5)
+        object.__setattr__(pair, "a", 2)
+        object.__setattr__(pair, "b", 4)
+        with pytest.raises(AssertionError, match="outside"):
+            p_k_poly(pair, 1)
+
+    def test_product_form_makes_no_sparse_product(self, monkeypatch):
+        def no_mul(self, other):
+            raise AssertionError("p_k_poly multiplied IntPolys")
+
+        monkeypatch.setattr(IntPoly, "__mul__", no_mul)
+        monkeypatch.setattr(IntPoly, "__rmul__", no_mul)
+        for k in (1, 2, 5):
+            assert p_k_poly(PairParams(7, 10), k).num_terms() == 70
 
     def test_gap_polynomial_calls_no_oracle(self, monkeypatch):
         def no_oracle(*args, **kwargs):
@@ -136,6 +166,40 @@ class TestNumerator:
         series = rational_series(h, params, bound)
         gap_set = set(gaps.elements)
         assert all(v == (0 if j in gap_set else 1) for j, v in enumerate(series))
+
+
+    @pytest.mark.parametrize(
+        "denoms",
+        [(1, 2), (2, 3), (3, 5), (7, 10), (1, 2, 3), (3, 5, 7), (4, 6, 9), (12, 21, 28)],
+        ids=lambda d: "-".join(map(str, d)),
+    )
+    def test_given_gap_set_gives_the_same_h(self, denoms):
+        params = validate_params(list(denoms))
+        gaps = enumerate_exact_k(params, 0)
+        assert numerator_h(params, gaps) == numerator_h(params)
+
+    def test_given_gap_set_skips_the_scan(self, monkeypatch):
+        params = validate_params([4, 6, 9])
+        gaps = enumerate_exact_k(params, 0)
+
+        def no_scan(*args, **kwargs):
+            raise AssertionError("numerator_h scanned for a gap set it was given")
+
+        monkeypatch.setattr("frobgen.genfun.enumerate_exact_k", no_scan)
+        assert numerator_h(params, gaps).num_terms() in (4, 6)
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            GapSet(validate_params([3, 7]), 0, (1, 2, 4, 5, 8, 11), complete=True),
+            GapSet(validate_params([3, 5]), 1, (0, 3, 5, 6), complete=True),
+            GapSet(validate_params([3, 5]), 0, (1, 2, 4), complete=False),
+        ],
+        ids=["other-params", "k-1", "incomplete"],
+    )
+    def test_bad_gap_set_raises(self, bad):
+        with pytest.raises(ValueError):
+            numerator_h(validate_params([3, 5]), bad)
 
 
 class TestDenham:

@@ -70,6 +70,18 @@ class TestMul:
         assert (p * q).degree == p.degree + q.degree
 
 
+class TestFromIndicator:
+    @given(st.binary(max_size=40), st.integers(min_value=0, max_value=100))
+    def test_matches_support(self, bits, base):
+        expected = IntPoly.from_support(base + i for i, bit in enumerate(bits) if bit)
+        assert IntPoly.from_indicator(bits, base) == expected
+
+    @pytest.mark.parametrize("base", [-1, 2.0])
+    def test_rejects_bad_base(self, base):
+        with pytest.raises(ValueError, match="nonnegative integer"):
+            IntPoly.from_indicator(b"\x01", base)
+
+
 class TestExactDiv:
     def test_geometric_factorization(self):
         got = poly_exact_div(IntPoly.one_minus_pow(15), IntPoly.one_minus_pow(5))
