@@ -10,9 +10,10 @@ Subcommands:
 Exit codes: 0 success, 1 mathematical mismatch, 2 input validation,
 3 unsupported request, 4 resource guard.  The resource ceiling (largest
 --bound, last entry scanned for unbounded queries, largest N for
-genfun --cyclotomic, largest --m for compute --stat sm and --mmax for
-verify) can be overridden via FROBGEN_MAX_BOUND, which must be a
-nonnegative integer (anything else exits 2).
+genfun --cyclotomic, largest 2ab - a - b for genfun --params a,b --k K
+with K >= 1 and ab - a - b with K = 0, largest --m for compute --stat sm
+and --mmax for verify) can be overridden via FROBGEN_MAX_BOUND, which must
+be a nonnegative integer (anything else exits 2).
 """
 from __future__ import annotations
 
@@ -226,11 +227,10 @@ def verify_pair(a: int, b: int, kmax: int, mmax: int) -> tuple[int, list[dict]]:
     The oracle side is one certified scan per pair (enumerate_by_count up to
     the kmax window), which yields every exactly-k and at-most-k set, and
     one power_sums walk per exactly-k set for its s^m checks.  numerator_h
-    works from that scan's gap set, so with a >= 2 nothing scans again
-    (for a = 1, frobenius_k's empty k = 0 set is confirmed by its own scan).
-    The closed-form side is one object per check or per k: p_k_poly fills
-    its 0/1 coefficients as dense rows, and power_sums_k gives every order
-    of one k as a single table.
+    works from that scan's gap set, and no closed form scans, so nothing
+    scans again, a = 1 included.  The closed-form side is one object per
+    check or per k: p_k_poly reads its 0/1 coefficients off the product
+    forms' bytes, and power_sums_k gives every order of one k as one table.
     Returns (number of checks run, failures); each failure is a JSON-ready
     dict naming the check and both values.
     """

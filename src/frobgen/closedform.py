@@ -14,17 +14,18 @@ sums S_i(x) = sum_{j<x} j^i at x = a and x = b (see power_sum_k), which
 power_sums_below gets by Pascal's identity; power_sums_k gives every order
 up to m as one list.  Every other statistic comes as a StatReport with
 closed-form provenance.  All arithmetic is in integers; each division is
-exact and checked by _exact_div.
+exact and checked by _exact_div.  Every two-coin set is read off one of
+the two product forms, laid out as 0/1 bytes by _grid and _rows.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate, repeat
+from itertools import accumulate, compress, repeat
 from math import comb, gcd
 from operator import add, mul
 
 from frobgen.errors import NonPositive, NotCoprime, UnsupportedK
-from frobgen.oracle import GapSet, Params, enumerate_exact_k
+from frobgen.oracle import GapSet, Params, _check_bound
 from frobgen.report import AT_MOST_STATS, CLOSED_FORM, StatReport
 
 
@@ -87,19 +88,14 @@ def power_sums_below(x: int, m: int) -> list[int]:
 def frobenius_k(p: PairParams, k: int) -> StatReport:
     """Largest integer with exactly k representations: (k+1)ab - a - b.
 
-    When the formula is negative (only possible for min(a,b) = 1, k = 0)
-    the set is empty; the oracle confirms before reporting so.
+    The formula is negative only for min(a,b) = 1 and k = 0, where every
+    n >= 0 is representable and the set is empty: the value is then None.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
     a, b = p.a, p.b
     value = (k + 1) * a * b - a - b
-    if value < 0:
-        gaps = enumerate_exact_k(p.as_params(), k)
-        if gaps.elements:
-            raise AssertionError("negative formula value for a nonempty set")
-        return StatReport("g", p.pair, k, None, provenance=CLOSED_FORM)
-    return StatReport("g", p.pair, k, value, provenance=CLOSED_FORM)
+    return StatReport("g", p.pair, k, value if value >= 0 else None, provenance=CLOSED_FORM)
 
 
 def count_k(p: PairParams, k: int) -> StatReport:
@@ -261,19 +257,54 @@ def closed_report(p: PairParams, stat: str, k: int, m: int | None = None) -> Sta
     raise ValueError(f"unknown statistic {stat!r}")
 
 
+def _grid(p: PairParams) -> bytearray:
+    """R_1 = {ia + jb : 0 <= i < b, 0 <= j < a} as 0/1 bytes over 0..2ab - a - b.
+
+    Each term z^(ia) of (1 + z^a + ... + z^((b-1)a)) lays out the row
+    z^(ia) * (1 + z^b + ... + z^((a-1)b)) as one strided slice.  A row landing
+    on a set byte (fewer than ab set) is a coefficient >= 2: AssertionError.
+    2ab - a - b goes through _check_bound before anything is allocated.
+    """
+    a, b = p.a, p.b
+    top = 2 * a * b - a - b
+    _check_bound(top)
+    coeffs = bytearray(top + 1)
+    width = (a - 1) * b + 1  # one row: exponents 0, b, ..., (a-1)b
+    row = b"\x01" * a
+    for start in range(0, b * a, a):
+        coeffs[start : start + width : b] = row
+    if coeffs.count(1) != a * b:
+        raise AssertionError("exactly-k polynomial has a coefficient outside {0,1}")
+    return coeffs
+
+
+def _rows(p: PairParams, length: int) -> bytearray:
+    """The representable n < length as 0/1 bytes, in O(length) work.
+
+    With s the smaller coin and t the other, these are the rows jt + sN for
+    0 <= j < s, one strided slice each, disjoint as the jt differ mod s.
+    length - 1 goes through _check_bound before anything is allocated.
+    """
+    small, large = sorted(p.pair)
+    if length:
+        _check_bound(length - 1)
+    bits = bytearray(length)
+    for start in range(0, min(small * large, length), large):
+        bits[start::small] = b"\x01" * len(range(start, length, small))
+    return bits
+
+
 def structured_r_k(p: PairParams, k: int) -> GapSet:
     """The exactly-k set for k >= 1, written down directly:
 
         ab(k-1) + {0, a, ..., (b-1)a} + {0, b, ..., (a-1)b}
 
-    All ab sums are distinct (asserted); the result is complete by
-    construction.
+    read off _grid, which asserts that all ab sums are distinct; the result
+    is complete by construction.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    a, b = p.a, p.b
-    base = a * b * (k - 1)
-    elements = {base + i * a + j * b for i in range(b) for j in range(a)}
-    if len(elements) != a * b:
-        raise AssertionError("structured elements are not distinct")
-    return GapSet(p.as_params(), k, tuple(sorted(elements)), complete=True)
+    coeffs = _grid(p)
+    base = p.a * p.b * (k - 1)
+    elements = tuple(compress(range(base, base + len(coeffs)), coeffs))
+    return GapSet(p.as_params(), k, elements, complete=True)

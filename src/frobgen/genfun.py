@@ -11,14 +11,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import repeat
-from operator import add, mul
+from operator import add, itemgetter, mul, sub
 
-from frobgen.closedform import PairParams
+from frobgen.closedform import PairParams, _grid, _rows
 from frobgen.errors import NotPrime, WrongArity
 from frobgen.intpoly import IntPoly, cyclotomic
-from frobgen.oracle import GapSet, Params, enumerate_exact_k, rep_table
+from frobgen.oracle import GapSet, Params, _check_bound, enumerate_exact_k, rep_table
 
 _BIT_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+_FLIP = bytes.maketrans(b"\x00\x01", b"\x01\x00")
 
 
 @dataclass(frozen=True)
@@ -41,63 +42,38 @@ class IndicatorSeries:
 
 
 def p_k_poly(p: PairParams, k: int) -> IntPoly:
-    """0/1 polynomial whose support is the exactly-k set.
+    """0/1 polynomial whose support is the exactly-k set, with no oracle call.
 
-    k >= 1 writes out the product form directly (no division involved):
+    k >= 1 writes out the product form (no division involved):
 
         z^(ab(k-1)) * (1 + z^a + ... + z^((b-1)a)) * (1 + z^b + ... + z^((a-1)b))
 
-    The coefficients of the two factors' product are filled in as one dense
-    0/1 row per term z^(ia) of the first factor: that row is
-    z^(ia) * (1 + z^b + ... + z^((a-1)b)), a single strided slice of a
-    bytearray.  The ab terms of the product are distinct exactly when ab
-    bytes end up set; a row landing on a set byte would be a coefficient
-    >= 2 and raises AssertionError.  IntPoly.from_indicator then reads the
-    support off the bytes in one pass.
-
-    k = 0 lists the gaps by Sylvester's reflection, with no oracle call: a
-    positive n is a gap exactly when ab - n = xa + yb with x, y >= 1, so the
-    gaps are
-
-        {ab - xa - yb : 1 <= x < b, 1 <= y < a, xa + yb < ab},
-
-    each met once.  (The rational form would need a series subtraction with
-    cancellation.)
+    that is, the bytes of _grid shifted up by ab(k-1).  k = 0 is the
+    complement of the representable n <= g_0 = ab - a - b (_rows).  Past the
+    FROBGEN_MAX_BOUND ceiling (2ab - a - b, resp. g_0) it raises
+    BoundTooLarge before allocating.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
     a, b = p.a, p.b
     if k == 0:
-        return IntPoly.from_support(
-            n for x in range(1, b) for n in range(a * b - x * a - b, 0, -b)
-        )
-    width = (a - 1) * b + 1  # one row: exponents 0, b, ..., (a-1)b
-    coeffs = bytearray((b - 1) * a + width)
-    row = b"\x01" * a
-    for start in range(0, b * a, a):
-        coeffs[start : start + width : b] = row
-    if coeffs.count(1) != a * b:
-        raise AssertionError("exactly-k polynomial has a coefficient outside {0,1}")
-    return IntPoly.from_indicator(coeffs, a * b * (k - 1))
+        return IntPoly.from_indicator(_rows(p, a * b - a - b + 1).translate(_FLIP))
+    return IntPoly.from_indicator(_grid(p), a * b * (k - 1))
 
 
 def s_k_indicator(p: PairParams, k: int, bound: int) -> IndicatorSeries:
     """Indicator of "more than k representations" up to bound.
 
-    Built via the shift rule bits_k[j] = bits_0[j - abk]: j exceeds k
-    representations exactly when j - ab exceeds k-1 of them.
+    r(j + ab) = r(j) + 1 for two coins, so the bits are abk zeros followed
+    by the representable n <= bound - abk (_rows).  The bound goes through
+    the FROBGEN_MAX_BOUND ceiling (BoundTooLarge) before any allocation.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
-    if bound < 0:
-        raise ValueError("bound must be >= 0")
-    shift = p.a * p.b * k
-    if shift > bound:
-        bits = (0,) * (bound + 1)
-    else:
-        counts = rep_table(p.as_params(), bound - shift).counts
-        bits = (0,) * shift + tuple(bytes(map(bool, counts)))
-    return IndicatorSeries(p.pair, k, bound, bits)
+    _check_bound(bound)
+    shift = min(p.a * p.b * k, bound + 1)
+    bits = bytes(shift) + _rows(p, bound + 1 - shift)
+    return IndicatorSeries(p.pair, k, bound, tuple(bits))
 
 
 def rational_series(numer: IntPoly, params: Params, bound: int) -> list[int]:
@@ -116,14 +92,11 @@ def rational_series(numer: IntPoly, params: Params, bound: int) -> list[int]:
 def numerator_h(params: Params, gaps: GapSet | None = None) -> IntPoly:
     """The numerator h(z) of the representable-set generating function.
 
-    Computed by the exact identity
-
-        h = (1 + z + ... + z^(a_1 - 1)) * prod_{i>=2} (1 - z^(a_i))
-            - p_0(z) * prod_i (1 - z^(a_i))
-
-    where p_0 is the gap polynomial, so deg h never exceeds g_0 + sum(a_i).
-    The gaps come from the oracle's certified scan: `gaps` when the caller
-    already holds that set (it must be for params, k = 0 and complete, else
+    h is the representable-set indicator times prod_i (1 - z^(a_i)), and
+    deg h <= g_0 + sum(a_i), so the indicator truncated there gives h
+    exactly: one slice subtraction per factor on a dense list.  The gaps
+    come from the oracle's certified scan: `gaps` when the caller already
+    holds that set (it must be for params, k = 0 and complete, else
     ValueError), otherwise enumerate_exact_k(params, 0).  The result is
     re-expanded as a series up to g_0 + sum(a_i) and compared with the gap
     indicator before being returned.
@@ -137,22 +110,16 @@ def numerator_h(params: Params, gaps: GapSet | None = None) -> IntPoly:
     elif gaps.k != 0 or not gaps.complete:
         raise ValueError("numerator_h needs the certified gap set: k = 0 and complete")
     denoms = params.denominations
-    p0 = IntPoly.from_support(gaps.elements)
-
-    h = IntPoly.geometric(1, denoms[0])
-    for a in denoms[1:]:
-        h *= IntPoly.one_minus_pow(a)
-    full = p0
-    for a in denoms:
-        full *= IntPoly.one_minus_pow(a)
-    h = h - full
-
     g0 = gaps.elements[-1] if gaps.elements else -1
     check_to = g0 + sum(denoms)
-    series = rational_series(h, params, check_to)
     expected = [1] * (check_to + 1)
     for g in gaps.elements:
         expected[g] = 0
+    coeffs = list(expected)
+    for a in denoms:  # times 1 - z^a; the map is run in full before the assignment
+        coeffs[a:] = map(sub, coeffs[a:], coeffs)
+    h = IntPoly(filter(itemgetter(1), enumerate(coeffs)))
+    series = rational_series(h, params, check_to)
     if series != expected:
         j = next(j for j, (v, e) in enumerate(zip(series, expected)) if v != e)
         raise AssertionError(f"numerator series mismatch at degree {j}")

@@ -5,6 +5,7 @@ import sys
 import tracemalloc
 from dataclasses import replace
 from math import gcd
+from pathlib import Path
 
 import pytest
 
@@ -14,19 +15,23 @@ from frobgen.cli import main
 from helpers import brute_counts
 
 
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
 def run_cli(*args: str) -> tuple[int, str, str]:
     """Run ``python -m frobgen *args`` in a fresh child process.
 
-    The child inherits the parent's environment; that is how
-    ``PYTHONPATH=src`` reaches it on a checkout with no install step. A test
-    that needs an environment variable sets it with ``monkeypatch.setenv``
-    before calling this; never pass a fresh ``env=`` dict, which would drop
-    everything else.
+    The child starts in ``src``, so ``python -m`` finds the package there on
+    a checkout with no install step, with or without ``PYTHONPATH``. It
+    inherits the parent's environment: a test that needs an environment
+    variable sets it with ``monkeypatch.setenv`` before calling this; never
+    pass a fresh ``env=`` dict, which would drop everything else.
     """
     proc = subprocess.run(
         [sys.executable, "-m", "frobgen", *args],
         capture_output=True,
         text=True,
+        cwd=SRC,
     )
     return proc.returncode, proc.stdout, proc.stderr
 
@@ -253,6 +258,26 @@ class TestExitCodes:
         code, out, _ = run_cli("genfun", "--cyclotomic", "30")
         assert code == 0
         assert out.strip() != ""
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("--params", "3,5", "--indicator", "--k", "1000", "--bound", "1000"),
+            ("--params", "3,5", "--indicator", "--k", "1", "--bound", "1000"),
+            ("--params", "97,101", "--k", "0"),
+            ("--params", "97,101", "--k", "1"),
+        ],
+        ids=["indicator-k-past-bound", "indicator", "p_k-0", "p_k-1"],
+    )
+    def test_genfun_pair_guard(self, args, monkeypatch, capsys):
+        monkeypatch.setenv("FROBGEN_MAX_BOUND", "100")
+        code = main(["genfun", *args])
+        captured = capsys.readouterr()
+        assert code == 4
+        assert captured.out == ""
+        assert "BoundTooLarge" in captured.err
+        if "--bound" in args:
+            assert "bound 1000 exceeds" in captured.err
 
     def test_bad_flag(self):
         code, _, _ = run_cli("compute", "--params", "5,7", "--stat", "median")
@@ -563,7 +588,7 @@ class TestVerify:
             assert f["expected"] == str(cubes)
             assert int(f["actual"]) == cubes + 1
 
-    @pytest.mark.parametrize("a,b", [(2, 3), (3, 5), (7, 10), (29, 30)])
+    @pytest.mark.parametrize("a,b", [(1, 1), (1, 2), (1, 7), (2, 3), (3, 5), (7, 10), (29, 30)])
     def test_one_scan_per_pair(self, a, b, monkeypatch):
         real = oracle._stream
         scans = []
@@ -789,6 +814,29 @@ class TestGoldenOutput:
                 ("compute", "--params", "37,61", "--k", "9", "--stat", "sm", "--m", "200"),
                 "f13c3c073b41db5fc87958ed469f794d5a82012a76d6b75ba4adb30268d1d162",
                 id="power-sum-37-61-k9-m200",
+            ),
+            pytest.param(
+                ("genfun", "--params", "37,39", "--indicator", "--k", "2", "--bound", "30000",
+                 "--format", "csv"),
+                "080e60b3d7fdb94299db34dca9aa4b002e6e8a45aefff66870d2c339860f6ada",
+                id="indicator-csv-37-39-k2",
+            ),
+            pytest.param(
+                ("genfun", "--params", "3,5", "--indicator", "--k", "1000", "--bound", "1000",
+                 "--format", "json"),
+                "87ac999006a6a40f85cdbc1599d3b2dfadd7beb0e374b422d64b1c589bf4b65c",
+                id="indicator-json-shift-past-bound",
+            ),
+            pytest.param(
+                ("genfun", "--params", "61,97", "--k", "0", "--format", "json"),
+                "ed726e8b416644ef8d628e4ba71983a433d8cebc252bffd668cf9d2e7dc800b9",
+                id="gap-polynomial-json-61-97",
+            ),
+            pytest.param(
+                ("genfun", "--params", "1000003,1000033", "--indicator", "--k", "0", "--bound",
+                 "20"),
+                "b5b644fc550fec16884c31f68449fc7b5a57044564e2c6f27e6f2a4510b705c3",
+                id="indicator-plain-huge-pair",
             ),
         ],
     )

@@ -16,6 +16,7 @@ from frobgen.closedform import (
     sum_k,
 )
 from frobgen.errors import NonPositive, NotCoprime, UnsupportedK
+from frobgen.genfun import p_k_poly
 from frobgen.oracle import enumerate_at_most_k, enumerate_exact_k, validate_params
 
 from helpers import coprime_pairs
@@ -210,6 +211,13 @@ class TestStructured:
         for k in (1, 2, 3):
             gs = structured_r_k(PairParams(a, b), k)
             assert gs.elements == enumerate_exact_k(params, k).elements
+
+
+    @pytest.mark.parametrize("a,b", coprime_pairs(12))
+    def test_is_the_support_of_p_k(self, a, b):
+        for pair in (PairParams(a, b), PairParams(b, a)):
+            for k in (1, 2, 3):
+                assert structured_r_k(pair, k).elements == p_k_poly(pair, k).support()
 
 
 class TestSweepAgainstOracle:

@@ -3,8 +3,9 @@ from math import gcd
 
 import pytest
 
-from frobgen.closedform import PairParams, count_k, frobenius_k
-from frobgen.errors import NotPrime, WrongArity
+from frobgen import dp, oracle
+from frobgen.closedform import PairParams, closed_report, count_k, frobenius_k, structured_r_k
+from frobgen.errors import BoundTooLarge, NotPrime, WrongArity
 from frobgen.genfun import (
     cyclotomic_identity_check,
     denham_term_count,
@@ -92,6 +93,21 @@ class TestPkPoly:
         got = p_k_poly(PairParams(5, 7), 0)
         assert got == IntPoly.from_support([1, 2, 3, 4, 6, 8, 9, 11, 13, 16, 18, 23])
 
+    def test_ceiling_bounds_the_builders(self, monkeypatch):
+        # the top position laid out is g_0 for k = 0 and 2ab - a - b for k >= 1
+        monkeypatch.setenv("FROBGEN_MAX_BOUND", "136")
+        p = PairParams(7, 11)  # g_0 = 59, 2ab - a - b = 136
+        assert p_k_poly(p, 0).degree == 59
+        assert p_k_poly(p, 5).num_terms() == 77
+        monkeypatch.setenv("FROBGEN_MAX_BOUND", "135")
+        with pytest.raises(BoundTooLarge) as exc:
+            p_k_poly(p, 1)
+        assert exc.value.bound == 136
+        monkeypatch.setenv("FROBGEN_MAX_BOUND", "58")
+        with pytest.raises(BoundTooLarge) as exc:
+            p_k_poly(p, 0)
+        assert exc.value.bound == 59
+
     def test_shift_structure(self):
         # p_k is p_1 translated by ab(k-1)
         p = PairParams(4, 7)
@@ -139,10 +155,66 @@ class TestIndicator:
         series = s_k_indicator(PairParams(a, b), k, g + 40)
         assert all(series.bits[j] == 1 for j in range(g + 1, g + 41))
 
+    @pytest.mark.parametrize("b", range(2, 41))
+    def test_edges_match_brute_force(self, b):
+        for a in range(1, b):
+            if gcd(a, b) != 1:
+                continue
+            counts = brute_counts((a, b), 4 * a * b)  # g_3 + a + b = 4ab
+            for k in range(4):
+                g_k = (k + 1) * a * b - a - b
+                for bound in {0, a * b * k - 1, a * b * k, a * b * k + 1, g_k + a + b}:
+                    if bound < 0:
+                        continue
+                    bits = tuple(int(c > k) for c in counts[: bound + 1])
+                    assert s_k_indicator(PairParams(a, b), k, bound).bits == bits
+                    assert s_k_indicator(PairParams(b, a), k, bound).bits == bits
+
+    @pytest.mark.parametrize("k", [1, 6, 1000])
+    def test_ceiling_applies_to_the_bound_given(self, k, monkeypatch):
+        monkeypatch.setenv("FROBGEN_MAX_BOUND", "100")
+        assert len(s_k_indicator(PairParams(3, 5), k, 100).bits) == 101
+        with pytest.raises(BoundTooLarge) as exc:
+            s_k_indicator(PairParams(3, 5), k, 1000)
+        assert exc.value.bound == 1000
+
     def test_json(self):
         series = s_k_indicator(PairParams(2, 3), 0, 4)
         assert series.to_bitstring() == "10111"
         assert "\"bits\":[1,0,1,1,1]" in series.to_json()
+
+
+class TestNoOracleInTwoCoinBuilders:
+    @pytest.mark.parametrize("a,b", [(1, 1), (1, 7), (5, 7)])
+    def test_builders_and_closed_forms_never_scan(self, a, b, monkeypatch):
+        def no_oracle(*args, **kwargs):
+            raise AssertionError("a two-coin builder called the oracle")
+
+        monkeypatch.setattr(oracle, "_stream", no_oracle)
+        monkeypatch.setattr(dp, "rep_counts", no_oracle)
+        p = PairParams(a, b)
+        for k in range(4):
+            assert p_k_poly(p, k).is_zero_one()
+            assert len(s_k_indicator(p, k, 3 * a * b).bits) == 3 * a * b + 1
+            if k >= 1:
+                assert len(structured_r_k(p, k)) == a * b
+            for stat in ("g", "c", "s", "g<=", "c<=", "s<="):
+                closed_report(p, stat, k)
+            for m in range(2 if k == 0 else 5):
+                closed_report(p, "s^m", k, m)
+
+
+def _reference_h(params):
+    """h by the identity the package used before the dense product:
+    (1 + z + ... + z^(a_1 - 1)) prod_{i>=2} (1 - z^(a_i)) - p_0 prod_i (1 - z^(a_i))."""
+    denoms = params.denominations
+    h = IntPoly.geometric(1, denoms[0])
+    for a in denoms[1:]:
+        h *= IntPoly.one_minus_pow(a)
+    full = IntPoly.from_support(enumerate_exact_k(params, 0).elements)
+    for a in denoms:
+        full *= IntPoly.one_minus_pow(a)
+    return h - full
 
 
 class TestNumerator:
@@ -157,6 +229,27 @@ class TestNumerator:
     def test_triple_3_5_7(self):
         h = numerator_h(validate_params([3, 5, 7]))
         assert h.num_terms() in (4, 6)
+
+    def test_random_sets_match_the_reference_identity(self):
+        rng = random.Random(4242)
+        done = 0
+        while done < 80:
+            denoms = [rng.randint(1, 40) for _ in range(rng.randint(2, 5))]
+            if gcd(*denoms) != 1:
+                continue
+            done += 1
+            params = validate_params(denoms)
+            assert numerator_h(params) == _reference_h(params), denoms
+
+    def test_makes_no_sparse_product(self, monkeypatch):
+        def no_mul(self, other):
+            raise AssertionError("numerator_h multiplied IntPolys")
+
+        monkeypatch.setattr(IntPoly, "__mul__", no_mul)
+        monkeypatch.setattr(IntPoly, "__rmul__", no_mul)
+        assert numerator_h(validate_params([3, 5])) == IntPoly.one_minus_pow(15)
+        assert numerator_h(validate_params([12, 21, 28])) == IntPoly({0: 1, 84: -2, 168: 1})
+        assert numerator_h(validate_params([3, 5, 7])).num_terms() in (4, 6)
 
     def test_series_reexpansion(self):
         params = validate_params([4, 6, 9])
