@@ -4,11 +4,14 @@ Subcommands:
     compute    one statistic (closed form for two denominations, oracle else)
     enumerate  the exactly-k or at-most-k set
     classify   j, count, class table up to a bound
-    genfun     polynomials and indicator series
-    verify     closed-form vs oracle sweep; nonzero exit on any mismatch
+    genfun     p_k, or one of --numerator, --denham, --cyclotomic N, --indicator
+    verify     closed-form vs oracle on --params a,b or every coprime pair up
+               to --sweep MAXB (exactly one); nonzero exit on any mismatch
 
-Exit codes: 0 success, 1 mathematical mismatch, 2 input validation,
-3 unsupported request, 4 resource guard.  The resource ceiling (largest
+Output is plain, json or csv; verify and genfun --denham have no csv.
+
+Exit codes: 0 success, 1 mathematical mismatch, 2 input validation or a
+refused flag combination, 3 unsupported request, 4 resource guard.  The resource ceiling (largest
 --bound, last entry scanned for unbounded queries, largest N for
 genfun --cyclotomic, largest 2ab - a - b for genfun --params a,b --k K
 with K >= 1 and ab - a - b with K = 0, largest --m for compute --stat sm
@@ -53,10 +56,10 @@ from frobgen.genfun import (
 from frobgen.intpoly import IntPoly, cyclotomic
 from frobgen.oracle import (
     GapSet,
+    _check_bound,
     enumerate_at_most_k,
     enumerate_by_count,
     enumerate_exact_k,
-    max_bound_ceiling,
     oracle_report,
     rep_table,
     validate_params,
@@ -104,9 +107,7 @@ def cmd_compute(args: argparse.Namespace) -> int:
         if args.m < 0:
             raise ValidationError(f"--m must be >= 0, got {args.m}")
         # m sizes the power-sum work of the closed form and every power j**m
-        ceiling = max_bound_ceiling()
-        if args.m > ceiling:
-            raise BoundTooLarge(args.m, ceiling)
+        _check_bound(args.m)
     if params.n == 2 and not args.oracle:
         report = closed_report(PairParams(*params.denominations), stat, args.k, args.m)
     else:
@@ -180,11 +181,12 @@ def _emit_poly(poly: IntPoly, fmt: str) -> None:
 
 
 def cmd_genfun(args: argparse.Namespace) -> int:
+    # The parser admits at most one of the mode flags; with none, p_k.
     if args.cyclotomic is not None:
+        if args.cyclotomic < 1:
+            raise ValidationError(f"--cyclotomic must be at least 1, got {args.cyclotomic}")
         # the output has degree phi(N) <= N
-        ceiling = max_bound_ceiling()
-        if args.cyclotomic > ceiling:
-            raise BoundTooLarge(args.cyclotomic, ceiling)
+        _check_bound(args.cyclotomic)
         _emit_poly(cyclotomic(args.cyclotomic), args.format)
         return 0
     if args.params is None:
@@ -194,6 +196,8 @@ def cmd_genfun(args: argparse.Namespace) -> int:
         _emit_poly(numerator_h(params), args.format)
         return 0
     if args.denham:
+        if args.format == "csv":
+            raise ValidationError("--denham has no csv format")
         count = denham_term_count(params)
         if args.format == "json":
             _emit_json({"params": list(params.denominations), "term_count": count})
@@ -294,24 +298,20 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if args.sweep is not None and args.sweep < 2:
         raise ValidationError(f"--sweep must be at least 2, got {args.sweep}")
     # mmax sizes every closed-form power-sum list and every power j**m
-    ceiling = max_bound_ceiling()
-    if args.mmax > ceiling:
-        raise BoundTooLarge(args.mmax, ceiling)
+    _check_bound(args.mmax)
     workers = min(args.workers, os.cpu_count() or 1)
     if args.params is not None:
         params = validate_params(args.params)
         if params.n != 2:
             raise WrongArity(2, params.n)
         pairs = [tuple(params.denominations)]
-    elif args.sweep is not None:
+    else:  # the parser requires exactly one of --params and --sweep
         pairs = [
             (a, b)
             for b in range(2, args.sweep + 1)
             for a in range(1, b)
             if gcd(a, b) == 1
         ]
-    else:
-        raise ValidationError("verify needs --params or --sweep")
 
     jobs = [(a, b, args.kmax, args.mmax) for a, b in pairs]
     if workers > 1:
@@ -349,20 +349,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser, params_required: bool = True) -> None:
+    def add_params(p, required: bool = True) -> None:
+        # p is a parser or one of its mutually exclusive groups
         p.add_argument(
             "--params",
             type=_parse_params,
-            required=params_required,
-            default=None,
+            required=required,
             help="comma-separated denominations, e.g. 5,7",
         )
-        p.add_argument(
-            "--format", choices=("plain", "json", "csv"), default="plain"
-        )
+
+    def add_format(p: argparse.ArgumentParser, choices=("plain", "json", "csv")) -> None:
+        p.add_argument("--format", choices=choices, default="plain")
 
     p = sub.add_parser("compute", help="one exact statistic")
-    add_common(p)
+    add_params(p)
+    add_format(p)
     p.add_argument("--k", type=int, default=0)
     p.add_argument("--m", type=int, default=None, help="power for --stat sm")
     p.add_argument("--stat", choices=STATS, required=True)
@@ -374,26 +375,30 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_compute)
 
     p = sub.add_parser("enumerate", help="the exactly-k or at-most-k set")
-    add_common(p)
+    add_params(p)
+    add_format(p)
     p.add_argument("--k", type=int, default=0)
     p.add_argument("--at-most", action="store_true", dest="at_most")
     p.add_argument("--bound", type=int, default=None)
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("classify", help="representation count table (j,count,k)")
-    add_common(p)
+    add_params(p)
+    add_format(p)
     p.add_argument("--bound", type=int, required=True)
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("genfun", help="polynomials and indicator series")
-    add_common(p, params_required=False)
+    add_params(p, required=False)
+    add_format(p)
     p.add_argument("--k", type=int, default=0)
-    p.add_argument("--numerator", action="store_true", help="numerator h(z)")
-    p.add_argument(
-        "--denham", action="store_true", help="term count of h(z) for a triple"
+    mode = p.add_mutually_exclusive_group()  # none: the exactly-k polynomial p_k
+    mode.add_argument("--numerator", action="store_true", help="numerator h(z)")
+    mode.add_argument(
+        "--denham", action="store_true", help="term count of h(z) for a triple (no csv)"
     )
-    p.add_argument("--cyclotomic", type=int, default=None, metavar="N")
-    p.add_argument(
+    mode.add_argument("--cyclotomic", type=int, default=None, metavar="N")
+    mode.add_argument(
         "--indicator",
         action="store_true",
         help="more-than-k indicator bits (needs --bound)",
@@ -402,8 +407,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_genfun)
 
     p = sub.add_parser("verify", help="closed-form vs oracle sweep")
-    add_common(p, params_required=False)
-    p.add_argument("--sweep", type=int, default=None, metavar="MAXB")
+    pairs = p.add_mutually_exclusive_group(required=True)
+    add_params(pairs, required=False)
+    pairs.add_argument("--sweep", type=int, default=None, metavar="MAXB")
+    add_format(p, ("plain", "json"))
     p.add_argument("--kmax", type=int, default=3)
     p.add_argument("--mmax", type=int, default=2)
     p.add_argument(

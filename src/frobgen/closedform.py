@@ -21,31 +21,27 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate, compress, repeat
-from math import comb, gcd
+from math import comb
 from operator import add, mul
 
-from frobgen.errors import NonPositive, NotCoprime, UnsupportedK
-from frobgen.oracle import GapSet, Params, _check_bound
+from frobgen.errors import UnsupportedK
+from frobgen.oracle import GapSet, Params, _check_bound, validate_params
 from frobgen.report import AT_MOST_STATS, CLOSED_FORM, StatReport
 
 
 @dataclass(frozen=True)
 class PairParams:
-    """Two coprime positive denominations (order immaterial)."""
+    """Two coprime positive denominations (order immaterial), checked by
+    validate_params: NonPositive for a (then b), else NotCoprime."""
 
     a: int
     b: int
 
     def __post_init__(self) -> None:
-        for v in (self.a, self.b):
-            if isinstance(v, bool) or not isinstance(v, int) or v < 1:
-                raise NonPositive(v)
-        g = gcd(self.a, self.b)
-        if g != 1:
-            raise NotCoprime(g)
+        validate_params(self.pair)
 
     def as_params(self) -> Params:
-        return Params(tuple(sorted((self.a, self.b))))
+        return validate_params(self.pair)
 
     @property
     def pair(self) -> tuple[int, int]:

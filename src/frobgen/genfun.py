@@ -97,9 +97,14 @@ def numerator_h(params: Params, gaps: GapSet | None = None) -> IntPoly:
     exactly: one slice subtraction per factor on a dense list.  The gaps
     come from the oracle's certified scan: `gaps` when the caller already
     holds that set (it must be for params, k = 0 and complete, else
-    ValueError), otherwise enumerate_exact_k(params, 0).  The result is
-    re-expanded as a series up to g_0 + sum(a_i) and compared with the gap
-    indicator before being returned.
+    ValueError), otherwise enumerate_exact_k(params, 0).
+
+    Before the product, the gap indicator up to g_0 + sum(a_i) is compared
+    with the zero entries of the denumerant table (rep_table, so the
+    FROBGEN_MAX_BOUND ceiling applies): any wrong gap raises AssertionError.
+    Agreement there includes a_1 consecutive representable integers past
+    g_0, which certifies that no gap lies beyond, so the set is the gap set
+    of params and h is exact.
     """
     if gaps is None:
         gaps = enumerate_exact_k(params, 0)
@@ -112,18 +117,16 @@ def numerator_h(params: Params, gaps: GapSet | None = None) -> IntPoly:
     denoms = params.denominations
     g0 = gaps.elements[-1] if gaps.elements else -1
     check_to = g0 + sum(denoms)
-    expected = [1] * (check_to + 1)
+    counts = rep_table(params, check_to).counts
+    coeffs = [1] * (check_to + 1)
     for g in gaps.elements:
-        expected[g] = 0
-    coeffs = list(expected)
+        coeffs[g] = 0
+    if list(map(bool, counts)) != coeffs:
+        j = next(j for j, (r, e) in enumerate(zip(counts, coeffs)) if bool(r) != e)
+        raise AssertionError(f"gap indicator differs from the denumerant table at degree {j}")
     for a in denoms:  # times 1 - z^a; the map is run in full before the assignment
         coeffs[a:] = map(sub, coeffs[a:], coeffs)
-    h = IntPoly(filter(itemgetter(1), enumerate(coeffs)))
-    series = rational_series(h, params, check_to)
-    if series != expected:
-        j = next(j for j, (v, e) in enumerate(zip(series, expected)) if v != e)
-        raise AssertionError(f"numerator series mismatch at degree {j}")
-    return h
+    return IntPoly(filter(itemgetter(1), enumerate(coeffs)))
 
 
 def denham_term_count(params: Params) -> int:

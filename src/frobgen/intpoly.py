@@ -21,8 +21,8 @@ class IntPoly:
 
     >>> IntPoly({0: 1, 15: -1}).to_text()
     '1 - z^15'
-    >>> IntPoly.geometric(3, 5) * IntPoly.geometric(5, 3) == IntPoly.from_support(
-    ...     [0, 3, 5, 6, 8, 9, 10, 11, 12, 13, 14, 16, 17, 19, 22])
+    >>> IntPoly({0: 1, 3: 1, 6: 1, 9: 1, 12: 1}) * IntPoly({0: 1, 5: 1, 10: 1}) == IntPoly(
+    ...     dict.fromkeys([0, 3, 5, 6, 8, 9, 10, 11, 12, 13, 14, 16, 17, 19, 22], 1))
     True
     """
 
@@ -57,19 +57,9 @@ class IntPoly:
         return cls({exp: coeff})
 
     @classmethod
-    def geometric(cls, step: int, count: int) -> IntPoly:
-        """1 + z^step + z^(2 step) + ... + z^((count-1) step)."""
-        return cls({j * step: 1 for j in range(count)})
-
-    @classmethod
     def one_minus_pow(cls, n: int) -> IntPoly:
         """1 - z^n."""
         return cls({0: 1, n: -1})
-
-    @classmethod
-    def from_support(cls, exponents: Iterable[int]) -> IntPoly:
-        """0/1 polynomial with a 1 at each given exponent."""
-        return cls({e: 1 for e in exponents})
 
     @classmethod
     def from_indicator(cls, bits: bytes | bytearray, base: int = 0) -> IntPoly:

@@ -4,6 +4,7 @@ import subprocess
 import sys
 import tracemalloc
 from dataclasses import replace
+from itertools import chain, combinations
 from math import gcd
 from pathlib import Path
 
@@ -258,6 +259,14 @@ class TestExitCodes:
         code, out, _ = run_cli("genfun", "--cyclotomic", "30")
         assert code == 0
         assert out.strip() != ""
+
+    @pytest.mark.parametrize("n", ["0", "-3"])
+    def test_cyclotomic_below_one(self, n, capsys):
+        code = main(["genfun", "--cyclotomic", n])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "ValidationError" in captured.err and f"--cyclotomic must be at least 1, got {n}" in captured.err
 
     @pytest.mark.parametrize(
         "args",
@@ -606,6 +615,61 @@ class TestVerify:
     def test_needs_params_or_sweep(self):
         code, _, err = run_cli("verify")
         assert code == 2
+
+
+class TestFlagCombinations:
+    GENFUN_MODES = [("--numerator",), ("--denham",), ("--cyclotomic", "6"), ("--indicator",)]
+
+    @pytest.mark.parametrize(
+        "modes",
+        [*combinations(GENFUN_MODES, 2), tuple(GENFUN_MODES)],
+        ids=lambda modes: "+".join(m[0].lstrip("-") for m in modes),
+    )
+    def test_genfun_takes_one_mode(self, modes, capsys):
+        argv = ["genfun", "--params", "3,5,7", "--bound", "10", *chain(*modes)]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        captured = capsys.readouterr()
+        assert exc.value.code == 2
+        assert captured.out == ""
+        assert "not allowed with argument" in captured.err
+
+    @pytest.mark.parametrize(
+        "args",
+        [("--params", "3,5", "--sweep", "5"), ()],
+        ids=["both", "neither"],
+    )
+    def test_verify_takes_params_or_sweep(self, args, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", *args])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2
+        assert captured.out == ""
+        assert "--params" in captured.err and "--sweep" in captured.err
+
+    def test_verify_has_no_csv(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--params", "3,5", "--format", "csv"])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2
+        assert captured.out == ""
+        assert "invalid choice: 'csv'" in captured.err
+
+    def test_denham_has_no_csv(self, capsys):
+        code = main(["genfun", "--params", "3,5,7", "--denham", "--format", "csv"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "ValidationError" in captured.err and "csv" in captured.err
+
+    @pytest.mark.parametrize(
+        "command", [(), ("compute",), ("enumerate",), ("classify",), ("genfun",), ("verify",)]
+    )
+    def test_help(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([*command, "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: frobgen")
 
 
 class TestParserReuse:

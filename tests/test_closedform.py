@@ -39,6 +39,24 @@ class TestPairParams:
         with pytest.raises(NonPositive):
             PairParams(a, b)
 
+    @pytest.mark.parametrize(
+        "a,b,error,field,value",
+        [
+            (True, 3, NonPositive, "value", True),
+            (0, 3, NonPositive, "value", 0),
+            (-3, 5, NonPositive, "value", -3),
+            (2.5, 3, NonPositive, "value", 2.5),
+            (4, 6, NotCoprime, "gcd", 2),
+            (3, 3, NotCoprime, "gcd", 3),
+        ],
+    )
+    def test_errors_match_validate_params(self, a, b, error, field, value):
+        for build in (PairParams, lambda a, b: validate_params([a, b])):
+            with pytest.raises(error) as exc:
+                build(a, b)
+            got = getattr(exc.value, field)
+            assert type(got) is type(value) and got == value
+
 
 class TestFrobenius:
     def test_golden(self):

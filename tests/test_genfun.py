@@ -22,7 +22,7 @@ from helpers import brute_counts, coprime_pairs
 
 class TestPkPoly:
     def test_gap_polynomial(self):
-        assert p_k_poly(PairParams(3, 5), 0) == IntPoly.from_support([1, 2, 4, 7])
+        assert p_k_poly(PairParams(3, 5), 0) == IntPoly({1: 1, 2: 1, 4: 1, 7: 1})
 
     def test_ones_collapse(self):
         assert p_k_poly(PairParams(1, 1), 1) == IntPoly.one()
@@ -91,7 +91,7 @@ class TestPkPoly:
 
         monkeypatch.setattr("frobgen.genfun.enumerate_exact_k", no_oracle)
         got = p_k_poly(PairParams(5, 7), 0)
-        assert got == IntPoly.from_support([1, 2, 3, 4, 6, 8, 9, 11, 13, 16, 18, 23])
+        assert got == IntPoly(dict.fromkeys([1, 2, 3, 4, 6, 8, 9, 11, 13, 16, 18, 23], 1))
 
     def test_ceiling_bounds_the_builders(self, monkeypatch):
         # the top position laid out is g_0 for k = 0 and 2ab - a - b for k >= 1
@@ -208,10 +208,10 @@ def _reference_h(params):
     """h by the identity the package used before the dense product:
     (1 + z + ... + z^(a_1 - 1)) prod_{i>=2} (1 - z^(a_i)) - p_0 prod_i (1 - z^(a_i))."""
     denoms = params.denominations
-    h = IntPoly.geometric(1, denoms[0])
+    h = IntPoly.from_indicator(b"\x01" * denoms[0])
     for a in denoms[1:]:
         h *= IntPoly.one_minus_pow(a)
-    full = IntPoly.from_support(enumerate_exact_k(params, 0).elements)
+    full = IntPoly(dict.fromkeys(enumerate_exact_k(params, 0).elements, 1))
     for a in denoms:
         full *= IntPoly.one_minus_pow(a)
     return h - full
@@ -293,6 +293,18 @@ class TestNumerator:
     def test_bad_gap_set_raises(self, bad):
         with pytest.raises(ValueError):
             numerator_h(validate_params([3, 5]), bad)
+
+    @pytest.mark.parametrize(
+        "gaps,degree",
+        [((1, 2, 4, 9), 9), ((1, 2), 4), ((1, 4), 2), ((), 1)],
+        ids=["extra-gap", "missing-last", "missing-middle", "empty"],
+    )
+    def test_wrong_gap_set_raises(self, gaps, degree):
+        # certified-looking sets that are not the gaps (1, 2, 4) of (3, 5, 7):
+        # the table of denumerants disagrees with each at the given degree
+        params = validate_params([3, 5, 7])
+        with pytest.raises(AssertionError, match=f"at degree {degree}$"):
+            numerator_h(params, GapSet(params, 0, gaps, complete=True))
 
 
 class TestDenham:

@@ -45,8 +45,8 @@ class TestMul:
 
     def test_geometric_product_expansion(self):
         # (1 + z^3 + ... + z^12)(1 + z^5 + z^10): 15-term 0/1 poly of degree 22
-        p = IntPoly.geometric(3, 5)
-        q = IntPoly.geometric(5, 3)
+        p = IntPoly({0: 1, 3: 1, 6: 1, 9: 1, 12: 1})
+        q = IntPoly({0: 1, 5: 1, 10: 1})
         got = p * q
         assert got == brute_mul(p, q)
         assert got.num_terms() == 15
@@ -73,7 +73,7 @@ class TestMul:
 class TestFromIndicator:
     @given(st.binary(max_size=40), st.integers(min_value=0, max_value=100))
     def test_matches_support(self, bits, base):
-        expected = IntPoly.from_support(base + i for i, bit in enumerate(bits) if bit)
+        expected = IntPoly({base + i: 1 for i, bit in enumerate(bits) if bit})
         assert IntPoly.from_indicator(bits, base) == expected
 
     @pytest.mark.parametrize("base", [-1, 2.0])
