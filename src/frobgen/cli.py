@@ -181,12 +181,17 @@ def _emit_poly(poly: IntPoly, fmt: str) -> None:
 
 
 def cmd_genfun(args: argparse.Namespace) -> int:
-    # The parser admits at most one of the mode flags; with none, p_k.
+    # The parser admits at most one of the mode flags; with none, p_k.  A
+    # flag the chosen mode does not read is refused, not ignored.
+    if args.bound is not None and not args.indicator:
+        raise ValidationError("--bound is only read with --indicator")
+    if args.k is not None and (args.numerator or args.denham or args.cyclotomic is not None):
+        raise ValidationError("--k is not read with --numerator, --denham or --cyclotomic")
     if args.cyclotomic is not None:
+        if args.params is not None:
+            raise ValidationError("--params is not read with --cyclotomic")
         if args.cyclotomic < 1:
             raise ValidationError(f"--cyclotomic must be at least 1, got {args.cyclotomic}")
-        # the output has degree phi(N) <= N
-        _check_bound(args.cyclotomic)
         _emit_poly(cyclotomic(args.cyclotomic), args.format)
         return 0
     if args.params is None:
@@ -207,10 +212,11 @@ def cmd_genfun(args: argparse.Namespace) -> int:
     if params.n != 2:
         raise WrongArity(2, params.n)
     pair = PairParams(*params.denominations)
+    k = 0 if args.k is None else args.k
     if args.indicator:
         if args.bound is None:
             raise ValidationError("--indicator requires --bound")
-        series = s_k_indicator(pair, args.k, args.bound)
+        series = s_k_indicator(pair, k, args.bound)
         if args.format == "json":
             _emit(series.to_json())
         elif args.format == "csv":
@@ -218,7 +224,7 @@ def cmd_genfun(args: argparse.Namespace) -> int:
         else:
             _emit(series.to_bitstring())
         return 0
-    _emit_poly(p_k_poly(pair, args.k), args.format)
+    _emit_poly(p_k_poly(pair, k), args.format)
     return 0
 
 
@@ -391,7 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("genfun", help="polynomials and indicator series")
     add_params(p, required=False)
     add_format(p)
-    p.add_argument("--k", type=int, default=0)
+    p.add_argument("--k", type=int, default=None, help="k for p_k and --indicator (default 0)")
     mode = p.add_mutually_exclusive_group()  # none: the exactly-k polynomial p_k
     mode.add_argument("--numerator", action="store_true", help="numerator h(z)")
     mode.add_argument(

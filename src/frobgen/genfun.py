@@ -11,11 +11,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import repeat
-from operator import add, itemgetter, mul, sub
+from operator import add, itemgetter, mul
 
 from frobgen.closedform import PairParams, _grid, _rows
+from frobgen.dp import multiply_binomials
 from frobgen.errors import NotPrime, WrongArity
-from frobgen.intpoly import IntPoly, cyclotomic
+from frobgen.intpoly import IntPoly, _prime_factors, cyclotomic
 from frobgen.oracle import GapSet, Params, _check_bound, enumerate_exact_k, rep_table
 
 _BIT_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
@@ -94,7 +95,7 @@ def numerator_h(params: Params, gaps: GapSet | None = None) -> IntPoly:
 
     h is the representable-set indicator times prod_i (1 - z^(a_i)), and
     deg h <= g_0 + sum(a_i), so the indicator truncated there gives h
-    exactly: one slice subtraction per factor on a dense list.  The gaps
+    exactly (dp.multiply_binomials on the dense indicator).  The gaps
     come from the oracle's certified scan: `gaps` when the caller already
     holds that set (it must be for params, k = 0 and complete, else
     ValueError), otherwise enumerate_exact_k(params, 0).
@@ -124,8 +125,7 @@ def numerator_h(params: Params, gaps: GapSet | None = None) -> IntPoly:
     if list(map(bool, counts)) != coeffs:
         j = next(j for j, (r, e) in enumerate(zip(counts, coeffs)) if bool(r) != e)
         raise AssertionError(f"gap indicator differs from the denumerant table at degree {j}")
-    for a in denoms:  # times 1 - z^a; the map is run in full before the assignment
-        coeffs[a:] = map(sub, coeffs[a:], coeffs)
+    multiply_binomials(coeffs, denoms)
     return IntPoly(filter(itemgetter(1), enumerate(coeffs)))
 
 
@@ -144,17 +144,6 @@ def denham_term_count(params: Params) -> int:
     return sum(abs(c) for _, c in numerator_h(params).terms())
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    f = 2
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 1
-    return True
-
-
 def cyclotomic_identity_check(p: PairParams) -> bool:
     """For distinct primes a, b: the representable-set series equals
     Phi_ab(z) / (1 - z).
@@ -166,8 +155,8 @@ def cyclotomic_identity_check(p: PairParams) -> bool:
     coefficients, since 1/(1-z) accumulates).
     """
     a, b = p.a, p.b
-    if a == b or not _is_prime(a) or not _is_prime(b):
-        raise NotPrime(a if not _is_prime(a) else b)
+    if a == b or _prime_factors(a) != [a] or _prime_factors(b) != [b]:
+        raise NotPrime(a if _prime_factors(a) != [a] else b)
     phi = cyclotomic(a * b)
     lhs = phi * (IntPoly.one_minus_pow(a) * IntPoly.one_minus_pow(b))
     rhs = IntPoly.one_minus_pow(a * b) * IntPoly.one_minus_pow(1)

@@ -5,15 +5,24 @@ integer coefficients and no stored zeros.  The sparse representation is
 deliberate: the polynomials that show up here (gap polynomials, rational
 numerators, cyclotomics) have few terms but large degree gaps.
 
+cyclotomic builds Phi_n on a dense coefficient list with the two binomial
+steps of `dp`, the same ones that build denumerant tables and the numerator
+h(z): a product of factors (1 - z^a)^(+-1) truncated at phi(n), with no
+recursion over divisors and no memo.  poly_exact_div, long division on
+the sparse maps, is not used by the package itself.
+
 All arithmetic is exact; there is no floating-point path anywhere.
 """
 from __future__ import annotations
 
 import json
 from itertools import compress
+from operator import itemgetter
 from typing import Iterable, Mapping
 
+from frobgen.dp import divide_binomials, multiply_binomials
 from frobgen.errors import NotDivisible
+from frobgen.oracle import _check_bound
 
 
 class IntPoly:
@@ -51,10 +60,6 @@ class IntPoly:
     @classmethod
     def one(cls) -> IntPoly:
         return cls({0: 1})
-
-    @classmethod
-    def monomial(cls, exp: int, coeff: int = 1) -> IntPoly:
-        return cls({exp: coeff})
 
     @classmethod
     def one_minus_pow(cls, n: int) -> IntPoly:
@@ -244,12 +249,37 @@ def poly_exact_div(p: IntPoly, d: IntPoly) -> IntPoly:
     return IntPoly(quot)
 
 
+# Unused: cyclotomic keeps no memo; the benchmark still clears this dict.
 _cyclotomic_cache: dict[int, IntPoly] = {}
 
 
+def _prime_factors(n: int) -> list[int]:
+    """The distinct primes dividing n, increasing, by trial division
+    (empty for n < 2)."""
+    primes = []
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            primes.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1
+    if n > 1:
+        primes.append(n)
+    return primes
+
+
 def cyclotomic(n: int) -> IntPoly:
-    """The nth cyclotomic polynomial, by the exact division recurrence
-    Phi_n = (z^n - 1) / prod_{d | n, d < n} Phi_d.
+    """The nth cyclotomic polynomial, by the Moebius product
+    Phi_n = prod_{d | n} (1 - z^(n/d))^mu(d), negated for n = 1.
+
+    Only squarefree d count, one per set of n's distinct primes.  The
+    exponents with mu = +1 are multiplied into a coefficient list truncated
+    at degree phi(n) = sum(plus) - sum(minus) first, then those with
+    mu = -1 are divided out (dp's binomial steps): the result is a
+    polynomial of degree phi(n), so the truncation loses nothing, while
+    dividing first would build denumerants that grow huge.  n past the
+    FROBGEN_MAX_BOUND ceiling raises BoundTooLarge before any work.
 
     >>> cyclotomic(1)
     IntPoly('-1 + z')
@@ -258,11 +288,12 @@ def cyclotomic(n: int) -> IntPoly:
     """
     if n < 1:
         raise ValueError("cyclotomic index must be >= 1")
-    poly = _cyclotomic_cache.get(n)
-    if poly is None:
-        poly = IntPoly({n: 1, 0: -1})
-        for d in range(1, n):
-            if n % d == 0:
-                poly = poly_exact_div(poly, cyclotomic(d))
-        _cyclotomic_cache[n] = poly
-    return poly
+    _check_bound(n)
+    plus, minus = [n], []
+    for p in _prime_factors(n):
+        plus, minus = plus + [a // p for a in minus], minus + [a // p for a in plus]
+    coeffs = [1] + [0] * (sum(plus) - sum(minus))
+    multiply_binomials(coeffs, plus)
+    divide_binomials(coeffs, minus)
+    poly = IntPoly(filter(itemgetter(1), enumerate(coeffs)))
+    return -poly if n == 1 else poly

@@ -635,6 +635,34 @@ class TestFlagCombinations:
         assert "not allowed with argument" in captured.err
 
     @pytest.mark.parametrize(
+        "args,flag",
+        [
+            (("--params", "3,5", "--numerator", "--k", "7", "--bound", "99"), "--bound"),
+            (("--params", "3,5", "--k", "1", "--bound", "5"), "--bound"),
+            (("--params", "4,6", "--cyclotomic", "6"), "--params"),
+            (("--params", "3,5", "--numerator", "--k", "0"), "--k"),
+            (("--params", "2,3,5", "--denham", "--k", "1"), "--k"),
+            (("--cyclotomic", "6", "--k", "1"), "--k"),
+        ],
+        ids=["numerator-k-bound", "p_k-bound", "cyclotomic-params", "numerator-k",
+             "denham-k", "cyclotomic-k"],
+    )
+    def test_genfun_refuses_flags_its_mode_ignores(self, args, flag, capsys):
+        code = main(["genfun", *args])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "ValidationError" in captured.err and f"{flag} " in captured.err
+
+    @pytest.mark.parametrize(
+        "args", [("--params", "3,5"), ("--params", "2,3", "--indicator", "--bound", "8")]
+    )
+    def test_genfun_k_defaults_to_zero(self, args, capsys):
+        code, out = run_main(capsys, "genfun", *args)
+        assert code == 0
+        assert out == run_main(capsys, "genfun", *args, "--k", "0")[1]
+
+    @pytest.mark.parametrize(
         "args",
         [("--params", "3,5", "--sweep", "5"), ()],
         ids=["both", "neither"],
@@ -901,6 +929,11 @@ class TestGoldenOutput:
                  "20"),
                 "b5b644fc550fec16884c31f68449fc7b5a57044564e2c6f27e6f2a4510b705c3",
                 id="indicator-plain-huge-pair",
+            ),
+            pytest.param(
+                ("genfun", "--cyclotomic", "2310", "--format", "json"),
+                "aa3d599f6f7a3766eedc66c06733244ce2d4113f86d0c717e7443ca46859f80d",
+                id="cyclotomic-json-2310",
             ),
         ],
     )

@@ -37,6 +37,27 @@ class TestBackends:
             dp.rep_counts((2, 3), -1)
 
 
+class TestBinomialSteps:
+    tables = st.lists(st.integers(-(10**6), 10**6), max_size=40)
+    exponents = st.lists(st.integers(1, 50), max_size=6)  # some past the truncation
+
+    @given(tables, exponents)
+    @settings(max_examples=150, deadline=None)
+    def test_multiply_then_divide_restores(self, table, exps):
+        work = list(table)
+        dp.multiply_binomials(work, exps)
+        dp.divide_binomials(work, exps)
+        assert work == table
+
+    @given(tables, exponents)
+    @settings(max_examples=150, deadline=None)
+    def test_divide_then_multiply_restores(self, table, exps):
+        work = list(table)
+        dp.divide_binomials(work, exps)
+        dp.multiply_binomials(work, exps)
+        assert work == table
+
+
 class TestOverflowGuard:
     def test_huge_counts_route_to_python_and_stay_exact(self):
         # forty unit coins: r(j) = C(j + 39, 39) blows far past int64

@@ -3,7 +3,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import frobgen
-from frobgen.errors import NotDivisible
+from frobgen.errors import BoundTooLarge, NotDivisible
 from frobgen.intpoly import IntPoly, cyclotomic, poly_exact_div
 
 from helpers import totient
@@ -27,6 +27,11 @@ polys = st.builds(
     ),
 )
 nonzero_polys = polys.filter(lambda p: not p.is_zero())
+
+
+def substitute_power(p: IntPoly, k: int) -> IntPoly:
+    """p(z^k)."""
+    return IntPoly({e * k: c for e, c in p.terms()})
 
 
 def test_every_exported_name_resolves():
@@ -151,6 +156,24 @@ class TestCyclotomic:
             if n % d == 0:
                 prod *= cyclotomic(d)
         assert prod == IntPoly({n: 1, 0: -1})
+
+    # Identities of cyclotomic polynomials that the Moebius product does not
+    # use, checked with IntPoly products.
+    @pytest.mark.parametrize("n,p", [(9, 3), (105, 5), (2310, 7)])
+    def test_index_times_a_dividing_prime(self, n, p):
+        # Phi_np(z) = Phi_n(z^p) when p | n
+        assert cyclotomic(n * p) == substitute_power(cyclotomic(n), p)
+
+    @pytest.mark.parametrize("m,p", [(210, 11), (1155, 2), (2310, 13)])
+    def test_index_times_a_new_prime(self, m, p):
+        # Phi_mp(z) Phi_m(z) = Phi_m(z^p) when p does not divide m
+        assert cyclotomic(m * p) * cyclotomic(m) == substitute_power(cyclotomic(m), p)
+
+    def test_ceiling_applies_to_library_calls(self, monkeypatch):
+        monkeypatch.setenv("FROBGEN_MAX_BOUND", "100")
+        with pytest.raises(BoundTooLarge, match="bound 210 exceeds"):
+            cyclotomic(210)
+        assert cyclotomic(100).degree == totient(100)
 
 
 class TestSerialization:
