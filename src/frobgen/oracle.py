@@ -344,37 +344,24 @@ def enumerate_at_most_k(params: Params, k: int, bound: int | None = None) -> Gap
     return _enumerate(params, k, bound, at_most=True)
 
 
-def enumerate_by_count(params: Params, kmax: int) -> tuple[list[GapSet], list[GapSet]]:
-    """The exactly-k and at-most-k sets for every k <= kmax, from one scan.
+def enumerate_by_count(params: Params, kmax: int) -> list[GapSet]:
+    """The exactly-k sets for every k <= kmax, from one scan, indexed by k.
 
-    Returns (exact, at_most), each indexed by k.  The scan is the one behind
-    enumerate_at_most_k(params, kmax); it files every element it collects
-    under its count, and those lists are the exactly-k sets.  Each at-most-k
-    set merges the one below it with the exactly-k set (two sorted runs), and
-    the at-most-kmax set is the scan's own.  The scan's window of a_1 counts
-    > kmax also certifies every smaller k, so every set is complete.  The
-    FROBGEN_MAX_BOUND cap and its refusal before the scan apply at kmax; the
-    kmax + 1 per-count lists are allocated only after that refusal check.
+    The scan is the one behind enumerate_at_most_k(params, kmax); it files
+    every element it collects under its count, and those lists are the
+    exactly-k sets.  The at-most-k set is the disjoint union of exact[0..k],
+    so none is built.  The scan's window of a_1 counts > kmax also certifies
+    every smaller k, so every set is complete.  The FROBGEN_MAX_BOUND cap and
+    its refusal before the scan apply at kmax; the kmax + 1 per-count lists
+    are allocated only after that refusal check.
     """
     if kmax < 0:
         raise ValueError("k must be >= 0")
-    ks = range(kmax + 1)
     if params.n == 1:
-        return (
-            [_single_coin_set(params, k, False) for k in ks],
-            [_single_coin_set(params, k, True) for k in ks],
-        )
+        return [_single_coin_set(params, k, False) for k in range(kmax + 1)]
     by_count: list[list[int]] = []
-    scanned = _enumerate(params, kmax, None, True, by_count)
-    exact = [GapSet(params, k, tuple(js), complete=True) for k, js in enumerate(by_count)]
-    at_most = []
-    below: tuple[int, ...] = ()
-    for k in range(kmax):
-        # sorted() finds the two ascending runs and merges them
-        below = tuple(sorted(below + exact[k].elements))
-        at_most.append(GapSet(params, k, below, complete=True))
-    at_most.append(scanned)
-    return exact, at_most
+    _enumerate(params, kmax, None, True, by_count)
+    return [GapSet(params, k, tuple(js), complete=True) for k, js in enumerate(by_count)]
 
 
 def oracle_report(gap_set: GapSet, stat: str, m: int | None = None) -> StatReport:

@@ -597,6 +597,40 @@ class TestVerify:
             assert f["expected"] == str(cubes)
             assert int(f["actual"]) == cubes + 1
 
+    def test_reports_a_wrong_at_most_stat(self, capsys, monkeypatch):
+        # the closed form of one at-most statistic is off by one at each k: g<=
+        # at k = 0, c<= at k = 1, s<= at k = 2
+        real = cli.at_most_stats
+
+        def off_by_one(p, k):
+            reports = list(real(p, k))
+            reports[k] = replace(reports[k], value=reports[k].value + 1)
+            return tuple(reports)
+
+        monkeypatch.setattr(cli, "at_most_stats", off_by_one)
+        code, out = run_main(capsys, "verify", "--params", "3,5", "--kmax", "2")
+        assert code == 1
+        failures = [json.loads(line) for line in out.splitlines()]
+        assert [(f["check"], f["k"]) for f in failures] == [("g<=", 0), ("c<=", 1), ("s<=", 2)]
+        counts = brute_counts((3, 5), 60)  # R_2(3,5) ends at 37
+        for f, stat in zip(failures, (max, len, sum)):
+            at_most = [j for j, c in enumerate(counts) if c <= f["k"]]
+            assert f["expected"] == str(stat(at_most))
+            assert int(f["actual"]) == stat(at_most) + 1
+
+    def test_memory_linear_in_kmax(self):
+        # the oracle side holds the exactly-k sets, |at-most-300| entries in
+        # all, and no at-most set: one per k would hold Θ(300² · ab) entries
+        tracemalloc.start()
+        try:
+            checks, failures = cli.verify_pair(7, 11, 300, 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert failures == []
+        assert checks == 1 + 8 * 301 + 300 * 2
+        assert peak < 5_000_000
+
     @pytest.mark.parametrize("a,b", [(1, 1), (1, 2), (1, 7), (2, 3), (3, 5), (7, 10), (29, 30)])
     def test_one_scan_per_pair(self, a, b, monkeypatch):
         real = oracle._stream
@@ -653,6 +687,29 @@ class TestFlagCombinations:
         assert code == 2
         assert captured.out == ""
         assert "ValidationError" in captured.err and f"{flag} " in captured.err
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("--params", "5,7", "--stat", "g", "--m", "3"),
+            ("--params", "5,7", "--stat", "sle", "--k", "2", "--m", "1"),
+            ("--params", "5,7", "--stat", "c", "--m", "0", "--oracle"),
+            ("--params", "3,5,7", "--stat", "gle", "--m", "2"),
+        ],
+        ids=["closed-form", "closed-form-at-most", "oracle", "oracle-three-coins"],
+    )
+    def test_compute_refuses_m_without_sm(self, args, capsys, monkeypatch):
+        def no_work(*_args, **_kwargs):
+            raise AssertionError("work done before the flag check")
+
+        for name in ("validate_params", "closed_report", "enumerate_exact_k",
+                     "enumerate_at_most_k"):
+            monkeypatch.setattr(cli, name, no_work)
+        code = main(["compute", *args])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "ValidationError" in captured.err and "--m " in captured.err
 
     @pytest.mark.parametrize(
         "args", [("--params", "3,5"), ("--params", "2,3", "--indicator", "--bound", "8")]

@@ -1,5 +1,6 @@
 import os
 from functools import reduce
+from itertools import chain
 from math import gcd
 from unittest.mock import patch
 
@@ -524,28 +525,32 @@ class TestEnumerateByCount:
     @settings(max_examples=60, deadline=None)
     def test_every_k_from_one_scan(self, denoms, kmax):
         params = validate_params(list(denoms))
-        exact, at_most = enumerate_by_count(params, kmax)
+        exact = enumerate_by_count(params, kmax)
         start, counts = _window_and_counts(denoms, kmax)
         end = start + denoms[0] - 1
-        assert len(exact) == len(at_most) == kmax + 1
+        assert len(exact) == kmax + 1
         for k in range(kmax + 1):
             assert exact[k] == enumerate_exact_k(params, k)
-            assert at_most[k] == enumerate_at_most_k(params, k)
-            assert exact[k].complete and at_most[k].complete
+            at_most = enumerate_at_most_k(params, k)
+            union = tuple(sorted(chain.from_iterable(gs.elements for gs in exact[: k + 1])))
+            assert union == at_most.elements
+            assert exact[k].complete and at_most.complete
             seen = range(end + 1)
             assert exact[k].elements == tuple(j for j in seen if counts[j] == k)
-            assert at_most[k].elements == tuple(j for j in seen if counts[j] <= k)
+            assert union == tuple(j for j in seen if counts[j] <= k)
         if end >= 1:  # a cap of end - 1 < 0 cannot be set
             with patch.dict(os.environ, {MAX_BOUND_ENV: str(end - 1)}):
                 with pytest.raises(Indeterminate):
                     enumerate_by_count(params, kmax)
 
     def test_single_coin(self):
-        exact, at_most = enumerate_by_count(validate_params([1]), 0)
-        assert exact[0].elements == at_most[0].elements == ()
-        assert exact[0].complete and at_most[0].complete
+        params = validate_params([1])
+        (exact,) = enumerate_by_count(params, 0)
+        at_most = enumerate_at_most_k(params, 0)
+        assert exact.elements == at_most.elements == ()
+        assert exact.complete and at_most.complete
         with pytest.raises(InfiniteSet):
-            enumerate_by_count(validate_params([1]), 1)
+            enumerate_by_count(params, 1)
 
     def test_negative_kmax(self):
         with pytest.raises(ValueError):
