@@ -15,8 +15,9 @@ refused flag combination, 3 unsupported request, 4 resource guard.  The resource
 --bound, last entry scanned for unbounded queries, largest N for
 genfun --cyclotomic, largest 2ab - a - b for genfun --params a,b --k K
 with K >= 1 and ab - a - b with K = 0, largest --m for compute --stat sm
-and --mmax for verify) can be overridden via FROBGEN_MAX_BOUND, which must
-be a nonnegative integer (anything else exits 2).
+and --mmax for verify, furthest entry the last verify --sweep pair
+touches) can be overridden via FROBGEN_MAX_BOUND, which must be a
+nonnegative integer (anything else exits 2).
 """
 from __future__ import annotations
 
@@ -321,6 +322,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
             raise WrongArity(2, params.n)
         pairs = [tuple(params.denominations)]
     else:  # the parser requires exactly one of --params and --sweep
+        # the last pair (MAXB - 1, MAXB) reaches furthest: its window ends at
+        # (kmax + 1)ab - b, and at kmax 0 numerator_h checks up to ab
+        a, b = args.sweep - 1, args.sweep
+        _check_bound((args.kmax + 1) * a * b - b if args.kmax else a * b)
         pairs = [
             (a, b)
             for b in range(2, args.sweep + 1)

@@ -10,11 +10,10 @@ are all materialized exactly and cross-checked against the oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
-from operator import add, itemgetter, mul
+from operator import itemgetter
 
 from frobgen.closedform import PairParams, _grid, _rows
-from frobgen.dp import multiply_binomials
+from frobgen.dp import divide_binomials, multiply_binomials
 from frobgen.errors import NotPrime, WrongArity
 from frobgen.intpoly import IntPoly, _prime_factors, cyclotomic
 from frobgen.oracle import GapSet, Params, _check_bound, enumerate_exact_k, rep_table
@@ -80,14 +79,14 @@ def s_k_indicator(p: PairParams, k: int, bound: int) -> IndicatorSeries:
 def rational_series(numer: IntPoly, params: Params, bound: int) -> list[int]:
     """Coefficients 0..bound of numer(z) / prod_i (1 - z^(a_i)), exactly.
 
-    Each term c z^e adds c times the counts, shifted up by e, in one map.
+    numer's coefficients up to bound, divided in place by each binomial
+    (dp.divide_binomials).  The bound goes through the FROBGEN_MAX_BOUND
+    ceiling (BoundTooLarge) before any allocation.
     """
-    counts = rep_table(params, bound).counts
-    out = [0] * (bound + 1)
-    for e, c in numer.terms():
-        if e <= bound:
-            out[e:] = map(add, out[e:], map(mul, counts, repeat(c)))
-    return out
+    _check_bound(bound)
+    series = list(map(numer.coeff, range(bound + 1)))
+    divide_binomials(series, params.denominations)
+    return series
 
 
 def numerator_h(params: Params, gaps: GapSet | None = None) -> IntPoly:
@@ -151,8 +150,8 @@ def cyclotomic_identity_check(p: PairParams) -> bool:
     Checks the polynomial identity
         Phi_ab(z) (1 - z^a)(1 - z^b) == (1 - z^(ab))(1 - z)
     and, as the binding contract, the series of Phi_ab/(1-z) against the
-    oracle indicator up to degree g_0 + 1 (prefix sums of Phi_ab's
-    coefficients, since 1/(1-z) accumulates).
+    oracle indicator up to degree g_0 + 1 (rational_series of Phi_ab over
+    the single coin 1).
     """
     a, b = p.a, p.b
     if a == b or _prime_factors(a) != [a] or _prime_factors(b) != [b]:
@@ -162,12 +161,6 @@ def cyclotomic_identity_check(p: PairParams) -> bool:
     rhs = IntPoly.one_minus_pow(a * b) * IntPoly.one_minus_pow(1)
     if lhs != rhs:
         return False
-    g0 = a * b - a - b
-    limit = g0 + 1
-    acc = 0
-    series = []
-    for j in range(limit + 1):
-        acc += phi.coeff(j)
-        series.append(acc)
-    indicator = s_k_indicator(p, 0, limit)
-    return tuple(series) == indicator.bits
+    limit = a * b - a - b + 1
+    series = rational_series(phi, Params((1,)), limit)
+    return tuple(series) == s_k_indicator(p, 0, limit).bits

@@ -221,33 +221,31 @@ def _single_coin_set(params: Params, k: int, at_most: bool) -> GapSet:
     return GapSet(params, k, (), complete=True)
 
 
-def _enumerate(
-    params: Params,
-    k: int,
-    bound: int | None,
-    at_most: bool,
-    by_count: list[list[int]] | None = None,
-) -> GapSet:
-    """The certified set of an unbounded query, or the scan up to `bound`.
-
-    `by_count`, when given, must be empty: once the window pre-check has
-    passed, it gets one list per count 0..k for _stream to fill, so a
-    refused query allocates nothing for them.
-    """
+def _enumerate(params: Params, k: int, bound: int | None, at_most: bool) -> GapSet:
+    """The certified set of an unbounded query, or the scan up to `bound`."""
     if k < 0:
         raise ValueError("k must be >= 0")
     if bound is not None:
         _check_bound(bound)
-        return _stream(params, k, at_most, bound)
+        found, complete = _stream(params, k, at_most, bound)
+        return GapSet(params, k, tuple(found), complete)
     if params.n == 1:
         return _single_coin_set(params, k, at_most)
+    return GapSet(params, k, tuple(_certified_scan(params, k, at_most)), complete=True)
+
+
+def _certified_scan(params: Params, k: int, at_most: bool, split: bool = False) -> list:
+    """_stream's collected j up to the FROBGEN_MAX_BOUND cap, proven complete.
+
+    Raises Indeterminate when the window has not closed by the cap, at once
+    (before _stream allocates anything) when _window_beyond already places
+    it past the cap.
+    """
     cap = max_bound_ceiling()
     if not _window_beyond(_coins_within(params, cap), k, cap):
-        if by_count is not None:
-            by_count.extend([] for _ in range(k + 1))
-        gap_set = _stream(params, k, at_most, cap, by_count)
-        if gap_set.complete:
-            return gap_set
+        found, complete = _stream(params, k, at_most, cap, split)
+        if complete:
+            return found
     raise Indeterminate(cap)
 
 
@@ -276,12 +274,8 @@ def _window_beyond(coins: list[int], k: int, cap: int) -> bool:
 
 
 def _stream(
-    params: Params,
-    k: int,
-    at_most: bool,
-    cap: int,
-    by_count: list[list[int]] | None = None,
-) -> GapSet:
+    params: Params, k: int, at_most: bool, cap: int, split: bool = False
+) -> tuple[list, bool]:
     """Scan r(0), r(1), ..., r(cap) online and stop when the a_1-window closes.
 
     A window of a_1 consecutive counts > k proves that every later j has
@@ -294,17 +288,19 @@ def _stream(
     values of t_i.  Each ring holds them oldest first; seeding the first
     ring's head with 1 supplies t_0(0).  At most j = cap is scanned, so a
     coin a_i > cap other than a_1 adds nothing and gets no ring, and no ring
-    needs more than cap + 1 values (one at least, for the seed).  The set is
-    complete iff the window closes by cap; else it holds every element up to
-    cap.  When `by_count` is given (one list per count 0..k), each collected
-    j is also appended to by_count[r(j)], so each list ends up sorted.
+    needs more than cap + 1 values (one at least, for the seed).
+
+    Returns (found, complete): complete is True iff the window closes by
+    cap; found holds every collected j up to there, in increasing order.
+    With `split`, found is one list per count 0..k instead, and each j goes
+    to found[r(j)] alone, so each list is sorted too.
     """
     width = params.smallest
     sizes = [min(a, cap + 1) for a in _coins_within(params, cap)]
     rings = [deque(repeat(0, n), maxlen=n) for n in sizes]
     rings[0][0] = 1
     lowest = 0 if at_most else k
-    elements: list[int] = []
+    found: list = [[] for _ in range(k + 1)] if split else []
     run = 0
     for j in range(cap + 1):
         c = 0
@@ -314,14 +310,15 @@ def _stream(
         if c > k:
             run += 1
             if run == width:
-                return GapSet(params, k, tuple(elements), complete=True)
+                return found, True
         else:
             run = 0
             if c >= lowest:
-                elements.append(j)
-                if by_count is not None:
-                    by_count[c].append(j)
-    return GapSet(params, k, tuple(elements), complete=False)
+                if split:
+                    found[c].append(j)
+                else:
+                    found.append(j)
+    return found, False
 
 
 def enumerate_exact_k(params: Params, k: int, bound: int | None = None) -> GapSet:
@@ -347,20 +344,20 @@ def enumerate_at_most_k(params: Params, k: int, bound: int | None = None) -> Gap
 def enumerate_by_count(params: Params, kmax: int) -> list[GapSet]:
     """The exactly-k sets for every k <= kmax, from one scan, indexed by k.
 
-    The scan is the one behind enumerate_at_most_k(params, kmax); it files
-    every element it collects under its count, and those lists are the
-    exactly-k sets.  The at-most-k set is the disjoint union of exact[0..k],
-    so none is built.  The scan's window of a_1 counts > kmax also certifies
-    every smaller k, so every set is complete.  The FROBGEN_MAX_BOUND cap and
-    its refusal before the scan apply at kmax; the kmax + 1 per-count lists
-    are allocated only after that refusal check.
+    The scan is the one behind enumerate_at_most_k(params, kmax), split by
+    count: it files every element it collects under its count alone, and
+    those lists are the exactly-k sets.  The at-most-k set is the disjoint
+    union of exact[0..k], so none is built: kmax + 1 GapSets in all.  The
+    scan's window of a_1 counts > kmax also certifies every smaller k, so
+    every set is complete.  The FROBGEN_MAX_BOUND cap and its refusal before
+    the scan apply at kmax; the kmax + 1 per-count lists are allocated only
+    after that refusal check.
     """
     if kmax < 0:
         raise ValueError("k must be >= 0")
     if params.n == 1:
         return [_single_coin_set(params, k, False) for k in range(kmax + 1)]
-    by_count: list[list[int]] = []
-    _enumerate(params, kmax, None, True, by_count)
+    by_count = _certified_scan(params, kmax, True, split=True)
     return [GapSet(params, k, tuple(js), complete=True) for k, js in enumerate(by_count)]
 
 

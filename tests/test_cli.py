@@ -366,6 +366,43 @@ class TestExitCodes:
         assert "Indeterminate" in captured.err
         assert peak < 1_000_000
 
+    @pytest.mark.parametrize(
+        "ceiling,argv,passes",
+        [
+            # (39, 40) at kmax 3: its window ends at 4 * 39 * 40 - 40 = 6200
+            ("1000", ("--sweep", "40", "--kmax", "3"), None),
+            # (9, 10) at kmax 1: its window ends at 2 * 9 * 10 - 10 = 170
+            ("170", ("--sweep", "10", "--kmax", "1", "--mmax", "1"), (31, 589)),
+            ("169", ("--sweep", "10", "--kmax", "1", "--mmax", "1"), None),
+            # (9, 10) at kmax 0: numerator_h checks up to 9 * 10 = 90
+            ("90", ("--sweep", "10", "--kmax", "0", "--mmax", "1"), (31, 279)),
+            ("89", ("--sweep", "10", "--kmax", "0", "--mmax", "1"), None),
+        ],
+        ids=["kmax3-past", "kmax1-at", "kmax1-past", "kmax0-at", "kmax0-past"],
+    )
+    def test_sweep_past_the_ceiling(self, ceiling, argv, passes, monkeypatch, capsys):
+        # the furthest position of the last pair goes through the ceiling
+        # before any pair is scanned
+        monkeypatch.setenv("FROBGEN_MAX_BOUND", ceiling)
+        real = oracle._stream
+        scans = []
+
+        def counted(*args, **kwargs):
+            scans.append(args[:2])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(oracle, "_stream", counted)
+        code, out = run_main(capsys, "verify", *argv, "--format", "json")
+        if passes is None:
+            assert code == 4
+            assert out == ""
+            assert scans == []
+        else:
+            pairs, checks = passes
+            assert code == 0
+            assert json.loads(out) == {"pairs": pairs, "checks": checks, "failures": 0}
+            assert len(scans) == pairs
+
     def test_negative_k(self):
         code, _, err = run_cli("compute", "--params", "5,7", "--k", "-1", "--stat", "g")
         assert code == 2

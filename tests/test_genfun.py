@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from math import gcd
 
 import pytest
@@ -250,6 +251,20 @@ class TestNumerator:
         assert numerator_h(validate_params([3, 5])) == IntPoly.one_minus_pow(15)
         assert numerator_h(validate_params([12, 21, 28])) == IntPoly({0: 1, 84: -2, 168: 1})
         assert numerator_h(validate_params([3, 5, 7])).num_terms() in (4, 6)
+
+    def test_series_bound_refused_before_allocating(self, monkeypatch):
+        monkeypatch.setenv("FROBGEN_MAX_BOUND", "100")
+        h = IntPoly.one_minus_pow(15)
+        params = validate_params([3, 5])
+        assert len(rational_series(h, params, 100)) == 101
+        tracemalloc.start()
+        try:
+            with pytest.raises(BoundTooLarge):
+                rational_series(h, params, 1_000_000)  # 8 MB of list if allocated
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
     def test_series_reexpansion(self):
         params = validate_params([4, 6, 9])

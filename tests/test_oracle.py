@@ -543,6 +543,22 @@ class TestEnumerateByCount:
                 with pytest.raises(Indeterminate):
                     enumerate_by_count(params, kmax)
 
+    @pytest.mark.parametrize("denoms", [(2, 3), (3, 5), (5, 7, 9), (4, 6, 9)])
+    @pytest.mark.parametrize("kmax", [0, 1, 5])
+    def test_one_gap_set_per_count(self, denoms, kmax, monkeypatch):
+        # the exactly-k sets and nothing else: no at-most-kmax set is built
+        real = GapSet.__post_init__
+        built = []
+
+        def counted(self):
+            built.append(self.k)
+            real(self)
+
+        monkeypatch.setattr(GapSet, "__post_init__", counted)
+        exact = enumerate_by_count(validate_params(list(denoms)), kmax)
+        assert built == list(range(kmax + 1))
+        assert [gs.k for gs in exact] == built
+
     def test_single_coin(self):
         params = validate_params([1])
         (exact,) = enumerate_by_count(params, 0)
