@@ -30,7 +30,6 @@ from frobgen.intpoly import IntPoly, cyclotomic, poly_exact_div
 from frobgen.oracle import (
     GapSet,
     Params,
-    RepTable,
     enumerate_at_most_k,
     enumerate_by_count,
     enumerate_exact_k,
@@ -50,7 +49,6 @@ __all__ = [
     "PairParams",
     "Params",
     "RatPoly",
-    "RepTable",
     "StatReport",
     "at_most_stats",
     "bernoulli_number",

@@ -43,16 +43,11 @@ class RatPoly:
     def coeff(self, exp: int) -> Fraction:
         return self._coeffs[exp] if exp < len(self._coeffs) else Fraction(0)
 
-    def constant_term(self) -> Fraction:
-        return self.coeff(0)
-
     def evaluate(self, x: int | Fraction) -> Fraction:
         acc = Fraction(0)
         for c in reversed(self._coeffs):
             acc = acc * x + c
         return acc
-
-    __call__ = evaluate
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RatPoly):

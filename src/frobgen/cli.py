@@ -39,15 +39,7 @@ from frobgen.closedform import (
     power_sums_k,
     sum_k,
 )
-from frobgen.errors import (
-    BoundTooLarge,
-    FrobgenError,
-    Indeterminate,
-    InfiniteSet,
-    UnsupportedK,
-    ValidationError,
-    WrongArity,
-)
+from frobgen.errors import FrobgenError, ValidationError, WrongArity
 from frobgen.genfun import (
     denham_term_count,
     numerator_h,
@@ -156,7 +148,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 def cmd_classify(args: argparse.Namespace) -> int:
     # Rows are formatted straight into the output text, with no object per row.
     params = validate_params(args.params)
-    counts = rep_table(params, args.bound).counts
+    counts = rep_table(params, args.bound)
     if args.format == "json":
         write = sys.stdout.write
         denoms = ",".join(map(str, params.denominations))
@@ -452,18 +444,11 @@ def main(argv: list[str] | None = None) -> int:
         set_digits(0)
     try:
         return args.func(args)
-    except (ValidationError, ValueError) as exc:
+    except (FrobgenError, ValueError) as exc:
+        # each FrobgenError family carries its exit code; a bare ValueError
+        # is bad input (2)
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
-    except (UnsupportedK, InfiniteSet) as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 3
-    except (BoundTooLarge, Indeterminate) as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 4
-    except FrobgenError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
+        return getattr(exc, "exit_code", 2)
     finally:
         if set_digits is not None:
             set_digits(old_digits)

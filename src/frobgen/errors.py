@@ -1,7 +1,8 @@
 """Exception hierarchy.
 
-Validation errors name the offending datum so callers (and the CLI, which
-maps exception families to exit codes) can report precisely what was wrong.
+Validation errors name the offending datum so callers can report precisely
+what was wrong.  Each family carries the CLI's exit code for it as the class
+attribute exit_code.
 """
 from __future__ import annotations
 
@@ -9,9 +10,13 @@ from __future__ import annotations
 class FrobgenError(Exception):
     """Base class for all library errors."""
 
+    exit_code = 1
+
 
 class ValidationError(FrobgenError):
-    """Bad input data (CLI exit code 2)."""
+    """Bad input data."""
+
+    exit_code = 2
 
 
 class EmptyList(ValidationError):
@@ -49,8 +54,9 @@ class NotDivisible(FrobgenError):
 
 
 class UnsupportedK(FrobgenError):
-    """frobgen implements no closed form for this (k, m) combination (CLI
-    exit code 3)."""
+    """frobgen implements no closed form for this (k, m) combination."""
+
+    exit_code = 3
 
     def __init__(self, k: int, m: int) -> None:
         super().__init__(
@@ -65,12 +71,16 @@ class IncompleteSet(FrobgenError):
 
 
 class InfiniteSet(FrobgenError):
-    """The requested set is provably infinite (CLI exit code 3)."""
+    """The requested set is provably infinite."""
+
+    exit_code = 3
 
 
 class Indeterminate(FrobgenError):
     """Enumeration cannot certify completeness within the cap on entries
-    scanned (CLI exit code 4)."""
+    scanned."""
+
+    exit_code = 4
 
     def __init__(self, cap: int) -> None:
         super().__init__(
@@ -80,7 +90,9 @@ class Indeterminate(FrobgenError):
 
 
 class BoundTooLarge(FrobgenError):
-    """Requested table exceeds the configured memory ceiling (CLI exit code 4)."""
+    """Requested table exceeds the configured memory ceiling."""
+
+    exit_code = 4
 
     def __init__(self, bound: int, ceiling: int) -> None:
         super().__init__(f"bound {bound} exceeds the configured ceiling {ceiling}")

@@ -29,10 +29,10 @@ class IndicatorSeries:
     params: tuple[int, ...]
     k: int
     bound: int
-    bits: tuple[int, ...]
+    bits: bytes
 
     def to_bitstring(self) -> str:
-        return bytes(self.bits).translate(_BIT_DIGITS).decode("ascii")
+        return self.bits.translate(_BIT_DIGITS).decode("ascii")
 
     def to_json(self) -> str:
         # The bits array is the bitstring joined by commas, one C-level call.
@@ -73,7 +73,7 @@ def s_k_indicator(p: PairParams, k: int, bound: int) -> IndicatorSeries:
     _check_bound(bound)
     shift = min(p.a * p.b * k, bound + 1)
     bits = bytes(shift) + _rows(p, bound + 1 - shift)
-    return IndicatorSeries(p.pair, k, bound, tuple(bits))
+    return IndicatorSeries(p.pair, k, bound, bits)
 
 
 def rational_series(numer: IntPoly, params: Params, bound: int) -> list[int]:
@@ -117,7 +117,7 @@ def numerator_h(params: Params, gaps: GapSet | None = None) -> IntPoly:
     denoms = params.denominations
     g0 = gaps.elements[-1] if gaps.elements else -1
     check_to = g0 + sum(denoms)
-    counts = rep_table(params, check_to).counts
+    counts = rep_table(params, check_to)
     coeffs = [1] * (check_to + 1)
     for g in gaps.elements:
         coeffs[g] = 0
@@ -163,4 +163,4 @@ def cyclotomic_identity_check(p: PairParams) -> bool:
         return False
     limit = a * b - a - b + 1
     series = rational_series(phi, Params((1,)), limit)
-    return tuple(series) == s_k_indicator(p, 0, limit).bits
+    return series == list(s_k_indicator(p, 0, limit).bits)

@@ -54,10 +54,6 @@ class IntPoly:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def zero(cls) -> IntPoly:
-        return cls()
-
-    @classmethod
     def one(cls) -> IntPoly:
         return cls({0: 1})
 
@@ -89,9 +85,6 @@ class IntPoly:
         """Degree, or None for the zero polynomial."""
         return max(self._terms) if self._terms else None
 
-    def is_zero(self) -> bool:
-        return not self._terms
-
     def coeff(self, exp: int) -> int:
         return self._terms.get(exp, 0)
 
@@ -101,9 +94,6 @@ class IntPoly:
     def terms(self) -> tuple[tuple[int, int], ...]:
         """Terms as (exponent, coefficient) pairs in increasing exponent order."""
         return tuple(sorted(self._terms.items()))
-
-    def num_terms(self) -> int:
-        return len(self._terms)
 
     def is_zero_one(self) -> bool:
         """True when every coefficient is 0 or 1 (so also for the zero polynomial)."""
@@ -136,12 +126,12 @@ class IntPoly:
                 out[e] = v
             else:
                 del out[e]
-        res = IntPoly.zero()
+        res = IntPoly()
         res._terms = out
         return res
 
     def __neg__(self) -> IntPoly:
-        res = IntPoly.zero()
+        res = IntPoly()
         res._terms = {e: -c for e, c in self._terms.items()}
         return res
 
@@ -150,7 +140,7 @@ class IntPoly:
 
     def __mul__(self, other: IntPoly | int) -> IntPoly:
         if isinstance(other, int):
-            res = IntPoly.zero()
+            res = IntPoly()
             if other:
                 res._terms = {e: c * other for e, c in self._terms.items()}
             return res
@@ -163,7 +153,7 @@ class IntPoly:
                     out[e] = v
                 else:
                     del out[e]
-        res = IntPoly.zero()
+        res = IntPoly()
         res._terms = out
         return res
 
@@ -178,7 +168,7 @@ class IntPoly:
         'z + z^2 + z^4 + z^7'
         >>> IntPoly({0: -2, 3: 1}).to_text()
         '-2 + z^3'
-        >>> IntPoly.zero().to_text()
+        >>> IntPoly().to_text()
         '0'
         """
         if not self._terms:
@@ -222,7 +212,7 @@ def poly_exact_div(p: IntPoly, d: IntPoly) -> IntPoly:
     >>> poly_exact_div(IntPoly.one_minus_pow(15), IntPoly.one_minus_pow(5))
     IntPoly('1 + z^5 + z^10')
     """
-    if d.is_zero():
+    if not d:
         raise ZeroDivisionError("polynomial division by zero")
     lead_exp = max(d._terms)
     lead_coeff = d._terms[lead_exp]

@@ -97,18 +97,6 @@ def validate_params(raw: Sequence[int]) -> Params:
     return Params(tuple(sorted(raw)))
 
 
-@dataclass(frozen=True)
-class RepTable:
-    """Dense exact representation counts for 0 <= j <= bound."""
-
-    params: Params
-    counts: tuple[int, ...]
-
-    @property
-    def bound(self) -> int:
-        return len(self.counts) - 1
-
-
 def _check_bound(bound: int) -> None:
     """Refuse a negative bound (ValueError) or one past the FROBGEN_MAX_BOUND
     ceiling (BoundTooLarge), before any work is done."""
@@ -119,12 +107,11 @@ def _check_bound(bound: int) -> None:
         raise BoundTooLarge(bound, ceiling)
 
 
-def rep_table(params: Params, bound: int) -> RepTable:
-    """Exact denumerant table for 0 <= j <= bound; raises BoundTooLarge past
+def rep_table(params: Params, bound: int) -> tuple[int, ...]:
+    """Exact denumerant counts r(0), ..., r(bound); raises BoundTooLarge past
     the FROBGEN_MAX_BOUND ceiling."""
     _check_bound(bound)
-    counts = dp.rep_counts(params.denominations, bound)
-    return RepTable(params, tuple(counts))
+    return tuple(dp.rep_counts(params.denominations, bound))
 
 
 @dataclass(frozen=True)
@@ -132,7 +119,8 @@ class GapSet:
     """The integers with exactly (or at most) k representations.
 
     `complete` is True only when a termination certificate proves no larger
-    element exists; maxima are refused without it.
+    element exists; maxima are refused without it.  k must be an int >= 0
+    (not a bool) and complete a bool; anything else raises ValueError.
     """
 
     params: Params
@@ -141,6 +129,10 @@ class GapSet:
     complete: bool
 
     def __post_init__(self) -> None:
+        if isinstance(self.k, bool) or not isinstance(self.k, int) or self.k < 0:
+            raise ValueError(f"k must be an integer >= 0, got {self.k!r}")
+        if not isinstance(self.complete, bool):
+            raise ValueError(f"complete must be true or false, got {self.complete!r}")
         e = self.elements
         if not all(map(lt, e, islice(e, 1, None))):
             raise ValueError("elements must be strictly increasing")

@@ -28,10 +28,6 @@ class StatReport:
     m: int | None = None
     provenance: str = CLOSED_FORM
 
-    @property
-    def empty(self) -> bool:
-        return self.value is None
-
     def to_json_dict(self) -> dict:
         d: dict = {"stat": self.stat}
         if len(self.params) == 2:

@@ -29,7 +29,7 @@ class TestBernoulliPoly:
 
     @pytest.mark.parametrize("n", [3, 5, 7, 9, 11, 13, 15])
     def test_odd_constant_term_is_zero(self, n):
-        assert bernoulli_poly(n).constant_term() == 0
+        assert bernoulli_poly(n).coeff(0) == 0
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError):

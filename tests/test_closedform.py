@@ -65,7 +65,7 @@ class TestFrobenius:
     def test_unit_pair_empty(self):
         report = frobenius_k(PairParams(1, 7), 0)
         assert report.value is None
-        assert report.empty
+        assert report.to_json_dict()["empty"]
 
     def test_k1(self):
         assert frobenius_k(PairParams(3, 5), 1).value == 22

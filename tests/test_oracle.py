@@ -73,20 +73,20 @@ class TestValidateParams:
 class TestRepTable:
     def test_golden_largest_gap(self):
         table = rep_table(validate_params([5, 7]), 23)
-        assert table.counts[23] == 0
+        assert table[23] == 0
 
     def test_empty_representation(self):
         for params in ([5, 7], [2, 3, 11], [1]):
-            assert rep_table(validate_params(params), 0).counts[0] == 1
+            assert rep_table(validate_params(params), 0)[0] == 1
 
     def test_two_representations(self):
         table = rep_table(validate_params([3, 5]), 15)
-        assert table.counts[15] == 2
+        assert table[15] == 2
 
     @pytest.mark.parametrize("denoms", [(5, 7), (2, 3, 7), (1, 1), (4, 9, 11)])
     def test_matches_bruteforce(self, denoms):
         params = validate_params(list(denoms))
-        assert rep_table(params, 45).counts == tuple(brute_counts(denoms, 45))
+        assert rep_table(params, 45) == tuple(brute_counts(denoms, 45))
 
     def test_bound_too_large(self, monkeypatch):
         monkeypatch.setenv(MAX_BOUND_ENV, "999")
@@ -104,7 +104,7 @@ class TestCountLaws:
     def test_shift_law(self, a, b):
         # r(j) <= 1 below ab; r(j) = r(j - ab) + 1 from ab on
         bound = 5 * a * b
-        counts = rep_table(validate_params([a, b]), bound).counts
+        counts = rep_table(validate_params([a, b]), bound)
         for j in range(a * b):
             assert counts[j] <= 1
         for j in range(a * b, bound + 1):
@@ -119,7 +119,7 @@ class TestCountLaws:
     def test_monotone_under_one_more_coin(self, pair):
         params = validate_params(list(pair))
         bound = 3 * pair[0] * pair[1] + 10
-        counts = rep_table(params, bound).counts
+        counts = rep_table(params, bound)
         for a in params:
             for j in range(bound - a + 1):
                 assert counts[j + a] >= counts[j]
@@ -129,7 +129,7 @@ class TestCountLaws:
     def test_membership_shift_equivalence(self, a, b, k):
         # j in S_k  <=>  j - ab in S_{k-1}, for j >= ab
         bound = 6 * a * b
-        counts = rep_table(validate_params([a, b]), bound).counts
+        counts = rep_table(validate_params([a, b]), bound)
         for j in range(a * b, bound + 1):
             assert (counts[j] > k) == (counts[j - a * b] > k - 1)
 
@@ -230,7 +230,7 @@ class TestOracleStats:
     def test_empty_set(self):
         gaps = enumerate_exact_k(validate_params([1]), 0)
         g, c, s = oracle_stats(gaps, m=1)
-        assert g.value is None and g.empty
+        assert g.value is None and g.to_json_dict()["empty"]
         assert c.value == 0
         assert s.value == 0
 
@@ -330,6 +330,16 @@ class TestGapSetSerialization:
     def test_short_sets_accepted(self, elements):
         assert GapSet(Params((2, 3)), 0, elements, True).elements == elements
 
+    @pytest.mark.parametrize(
+        "k,complete",
+        [(0, '"no"'), (-4, "true"), ('"zero"', "true"), ("true", "true")],
+        ids=["complete-not-bool", "k-negative", "k-not-int", "k-bool"],
+    )
+    def test_bad_k_or_complete_refused(self, k, complete):
+        text = f'{{"params":[3,5],"k":{k},"complete":{complete},"elements":["7"]}}'
+        with pytest.raises(ValueError):
+            GapSet.from_json(text)
+
 
 class TestPowerSums:
     @given(st.sets(st.integers(0, 10**6), max_size=40), st.integers(0, 8))
@@ -421,7 +431,7 @@ class TestStreaming:
         gs = enumerate_exact_k(params, 6000)
         assert gs.complete
         assert gs.maximum == 32323
-        counts = rep_table(params, 32323 + 2 * 31).counts
+        counts = rep_table(params, 32323 + 2 * 31)
         assert counts[32323] == 6000
         assert gs.elements == tuple(j for j, c in enumerate(counts) if c == 6000)
 
