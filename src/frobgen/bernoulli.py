@@ -57,7 +57,7 @@ class RatPoly:
     def __hash__(self) -> int:
         return hash(self._coeffs)
 
-    def to_text(self, var: str = "x") -> str:
+    def to_text(self) -> str:
         if not self._coeffs:
             return "0"
         parts: list[str] = []
@@ -69,7 +69,7 @@ class RatPoly:
             if e == 0:
                 body = str(mag)
             else:
-                power = var if e == 1 else f"{var}^{e}"
+                power = "x" if e == 1 else f"x^{e}"
                 body = power if mag == 1 else f"{mag} {power}"
             if not parts:
                 parts.append(body if c > 0 else f"-{body}")

@@ -111,11 +111,7 @@ def cmd_compute(args: argparse.Namespace) -> int:
     if args.format == "json":
         _emit(report.to_json())
     elif args.format == "csv":
-        params_field = " ".join(map(str, report.params))
-        m = "" if report.m is None else report.m
-        value = str(report.value) if report.value is not None else "-1"
-        row = f"{report.stat},{params_field},{report.k},{m},{value},{report.provenance}"
-        _emit_csv("stat,params,k,m,value,provenance", [row])
+        _emit(report.to_csv())
     else:
         _emit(report.to_plain())
     return 0

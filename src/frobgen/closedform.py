@@ -19,29 +19,30 @@ the two product forms, laid out as 0/1 bytes by _grid and _rows.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import accumulate, compress, repeat
 from math import comb
 from operator import add, mul
 
 from frobgen.errors import UnsupportedK
-from frobgen.oracle import GapSet, Params, _check_bound, validate_params
+from frobgen.oracle import GapSet, Params, _check_bound
 from frobgen.report import AT_MOST_STATS, CLOSED_FORM, StatReport
 
 
 @dataclass(frozen=True)
 class PairParams:
     """Two coprime positive denominations (order immaterial), checked by
-    validate_params: NonPositive for a (then b), else NotCoprime."""
+    Params: NonPositive for a (then b), else NotCoprime."""
 
     a: int
     b: int
+    _params: Params = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        validate_params(self.pair)
+        object.__setattr__(self, "_params", Params(self.pair))
 
     def as_params(self) -> Params:
-        return validate_params(self.pair)
+        return self._params
 
     @property
     def pair(self) -> tuple[int, int]:

@@ -10,7 +10,6 @@ are all materialized exactly and cross-checked against the oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import itemgetter
 
 from frobgen.closedform import PairParams, _grid, _rows
 from frobgen.dp import divide_binomials, multiply_binomials
@@ -125,7 +124,7 @@ def numerator_h(params: Params, gaps: GapSet | None = None) -> IntPoly:
         j = next(j for j, (r, e) in enumerate(zip(counts, coeffs)) if bool(r) != e)
         raise AssertionError(f"gap indicator differs from the denumerant table at degree {j}")
     multiply_binomials(coeffs, denoms)
-    return IntPoly(filter(itemgetter(1), enumerate(coeffs)))
+    return IntPoly._of({e: c for e, c in enumerate(coeffs) if c})
 
 
 def denham_term_count(params: Params) -> int:

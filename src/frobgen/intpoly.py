@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import json
 from itertools import compress
-from operator import itemgetter
 from typing import Iterable, Mapping
 
 from frobgen.dp import divide_binomials, multiply_binomials
@@ -41,8 +40,10 @@ class IntPoly:
         items = terms.items() if isinstance(terms, Mapping) else terms
         data: dict[int, int] = {}
         for exp, coeff in items:
-            if not isinstance(exp, int) or exp < 0:
+            if isinstance(exp, bool) or not isinstance(exp, int) or exp < 0:
                 raise ValueError(f"exponent must be a nonnegative integer, got {exp!r}")
+            if isinstance(coeff, bool) or not isinstance(coeff, int):
+                raise ValueError(f"coefficient must be an integer, got {coeff!r}")
             if coeff:
                 c = data.get(exp, 0) + coeff
                 if c:
@@ -52,6 +53,13 @@ class IntPoly:
         self._terms = data
 
     # -- constructors ------------------------------------------------------
+
+    @classmethod
+    def _of(cls, terms: dict[int, int]) -> IntPoly:
+        """Wrap, uncopied and unchecked, a term map the package built itself."""
+        res = cls.__new__(cls)
+        res._terms = terms
+        return res
 
     @classmethod
     def one(cls) -> IntPoly:
@@ -74,9 +82,7 @@ class IntPoly:
         """
         if not isinstance(base, int) or base < 0:
             raise ValueError(f"exponent must be a nonnegative integer, got {base!r}")
-        res = cls()
-        res._terms = dict.fromkeys(compress(range(base, base + len(bits)), bits), 1)
-        return res
+        return cls._of(dict.fromkeys(compress(range(base, base + len(bits)), bits), 1))
 
     # -- inspection --------------------------------------------------------
 
@@ -126,24 +132,17 @@ class IntPoly:
                 out[e] = v
             else:
                 del out[e]
-        res = IntPoly()
-        res._terms = out
-        return res
+        return IntPoly._of(out)
 
     def __neg__(self) -> IntPoly:
-        res = IntPoly()
-        res._terms = {e: -c for e, c in self._terms.items()}
-        return res
+        return IntPoly._of({e: -c for e, c in self._terms.items()})
 
     def __sub__(self, other: IntPoly) -> IntPoly:
         return self + (-other)
 
     def __mul__(self, other: IntPoly | int) -> IntPoly:
         if isinstance(other, int):
-            res = IntPoly()
-            if other:
-                res._terms = {e: c * other for e, c in self._terms.items()}
-            return res
+            return IntPoly._of({e: c * other for e, c in self._terms.items()} if other else {})
         out: dict[int, int] = {}
         for e1, c1 in self._terms.items():
             for e2, c2 in other._terms.items():
@@ -153,15 +152,13 @@ class IntPoly:
                     out[e] = v
                 else:
                     del out[e]
-        res = IntPoly()
-        res._terms = out
-        return res
+        return IntPoly._of(out)
 
     __rmul__ = __mul__
 
     # -- serialization -----------------------------------------------------
 
-    def to_text(self, var: str = "z") -> str:
+    def to_text(self) -> str:
         """Canonical text form, terms in increasing exponent order.
 
         >>> IntPoly({1: 1, 2: 1, 4: 1, 7: 1}).to_text()
@@ -179,7 +176,7 @@ class IntPoly:
             if e == 0:
                 body = str(mag)
             else:
-                power = var if e == 1 else f"{var}^{e}"
+                power = "z" if e == 1 else f"z^{e}"
                 body = power if mag == 1 else f"{mag}{power}"
             if not parts:
                 parts.append(body if c > 0 else f"-{body}")
@@ -285,5 +282,5 @@ def cyclotomic(n: int) -> IntPoly:
     coeffs = [1] + [0] * (sum(plus) - sum(minus))
     multiply_binomials(coeffs, plus)
     divide_binomials(coeffs, minus)
-    poly = IntPoly(filter(itemgetter(1), enumerate(coeffs)))
+    poly = IntPoly._of({e: c for e, c in enumerate(coeffs) if c})
     return -poly if n == 1 else poly

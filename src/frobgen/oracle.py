@@ -11,11 +11,10 @@ import json
 import os
 from collections import deque
 from dataclasses import dataclass
-from functools import reduce
 from itertools import islice, repeat
 from math import factorial, gcd, prod
 from operator import lt, mul
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from frobgen import dp
 from frobgen.errors import (
@@ -53,7 +52,8 @@ def max_bound_ceiling() -> int:
 
 @dataclass(frozen=True)
 class Params:
-    """Validated denominations: positive integers with overall gcd 1, sorted.
+    """Validated denominations: positive integers with overall gcd 1, taken
+    in any order from any iterable and stored as a sorted tuple.
 
     Repeated values are permitted and change the counts (each coin slot is
     its own coordinate in a representation tuple).
@@ -62,16 +62,14 @@ class Params:
     denominations: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if not self.denominations:
+        denoms = tuple(self.denominations)
+        if not denoms:
             raise EmptyList()
-        for a in self.denominations:
+        for a in denoms:
             if isinstance(a, bool) or not isinstance(a, int) or a < 1:
                 raise NonPositive(a)
-        if list(self.denominations) != sorted(self.denominations):
-            raise ValueError("denominations must be sorted ascending")
-        g = 0
-        for a in self.denominations:
-            g = gcd(g, a)
+        object.__setattr__(self, "denominations", tuple(sorted(denoms)))
+        g = gcd(*denoms)
         if g != 1:
             raise NotCoprime(g)
 
@@ -87,14 +85,9 @@ class Params:
         return iter(self.denominations)
 
 
-def validate_params(raw: Sequence[int]) -> Params:
-    """Normalize (sort) and validate a raw denomination list."""
-    if not raw:
-        raise EmptyList()
-    for a in raw:
-        if isinstance(a, bool) or not isinstance(a, int) or a < 1:
-            raise NonPositive(a)
-    return Params(tuple(sorted(raw)))
+def validate_params(raw: Iterable[int]) -> Params:
+    """The Params of a raw denomination list, in any order (Params checks)."""
+    return Params(raw)
 
 
 def _check_bound(bound: int) -> None:
@@ -191,7 +184,7 @@ class GapSet:
     def from_json(cls, text: str) -> GapSet:
         data = json.loads(text)
         return cls(
-            params=Params(tuple(data["params"])),
+            params=Params(data["params"]),
             k=data["k"],
             elements=tuple(int(e) for e in data["elements"]),
             complete=data["complete"],
@@ -258,7 +251,7 @@ def _window_beyond(coins: list[int], k: int, cap: int) -> bool:
     x' are disjoint and lie in a simplex of volume
     (W + a_2 + ... + a_m)^(m-1) / ((m-1)! a_2 ... a_m).
     """
-    if reduce(gcd, coins, 0) != 1:
+    if gcd(*coins) != 1:
         return True
     m = len(coins)
     reach = cap + sum(coins) - coins[0]

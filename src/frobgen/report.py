@@ -47,6 +47,15 @@ class StatReport:
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), separators=(",", ":"))
 
+    def to_csv(self) -> str:
+        """The header line, then this report's row: params space-separated,
+        the value as in JSON."""
+        params = " ".join(map(str, self.params))
+        m = "" if self.m is None else self.m
+        value = self.to_json_dict()["value"]
+        row = f"{self.stat},{params},{self.k},{m},{value},{self.provenance}"
+        return f"stat,params,k,m,value,provenance\n{row}"
+
     def to_plain(self) -> str:
         args = ",".join(str(a) for a in self.params)
         label = f"{self.stat}_{self.k}({args})"

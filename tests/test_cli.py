@@ -683,6 +683,20 @@ class TestVerify:
         assert checks > 0
         assert len(scans) == 1
 
+    @pytest.mark.parametrize("a,b", [(1, 1), (2, 3), (7, 10), (29, 30)])
+    def test_one_params_per_pair(self, a, b, monkeypatch):
+        real = oracle.Params.__post_init__
+        built = []
+
+        def counted(self):
+            real(self)
+            built.append(self.denominations)
+
+        monkeypatch.setattr(oracle.Params, "__post_init__", counted)
+        checks, failures = cli.verify_pair(a, b, 5, 4)
+        assert failures == []
+        assert built == [(a, b)]
+
     def test_needs_params_or_sweep(self):
         code, _, err = run_cli("verify")
         assert code == 2

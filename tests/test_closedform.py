@@ -34,6 +34,13 @@ class TestPairParams:
     def test_order_immaterial(self):
         assert PairParams(7, 5).as_params().denominations == (5, 7)
 
+    def test_keeps_its_params(self):
+        pair = PairParams(7, 5)
+        assert pair.as_params() is pair.as_params()
+        assert repr(pair) == "PairParams(a=7, b=5)"
+        assert pair == PairParams(7, 5) and hash(pair) == hash(PairParams(7, 5))
+        assert pair != PairParams(5, 7)
+
     @pytest.mark.parametrize("a,b", [(True, 3), (3, True)])
     def test_bool_rejected(self, a, b):
         with pytest.raises(NonPositive):
@@ -66,6 +73,13 @@ class TestFrobenius:
         report = frobenius_k(PairParams(1, 7), 0)
         assert report.value is None
         assert report.to_json_dict()["empty"]
+
+    def test_unit_pair_empty_csv(self):
+        report = frobenius_k(PairParams(1, 7), 0)
+        assert report.to_csv().splitlines() == [
+            "stat,params,k,m,value,provenance",
+            "g,1 7,0,,-1,closed-form",
+        ]
 
     def test_k1(self):
         assert frobenius_k(PairParams(3, 5), 1).value == 22

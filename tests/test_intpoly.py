@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -209,6 +211,30 @@ class TestInvariants:
     def test_negative_exponent_rejected(self):
         with pytest.raises(ValueError):
             IntPoly({-1: 1})
+
+    @pytest.mark.parametrize(
+        "terms",
+        [{2: 1.5}, {2: Fraction(1, 2)}, {2: 2.0}, {2: "3"}, {2: True}, {2: False}],
+        ids=["float", "fraction", "integral-float", "str", "true", "false"],
+    )
+    def test_non_integer_coefficient_rejected(self, terms):
+        # each would serialize outside the schema, e.g. {"terms":[[2,"1.5"]]}
+        with pytest.raises(ValueError, match="coefficient"):
+            IntPoly(terms)
+
+    @pytest.mark.parametrize("exp", [True, False, 1.0, "1"])
+    def test_non_integer_exponent_rejected(self, exp):
+        with pytest.raises(ValueError, match="exponent"):
+            IntPoly([(exp, 1)])
+
+    def test_builders_keep_the_schema(self):
+        # the unchecked path serves only maps the package built itself
+        p = IntPoly.from_indicator(b"\x01\x00\x01", 2)
+        for q in (p, -p, p + p, p * p, p * 3, p * 0, cyclotomic(6)):
+            for e, c in q.terms():
+                assert type(e) is int and e >= 0
+                assert type(c) is int and c != 0
+            assert IntPoly.from_json(q.to_json()) == q
 
     def test_evaluate_exact(self):
         p = IntPoly({0: 1, 100: 1})

@@ -69,6 +69,30 @@ class TestValidateParams:
     def test_repeats_allowed(self):
         assert validate_params([1, 1]).denominations == (1, 1)
 
+    def test_any_iterable(self):
+        # the list is read once: a one-shot iterator is not mistaken for empty
+        assert validate_params(iter([5, 3])).denominations == (3, 5)
+        assert validate_params(a for a in (7, 5, 11)).denominations == (5, 7, 11)
+
+    def test_generator_not_coprime(self):
+        with pytest.raises(NotCoprime) as exc:
+            validate_params(a for a in (4, 6))
+        assert exc.value.gcd == 2
+
+    def test_params_sorts_itself(self):
+        assert Params((5, 3)) == Params((3, 5))
+        assert Params([7, 5, 11]).denominations == (5, 7, 11)
+        assert hash(Params((5, 3))) == hash(Params((3, 5)))
+
+    @pytest.mark.parametrize(
+        "raw,error",
+        [((), EmptyList), ((0, 3), NonPositive), ((3, 2.5), NonPositive), ((6, 4), NotCoprime)],
+    )
+    def test_params_is_the_validator(self, raw, error):
+        for build in (Params, validate_params):
+            with pytest.raises(error):
+                build(raw)
+
 
 class TestRepTable:
     def test_golden_largest_gap(self):
