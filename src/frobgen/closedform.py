@@ -303,5 +303,5 @@ def structured_r_k(p: PairParams, k: int) -> GapSet:
         raise ValueError("k must be >= 1")
     coeffs = _grid(p)
     base = p.a * p.b * (k - 1)
-    elements = tuple(compress(range(base, base + len(coeffs)), coeffs))
+    elements = compress(range(base, base + len(coeffs)), coeffs)
     return GapSet(p.as_params(), k, elements, complete=True)

@@ -68,7 +68,7 @@ class IntPoly:
     @classmethod
     def one_minus_pow(cls, n: int) -> IntPoly:
         """1 - z^n."""
-        return cls({0: 1, n: -1})
+        return cls([(0, 1), (n, -1)])
 
     @classmethod
     def from_indicator(cls, bits: bytes | bytearray, base: int = 0) -> IntPoly:

@@ -113,7 +113,10 @@ class GapSet:
 
     `complete` is True only when a termination certificate proves no larger
     element exists; maxima are refused without it.  k must be an int >= 0
-    (not a bool) and complete a bool; anything else raises ValueError.
+    (not a bool) and complete a bool; anything else raises ValueError.  The
+    elements come from any iterable of strictly increasing ints and are
+    stored as a tuple; elements that do not strictly increase raise
+    ValueError.
     """
 
     params: Params
@@ -126,7 +129,8 @@ class GapSet:
             raise ValueError(f"k must be an integer >= 0, got {self.k!r}")
         if not isinstance(self.complete, bool):
             raise ValueError(f"complete must be true or false, got {self.complete!r}")
-        e = self.elements
+        e = tuple(self.elements)
+        object.__setattr__(self, "elements", e)
         if not all(map(lt, e, islice(e, 1, None))):
             raise ValueError("elements must be strictly increasing")
 
@@ -186,7 +190,7 @@ class GapSet:
         return cls(
             params=Params(data["params"]),
             k=data["k"],
-            elements=tuple(int(e) for e in data["elements"]),
+            elements=map(int, data["elements"]),
             complete=data["complete"],
         )
 
@@ -195,42 +199,36 @@ class GapSet:
         return "".join(f"{j}\n" for j in self.elements)
 
 
-def _single_coin_set(params: Params, k: int, at_most: bool) -> GapSet:
-    # One denomination forces a_1 = 1 and r(j) = 1 for every j >= 0, so the
-    # window criterion can never certify k >= 1; settle analytically.
-    infinite = k >= 1 if at_most else k == 1
-    if infinite:
-        raise InfiniteSet(
-            f"every j >= 0 has exactly 1 representation; the requested set is infinite (k={k})"
-        )
-    return GapSet(params, k, (), complete=True)
+def _scan(
+    params: Params, k: int, at_most: bool, bound: int | None, split: bool = False
+) -> tuple[list, bool]:
+    """(found, complete) of one query: the scan up to `bound`, or without
+    one the certified set.
 
-
-def _enumerate(params: Params, k: int, bound: int | None, at_most: bool) -> GapSet:
-    """The certified set of an unbounded query, or the scan up to `bound`."""
+    Refuses k < 0 (ValueError) and a bound _check_bound refuses.  Without a
+    bound, a single coin is settled analytically; otherwise the scan runs to
+    the FROBGEN_MAX_BOUND cap and raises Indeterminate when the window has
+    not closed by then, at once (before _stream allocates anything) when
+    _window_beyond already places it past the cap.  `split` is _stream's.
+    """
     if k < 0:
         raise ValueError("k must be >= 0")
     if bound is not None:
         _check_bound(bound)
-        found, complete = _stream(params, k, at_most, bound)
-        return GapSet(params, k, tuple(found), complete)
+        return _stream(params, k, at_most, bound, split)
     if params.n == 1:
-        return _single_coin_set(params, k, at_most)
-    return GapSet(params, k, tuple(_certified_scan(params, k, at_most)), complete=True)
-
-
-def _certified_scan(params: Params, k: int, at_most: bool, split: bool = False) -> list:
-    """_stream's collected j up to the FROBGEN_MAX_BOUND cap, proven complete.
-
-    Raises Indeterminate when the window has not closed by the cap, at once
-    (before _stream allocates anything) when _window_beyond already places
-    it past the cap.
-    """
+        # One denomination forces a_1 = 1 and r(j) = 1 for every j >= 0, so
+        # the window criterion can never certify k >= 1; settle analytically.
+        if k >= 1 if at_most else k == 1:
+            raise InfiniteSet(
+                f"every j >= 0 has exactly 1 representation; the requested set is infinite (k={k})"
+            )
+        return ([[] for _ in range(k + 1)] if split else []), True
     cap = max_bound_ceiling()
     if not _window_beyond(_coins_within(params, cap), k, cap):
         found, complete = _stream(params, k, at_most, cap, split)
         if complete:
-            return found
+            return found, True
     raise Indeterminate(cap)
 
 
@@ -317,13 +315,13 @@ def enumerate_exact_k(params: Params, k: int, bound: int | None = None) -> GapSe
     has not closed by j = the ceiling, at once when a lower bound on the
     window's position already lies past it.
     """
-    return _enumerate(params, k, bound, at_most=False)
+    return GapSet(params, k, *_scan(params, k, False, bound))
 
 
 def enumerate_at_most_k(params: Params, k: int, bound: int | None = None) -> GapSet:
     """All j with at most k representations; same termination criterion and
     the same FROBGEN_MAX_BOUND ceiling."""
-    return _enumerate(params, k, bound, at_most=True)
+    return GapSet(params, k, *_scan(params, k, True, bound))
 
 
 def enumerate_by_count(params: Params, kmax: int) -> list[GapSet]:
@@ -338,12 +336,8 @@ def enumerate_by_count(params: Params, kmax: int) -> list[GapSet]:
     the scan apply at kmax; the kmax + 1 per-count lists are allocated only
     after that refusal check.
     """
-    if kmax < 0:
-        raise ValueError("k must be >= 0")
-    if params.n == 1:
-        return [_single_coin_set(params, k, False) for k in range(kmax + 1)]
-    by_count = _certified_scan(params, kmax, True, split=True)
-    return [GapSet(params, k, tuple(js), complete=True) for k, js in enumerate(by_count)]
+    by_count, complete = _scan(params, kmax, True, None, split=True)
+    return [GapSet(params, k, js, complete) for k, js in enumerate(by_count)]
 
 
 def oracle_report(gap_set: GapSet, stat: str, m: int | None = None) -> StatReport:

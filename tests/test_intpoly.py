@@ -89,6 +89,15 @@ class TestFromIndicator:
             IntPoly.from_indicator(b"\x01", base)
 
 
+class TestOneMinusPow:
+    # 1 - z^0 = 0: both terms sit at exponent 0 and cancel
+    @pytest.mark.parametrize(
+        "n,expected", [(0, IntPoly()), (15, IntPoly({0: 1, 15: -1}))], ids=["zero", "fifteen"]
+    )
+    def test_one_minus_pow(self, n, expected):
+        assert IntPoly.one_minus_pow(n) == expected
+
+
 class TestExactDiv:
     def test_geometric_factorization(self):
         got = poly_exact_div(IntPoly.one_minus_pow(15), IntPoly.one_minus_pow(5))

@@ -365,6 +365,26 @@ class TestGapSetSerialization:
             GapSet.from_json(text)
 
 
+class TestGapSetElements:
+    """GapSet stores its elements as a tuple, whatever iterable they came in."""
+
+    BUILT = GapSet(Params((3, 5)), 0, (1, 2, 4, 7), True)
+
+    @pytest.mark.parametrize(
+        "make", [lambda: [1, 2, 4, 7], lambda: (j for j in (1, 2, 4, 7))], ids=["list", "generator"]
+    )
+    def test_any_iterable_stored_as_tuple(self, make):
+        gs = GapSet(Params((3, 5)), 0, make(), True)
+        assert gs == self.BUILT
+        assert hash(gs) == hash(self.BUILT)
+        assert len(gs) == 4
+        assert gs.to_json() == '{"params":[3,5],"k":0,"complete":true,"elements":["1","2","4","7"]}'
+
+    def test_decreasing_generator_refused(self):
+        with pytest.raises(ValueError):
+            GapSet(Params((3, 5)), 0, (j for j in (7, 4, 2, 1)), True)
+
+
 class TestPowerSums:
     @given(st.sets(st.integers(0, 10**6), max_size=40), st.integers(0, 8))
     @settings(max_examples=80, deadline=None)
