@@ -17,6 +17,8 @@ from functools import lru_cache
 from math import comb
 from typing import Iterable
 
+from frobgen.intpoly import _terms_text
+
 
 class RatPoly:
     """Dense univariate polynomial over exact rationals (index = exponent).
@@ -58,24 +60,9 @@ class RatPoly:
         return hash(self._coeffs)
 
     def to_text(self) -> str:
-        if not self._coeffs:
-            return "0"
-        parts: list[str] = []
-        for e in range(len(self._coeffs) - 1, -1, -1):
-            c = self._coeffs[e]
-            if c == 0:
-                continue
-            mag = abs(c)
-            if e == 0:
-                body = str(mag)
-            else:
-                power = "x" if e == 1 else f"x^{e}"
-                body = power if mag == 1 else f"{mag} {power}"
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(f"{'+' if c > 0 else '-'} {body}")
-        return " ".join(parts)
+        """Terms in decreasing exponent order, a space before each power."""
+        nonzero = [(e, c) for e, c in enumerate(self._coeffs) if c]
+        return _terms_text(reversed(nonzero), "x", " ")
 
     def __repr__(self) -> str:
         return f"RatPoly('{self.to_text()}')"

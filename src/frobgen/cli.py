@@ -25,8 +25,8 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from functools import cache
+from itertools import repeat
 from math import gcd
 from typing import Iterable
 
@@ -288,10 +288,6 @@ def verify_pair(a: int, b: int, kmax: int, mmax: int) -> tuple[int, list[dict]]:
     return checks, failures
 
 
-def _verify_job(job: tuple[int, int, int, int]) -> tuple[int, list[dict]]:
-    return verify_pair(*job)
-
-
 def cmd_verify(args: argparse.Namespace) -> int:
     if args.workers < 1:
         raise ValidationError(f"--workers must be at least 1, got {args.workers}")
@@ -321,12 +317,16 @@ def cmd_verify(args: argparse.Namespace) -> int:
             if gcd(a, b) == 1
         ]
 
-    jobs = [(a, b, args.kmax, args.mmax) for a, b in pairs]
+    firsts, seconds = zip(*pairs)
+    columns = (firsts, seconds, repeat(args.kmax), repeat(args.mmax))
     if workers > 1:
+        # only a pool run pays for importing the process-pool machinery
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_verify_job, jobs))
+            results = list(pool.map(verify_pair, *columns))
     else:
-        results = [_verify_job(job) for job in jobs]
+        results = list(map(verify_pair, *columns))
 
     total_checks = sum(c for c, _ in results)
     failures = [f for _, fs in results for f in fs]

@@ -24,6 +24,26 @@ from frobgen.errors import NotDivisible
 from frobgen.oracle import _check_bound
 
 
+def _terms_text(terms: Iterable[tuple[int, object]], var: str, sep: str = "") -> str:
+    """Text of nonzero (exponent, coefficient) pairs in the order given, "0"
+    for none: a unit magnitude is dropped before a power of `var`, `sep`
+    goes between any other magnitude and its power, and each term after the
+    first is joined by its sign.  IntPoly and bernoulli.RatPoly print here."""
+    parts: list[str] = []
+    for e, c in terms:
+        mag = abs(c)
+        if e == 0:
+            body = str(mag)
+        else:
+            power = var if e == 1 else f"{var}^{e}"
+            body = power if mag == 1 else f"{mag}{sep}{power}"
+        if not parts:
+            parts.append(body if c > 0 else f"-{body}")
+        else:
+            parts.append(f"{'+' if c > 0 else '-'} {body}")
+    return " ".join(parts) or "0"
+
+
 class IntPoly:
     """Sparse integer polynomial in the variable z.
 
@@ -168,21 +188,7 @@ class IntPoly:
         >>> IntPoly().to_text()
         '0'
         """
-        if not self._terms:
-            return "0"
-        parts: list[str] = []
-        for e, c in sorted(self._terms.items()):
-            mag = abs(c)
-            if e == 0:
-                body = str(mag)
-            else:
-                power = "z" if e == 1 else f"z^{e}"
-                body = power if mag == 1 else f"{mag}{power}"
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(f"{'+' if c > 0 else '-'} {body}")
-        return " ".join(parts)
+        return _terms_text(sorted(self._terms.items()), "z")
 
     def to_json(self) -> str:
         """JSON form with coefficients as decimal strings (arbitrary precision

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from itertools import islice, repeat
 from math import factorial, gcd, prod
 from operator import lt, mul
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 from frobgen import dp
 from frobgen.errors import (
@@ -114,9 +114,9 @@ class GapSet:
     `complete` is True only when a termination certificate proves no larger
     element exists; maxima are refused without it.  k must be an int >= 0
     (not a bool) and complete a bool; anything else raises ValueError.  The
-    elements come from any iterable of strictly increasing ints and are
-    stored as a tuple; elements that do not strictly increase raise
-    ValueError.
+    elements come from any iterable of strictly increasing ints >= 0 and
+    are stored as a tuple; a bool, any other non-int, a negative element or
+    elements that do not strictly increase raise ValueError.
     """
 
     params: Params
@@ -131,6 +131,9 @@ class GapSet:
             raise ValueError(f"complete must be true or false, got {self.complete!r}")
         e = tuple(self.elements)
         object.__setattr__(self, "elements", e)
+        # types first: the order check below would raise TypeError on a str
+        if not set(map(type, e)) <= {int} or (e and e[0] < 0):
+            raise ValueError("elements must be integers >= 0")
         if not all(map(lt, e, islice(e, 1, None))):
             raise ValueError("elements must be strictly increasing")
 
@@ -370,18 +373,8 @@ def oracle_report(gap_set: GapSet, stat: str, m: int | None = None) -> StatRepor
     )
 
 
-def oracle_stats(
-    gap_set: GapSet,
-    m: int = 1,
-    stats: Sequence[str] = ("g", "c", "s^m"),
-) -> list[StatReport]:
-    """oracle_report for each name in stats.
-
-    "s" and "s^m" both give the power sum of order m, reported as "s" when
-    m is 1 and as "s^m" otherwise.
-    """
+def oracle_stats(gap_set: GapSet, m: int = 1) -> list[StatReport]:
+    """[g, c, s] when m is 1, else [g, c, s^m]: oracle_report of each, so g
+    needs a complete set and m must be >= 0."""
     power = "s" if m == 1 else "s^m"
-    return [
-        oracle_report(gap_set, power if name in ("s", "s^m") else name, m)
-        for name in stats
-    ]
+    return [oracle_report(gap_set, name, m) for name in ("g", "c", power)]

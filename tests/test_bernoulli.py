@@ -91,3 +91,17 @@ class TestRatPoly:
 
     def test_text(self):
         assert bernoulli_poly(2).to_text() == "x^2 - x + 1/6"
+
+    @pytest.mark.parametrize(
+        "coeffs,text",
+        [
+            ([0, F(-3, 2)], "-3/2 x"),
+            ([F(1, 6), 0, -1, 2], "2 x^3 - x^2 + 1/6"),
+            ([5], "5"),
+            ([], "0"),
+            ([-1, 1], "x - 1"),
+        ],
+        ids=["negative-fraction-linear", "skips-zero", "constant", "zero", "unit-minus-constant"],
+    )
+    def test_text_branches(self, coeffs, text):
+        assert RatPoly(coeffs).to_text() == text

@@ -1,3 +1,4 @@
+import concurrent.futures
 import hashlib
 import json
 import subprocess
@@ -580,11 +581,11 @@ class TestVerify:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, jobs):
-                return map(fn, jobs)
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
 
         monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
         code, out = run_main(
             capsys, "verify", "--sweep", "4", "--kmax", "0", "--mmax", "1",
             "--workers", "64",
@@ -592,6 +593,14 @@ class TestVerify:
         assert code == 0
         assert "all passed" in out
         assert sizes == [2]
+
+    def test_pool_machinery_not_imported_at_startup(self):
+        # only verify --workers N > 1 imports concurrent.futures.process
+        code = "import frobgen.cli, sys; print('concurrent.futures.process' in sys.modules)"
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, cwd=SRC
+        )
+        assert proc.stdout == "False\n", proc.stderr
 
     def test_reports_every_failure(self, capsys, monkeypatch):
         real = cli.count_k

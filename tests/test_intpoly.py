@@ -194,6 +194,14 @@ class TestSerialization:
         assert IntPoly().to_text() == "0"
         assert IntPoly({0: -2, 1: 3}).to_text() == "-2 + 3z"
 
+    @pytest.mark.parametrize(
+        "terms,text",
+        [({1: -1}, "-z"), ({2: 3}, "3z^2"), ({0: -1, 4: -7}, "-1 - 7z^4")],
+        ids=["negative-unit-linear", "magnitude-power", "negative-constant-then-minus"],
+    )
+    def test_text_branches(self, terms, text):
+        assert IntPoly(terms).to_text() == text
+
     @given(polys)
     def test_json_roundtrip(self, p):
         assert IntPoly.from_json(p.to_json()) == p

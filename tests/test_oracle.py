@@ -260,7 +260,7 @@ class TestOracleStats:
 
     def test_power_sum(self):
         r1 = enumerate_exact_k(validate_params([3, 5]), 1)
-        (report,) = oracle_stats(r1, m=2, stats=("s^m",))
+        report = oracle_stats(r1, m=2)[2]
         assert report.value == 2335
         assert report.m == 2
 
@@ -268,9 +268,6 @@ class TestOracleStats:
         partial = enumerate_exact_k(validate_params([5, 7]), 0, bound=10)
         with pytest.raises(IncompleteSet):
             oracle_stats(partial, m=1)
-        # counts and sums remain available
-        c, s = oracle_stats(partial, m=1, stats=("c", "s^m"))
-        assert c.value == 7
 
     @pytest.mark.parametrize("k,m", [(2, -1), (1, -2)])
     def test_negative_m_rejected(self, k, m):
@@ -279,12 +276,7 @@ class TestOracleStats:
         with pytest.raises(ValueError, match="m must be >= 0"):
             gaps.power_sum(m)
         with pytest.raises(ValueError, match="m must be >= 0"):
-            oracle_stats(gaps, m=m, stats=("s^m",))
-
-    def test_unknown_stat(self):
-        gaps = enumerate_exact_k(validate_params([2, 3]), 0)
-        with pytest.raises(ValueError):
-            oracle_stats(gaps, stats=("median",))
+            oracle_stats(gaps, m=m)
 
 
 class TestOracleReport:
@@ -383,6 +375,18 @@ class TestGapSetElements:
     def test_decreasing_generator_refused(self):
         with pytest.raises(ValueError):
             GapSet(Params((3, 5)), 0, (j for j in (7, 4, 2, 1)), True)
+
+    @pytest.mark.parametrize(
+        "elements", [[1.5, 2.5], [-3, True], [0, True]], ids=["floats", "negative", "bool"]
+    )
+    def test_non_int_or_negative_refused(self, elements):
+        with pytest.raises(ValueError, match="integers >= 0"):
+            GapSet(Params((3, 5)), 0, elements, True)
+
+    def test_from_json_refuses_negative(self):
+        text = '{"params":[3,5],"k":0,"complete":true,"elements":["-3","1"]}'
+        with pytest.raises(ValueError, match="integers >= 0"):
+            GapSet.from_json(text)
 
 
 class TestPowerSums:
