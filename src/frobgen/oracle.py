@@ -9,9 +9,9 @@ from __future__ import annotations
 
 import json
 import os
-from collections import deque
+import sys
 from dataclasses import dataclass
-from itertools import islice, repeat
+from itertools import chain, compress, islice, repeat
 from math import factorial, gcd, prod
 from operator import lt, mul
 from typing import Iterable, Iterator
@@ -204,7 +204,7 @@ class GapSet:
 
 def _scan(
     params: Params, k: int, at_most: bool, bound: int | None, split: bool = False
-) -> tuple[list, bool]:
+) -> tuple[list | tuple, bool]:
     """(found, complete) of one query: the scan up to `bound`, or without
     one the certified set.
 
@@ -240,11 +240,12 @@ def _coins_within(params: Params, cap: int) -> list[int]:
     return [params.smallest] + [a for a in params.denominations[1:] if a <= cap]
 
 
-def _window_beyond(coins: list[int], k: int, cap: int) -> bool:
-    """True when no window of a_1 counts > k can end at any j <= cap.
+def _window_floor(coins: list[int], k: int) -> int | None:
+    """The least j at which a window of a_1 counts > k can end, or None when
+    none can end anywhere.
 
-    `coins` are a_1 and every other denomination <= cap; no other coin
-    reaches j <= cap.  If their gcd d is not 1, d divides a_1, so every
+    `coins` are a_1 and every other denomination <= some cap; no other coin
+    reaches j <= that cap.  If their gcd d is not 1, d divides a_1, so every
     window holds a j not divisible by d, with r(j) = 0.  Otherwise the
     counts in a window ending at W sum to the number of x' >= 0 with
     a_2 x_2 + ... + a_m x_m <= W (exactly one x_1 puts each such x' in the
@@ -253,16 +254,38 @@ def _window_beyond(coins: list[int], k: int, cap: int) -> bool:
     (W + a_2 + ... + a_m)^(m-1) / ((m-1)! a_2 ... a_m).
     """
     if gcd(*coins) != 1:
-        return True
-    m = len(coins)
-    reach = cap + sum(coins) - coins[0]
-    return reach ** (m - 1) < factorial(m - 1) * prod(coins) * (k + 1)
+        return None
+    e = len(coins) - 1
+    points = factorial(e) * prod(coins) * (k + 1)
+    if e == 0:
+        return 0 if points == 1 else None
+    # the least r with r**e >= points: Newton's floor root from above, + 1
+    # unless exact
+    r = 1 << -(-points.bit_length() // e)
+    while (s := ((e - 1) * r + points // r ** (e - 1)) // e) < r:
+        r = s
+    r += r**e < points
+    return max(0, r - sum(coins) + coins[0])
+
+
+def _window_beyond(coins: list[int], k: int, cap: int) -> bool:
+    """True when no window of a_1 counts > k can end at any j <= cap; `coins`
+    are a_1 and every other denomination <= cap (see _window_floor)."""
+    end = _window_floor(coins, k)
+    return end is None or end > cap
+
+
+BLOCK = 1 << 10  # counts per block after the first
+FIRST_MAX = 1 << 13  # the first block's most counts
+FORMATS = {8: "B", 16: "H", 32: "I", 64: "Q"}  # memoryview.cast of a field
+FLIP = bytes.maketrans(b"\0\x80", b"\x80\0")
 
 
 def _stream(
     params: Params, k: int, at_most: bool, cap: int, split: bool = False
-) -> tuple[list, bool]:
-    """Scan r(0), r(1), ..., r(cap) online and stop when the a_1-window closes.
+) -> tuple[list | tuple, bool]:
+    """Scan r(0), r(1), ..., r(cap) a block at a time and stop when the
+    a_1-window closes.
 
     A window of a_1 consecutive counts > k proves that every later j has
     more than k representations too: adding a_1 never lowers a count, and
@@ -270,41 +293,98 @@ def _stream(
 
     r(j) is the z^j coefficient of 1 / prod(1 - z^{a_i}).  Taking the
     factors one coin at a time gives t_i(j) = t_{i-1}(j) + t_i(j - a_i) with
-    t_0(j) = [j == 0] and r(j) = t_n(j), so coin i needs only the last a_i
-    values of t_i.  Each ring holds them oldest first; seeding the first
-    ring's head with 1 supplies t_0(0).  At most j = cap is scanned, so a
-    coin a_i > cap other than a_1 adds nothing and gets no ring, and no ring
-    needs more than cap + 1 values (one at least, for the seed).
+    t_0(j) = [j == 0] and r(j) = t_n(j).  The scan keeps min(t_i(j), K)
+    with K = k + 1, which answers every test below, by clamping to K after
+    each coin: min(K, min(K, x) + min(K, y)) = min(K, x + y).
+
+    A block packs the counts of L consecutive j into w-bit fields of one
+    int, the first j in the lowest field.  Coin i adds its tail, the last
+    a_i values of t_i before the block, then divides by 1 - z^{a_i} within
+    the block in doubling shift-and-add steps.  The tail is a bytearray:
+    each block reads and drops its first min(a_i, L) fields and appends the
+    block's last min(a_i, L), so a block costs O(L w) whatever the coins.
+    At most j = cap is scanned, so a coin a_i > cap other than a_1 adds
+    nothing and is skipped, and no tail holds more than cap + 1 fields.
+
+    Before its clamp a field is at most K (ceil(L / a_1) + 1): K for each
+    term of the sum, and K more from the tail.  w is the least power of two
+    >= 8 that keeps this below 2^(w-1), so adding 2^(w-1) - K to every
+    field sets the top bit of those >= K and carries into none.  The test
+    of each count against k reaches Python as one byte per j.
+
+    The first block reaches Sum a_i past _window_floor, where most windows
+    close, but holds at most FIRST_MAX counts: a longer block needs more
+    doubling steps per count and wider fields.  Later blocks hold BLOCK
+    counts.  The window has closed iff the last a_1 or more counts scanned
+    exceed k, so a block's flags settle it.
 
     Returns (found, complete): complete is True iff the window closes by
-    cap; found holds every collected j up to there, in increasing order.
-    With `split`, found is one list per count 0..k instead, and each j goes
-    to found[r(j)] alone, so each list is sorted too.
+    cap; found is a tuple of every collected j up to there, in increasing
+    order, which GapSet keeps without a copy.  With `split`, found is one
+    list per count 0..k instead, and each j goes to found[r(j)] alone, so
+    each list is sorted too.
     """
     width = params.smallest
-    sizes = [min(a, cap + 1) for a in _coins_within(params, cap)]
-    rings = [deque(repeat(0, n), maxlen=n) for n in sizes]
-    rings[0][0] = 1
-    lowest = 0 if at_most else k
-    found: list = [[] for _ in range(k + 1)] if split else []
-    run = 0
-    for j in range(cap + 1):
-        c = 0
-        for ring in rings:
-            c += ring[0]
-            ring.append(c)
-        if c > k:
-            run += 1
-            if run == width:
-                return found, True
-        else:
-            run = 0
-            if c >= lowest:
-                if split:
+    coins = _coins_within(params, cap)
+    steps = [min(a, cap + 1) for a in coins]
+    floor = _window_floor(coins, k)
+    first = BLOCK if floor is None else min(floor + sum(steps) + 1, FIRST_MAX)
+    K = k + 1
+    longest = min(max(first, BLOCK), cap + 1)
+    spread = K * (-(-longest // steps[0]) + 1)
+    w = 1 << (max(8, spread.bit_length() + 1) - 1).bit_length()
+    wb = w // 8
+    if split:
+        assert w <= 64, "kmax + 1 lists cannot exist at this width"
+    found: list = [[] for _ in range(K)] if split else []
+    tails = [bytearray(a * wb) for a in steps]
+    x = 1  # t_0(0) in the first block's first field
+    last = -1  # the last j so far whose count is <= k
+    j0, size, length = 0, min(first, cap + 1), 0
+    while True:
+        if size != length:
+            length, bits = size, size * w
+            mask = (1 << bits) - 1
+            top = mask // ((1 << w) - 1) << (w - 1)
+            full = (top >> (w - 1)) * K
+            over_k = top - full  # + a field >= K sets its top bit
+        for a, tail in zip(steps, tails):
+            n = min(a, length) * wb  # the tail's bytes that reach the block
+            x += int.from_bytes(tail[:n], "little")
+            shift = a * w
+            while shift < bits:
+                x += (x << shift) & mask
+                shift <<= 1
+            h = (x + over_k) & top
+            x ^= ((h << 1) - (h >> (w - 1))) & (x ^ full)
+            del tail[:n]
+            tail += (x >> bits - 8 * n).to_bytes(n, "little")
+        # one byte per j, 0x80 where its count is <= k
+        flags = h.to_bytes(bits // 8, "little")[wb - 1 :: wb].translate(FLIP)
+        kept = flags.rstrip(b"\0")
+        if kept:
+            last = j0 + len(kept) - 1
+            if not (at_most or split or k == 0):
+                # exactly k: >= k but not >= K
+                h ^= (x + over_k + (top >> (w - 1))) & top
+                kept = h.to_bytes(bits // 8, "little")[wb - 1 :: wb].rstrip(b"\0")
+            lo = len(kept) - len(kept.lstrip(b"\0"))
+            js = range(j0 + lo, j0 + len(kept))
+            if split:
+                counts = memoryview(x.to_bytes(bits // 8, sys.byteorder)).cast(
+                    FORMATS[w]
+                )
+                if sys.byteorder == "big":  # the last field comes first
+                    counts = counts[::-1]
+                for j, c in compress(zip(js, counts[lo:]), kept[lo:]):
                     found[c].append(j)
-                else:
-                    found.append(j)
-    return found, False
+            else:  # read once, into the tuple returned
+                found.append(compress(js, kept[lo:]))
+        j0 += length
+        closed = j0 - 1 - last >= width
+        if closed or j0 > cap:
+            return (found if split else tuple(chain.from_iterable(found))), closed
+        size, x = min(BLOCK, cap + 1 - j0), 0
 
 
 def enumerate_exact_k(params: Params, k: int, bound: int | None = None) -> GapSet:

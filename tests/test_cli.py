@@ -304,10 +304,10 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("params", ["997,1000,1001", "5,7"])
     def test_negative_m_refused_before_scan(self, params, monkeypatch, capsys):
-        def no_ring(*args, **kwargs):
-            raise AssertionError("a ring was built for a query --m refuses")
+        def no_scan(*args, **kwargs):
+            raise AssertionError("a scan was started for a query --m refuses")
 
-        monkeypatch.setattr("frobgen.oracle.deque", no_ring)
+        monkeypatch.setattr("frobgen.oracle._stream", no_scan)
         code = main(
             ["compute", "--params", params, "--k", "3000", "--stat", "sm", "--m", "-1"]
         )

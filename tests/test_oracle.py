@@ -1,4 +1,5 @@
 import os
+import tracemalloc
 from functools import reduce
 from itertools import chain
 from math import gcd
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from frobgen import oracle
+from frobgen import dp, oracle
 from frobgen.errors import (
     BoundTooLarge,
     EmptyList,
@@ -447,6 +448,42 @@ def _window_and_counts(denoms, k):
         bound *= 2
 
 
+def _rep_reference(denoms, k, at_most, bound=None):
+    """(elements, complete) by dp.rep_counts: the scan up to `bound`, or
+    without one up to the first window of a_1 counts > k."""
+    size = 1024 if bound is None else bound + 1
+    while True:
+        counts = dp.rep_counts(denoms, size - 1)
+        run, end = 0, None
+        for j, c in enumerate(counts):
+            run = run + 1 if c > k else 0
+            if run == denoms[0]:
+                end = j
+                break
+        if end is not None or bound is not None:
+            break
+        size *= 2
+    stop = size - 1 if end is None else end
+    member = (lambda c: c <= k) if at_most else (lambda c: c == k)
+    return tuple(j for j in range(stop + 1) if member(counts[j])), end is not None
+
+
+# Scans that cross block edges (the first block holds at most FIRST_MAX
+# counts, later ones BLOCK), coins longer than a block, and counts far
+# above k + 1 inside a block.
+FIRST, BLOCK = oracle.FIRST_MAX, oracle.BLOCK
+BLOCK_EDGES = [1023, 1024, 1025, 2 * 1024 + 1, FIRST - 1, FIRST, FIRST + 1,
+               FIRST + BLOCK, FIRST + BLOCK + 1]
+BLOCK_CASES = [
+    ((7, 11), 200),  # the window ends near 15,470, nine blocks in
+    ((7, 1500), 1),  # a coin longer than a block
+    ((1009, 1013, 1019), 0),
+    ((2, 4, 6, 8, 10001), 0),  # even counts reach 10^11 before odd ones pass k
+    ((2, 4, 6, 8, 10001), 3),
+    ((1, 2, 3, 4, 5), 2),
+]
+
+
 @st.composite
 def coin_sets(draw):
     n = draw(st.integers(2, 5))
@@ -472,6 +509,13 @@ class TestStreaming:
         assert gs.elements == tuple(j for j in range(end + 1) if member(counts[j]))
         # certificate soundness: nothing in the set from the window to twice its end
         assert not any(member(counts[j]) for j in range(start, 2 * end + 1))
+
+    @pytest.mark.parametrize("at_most", [False, True])
+    @pytest.mark.parametrize("denoms, k", BLOCK_CASES)
+    def test_matches_rep_counts_across_blocks(self, denoms, k, at_most):
+        fn = enumerate_at_most_k if at_most else enumerate_exact_k
+        gs = fn(validate_params(list(denoms)), k)
+        assert (gs.elements, gs.complete) == _rep_reference(denoms, k, at_most)
 
     def test_window_far_below_old_first_guess(self):
         # (k+1)*a_1*a_n = 11.2M, above the default cap; the window ends near 32,354
@@ -515,10 +559,10 @@ class TestStreaming:
         ],
     )
     def test_cap_refused_before_scan(self, denoms, k, monkeypatch):
-        def no_ring(*args, **kwargs):
-            raise AssertionError("a ring was built for a query its bound refuses")
+        def no_scan(*args, **kwargs):
+            raise AssertionError("a scan was started for a query its bound refuses")
 
-        monkeypatch.setattr(oracle, "deque", no_ring)
+        monkeypatch.setattr(oracle, "_stream", no_scan)
         monkeypatch.setenv(MAX_BOUND_ENV, str(10**6))
         with pytest.raises(Indeterminate) as exc:
             enumerate_exact_k(validate_params(list(denoms)), k)
@@ -539,24 +583,40 @@ class TestBoundedScan:
         assert gs.complete == (end <= bound)
 
     @pytest.mark.parametrize("at_most", [False, True])
+    @pytest.mark.parametrize("bound", BLOCK_EDGES)
+    @pytest.mark.parametrize("denoms, k", BLOCK_CASES)
+    def test_block_edges_against_rep_counts(self, denoms, k, bound, at_most):
+        fn = enumerate_at_most_k if at_most else enumerate_exact_k
+        gs = fn(validate_params(list(denoms)), k, bound)
+        assert (gs.elements, gs.complete) == _rep_reference(denoms, k, at_most, bound)
+
+    @pytest.mark.parametrize("at_most", [False, True])
+    def test_fields_wider_than_64_bits(self, at_most):
+        # r(j) = j + 1 for (1, 1): no count up to 5 reaches k = 2^70
+        fn = enumerate_at_most_k if at_most else enumerate_exact_k
+        gs = fn(Params([1, 1]), 2**70, bound=5)
+        assert gs.elements == ((0, 1, 2, 3, 4, 5) if at_most else ())
+        assert not gs.complete
+
+    @pytest.mark.parametrize("at_most", [False, True])
     def test_single_coin(self, at_most):
         fn = enumerate_at_most_k if at_most else enumerate_exact_k
         gs = fn(validate_params([1]), 1, bound=5)
         assert gs.elements == (0, 1, 2, 3, 4, 5)
         assert not gs.complete
 
-    def test_rings_no_longer_than_bound(self, monkeypatch):
-        real, sizes = oracle.deque, []
-
-        def short_deque(iterable, maxlen):
-            sizes.append(maxlen)
-            return real(iterable, maxlen)
-
-        monkeypatch.setattr(oracle, "deque", short_deque)
-        gs = enumerate_exact_k(validate_params([1_000_000_007, 1_000_000_009]), 0, 10)
+    def test_tails_no_longer_than_bound(self):
+        # a_1's tail is clipped to bound + 1 fields: unclipped it would be a
+        # bytearray of 1e9 fields
+        tracemalloc.start()
+        try:
+            gs = enumerate_exact_k(validate_params([1_000_000_007, 1_000_000_009]), 0, 10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
         assert gs.elements == tuple(range(1, 11))
         assert not gs.complete
-        assert sizes == [11]
+        assert peak < 64 * 1024
 
     def test_bound_zero(self):
         # r(0) = 1: a window of a_1 = 1 count > 0 closes at once, none > 1 does
@@ -600,6 +660,17 @@ class TestEnumerateByCount:
             with patch.dict(os.environ, {MAX_BOUND_ENV: str(end - 1)}):
                 with pytest.raises(Indeterminate):
                     enumerate_by_count(params, kmax)
+
+    @pytest.mark.parametrize(
+        "denoms, kmax", [((7, 11), 200), ((7, 1500), 3), ((2, 4, 6, 8, 10001), 3)]
+    )
+    def test_sets_across_blocks(self, denoms, kmax):
+        exact = enumerate_by_count(validate_params(list(denoms)), kmax)
+        at_most = _rep_reference(denoms, kmax, True)[0]
+        counts = dp.rep_counts(denoms, at_most[-1])
+        for k, gs in enumerate(exact):
+            assert gs.complete
+            assert gs.elements == tuple(j for j in at_most if counts[j] == k)
 
     @pytest.mark.parametrize("denoms", [(2, 3), (3, 5), (5, 7, 9), (4, 6, 9)])
     @pytest.mark.parametrize("kmax", [0, 1, 5])
