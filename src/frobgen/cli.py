@@ -11,7 +11,8 @@ Subcommands:
 Output is plain, json or csv; verify and genfun --denham have no csv.
 
 Exit codes: 0 success, 1 mathematical mismatch, 2 input validation or a
-refused flag combination, 3 unsupported request, 4 resource guard.  The resource ceiling (largest
+refused flag combination, 3 unsupported request, 4 resource guard, 141
+stdout closed by its reader (128 + SIGPIPE).  The resource ceiling (largest
 --bound, last entry scanned for unbounded queries, largest N for
 genfun --cyclotomic, largest 2ab - a - b for genfun --params a,b --k K
 with K >= 1 and ab - a - b with K = 0, largest --m for compute --stat sm
@@ -70,22 +71,13 @@ def _parse_params(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"not a comma-separated integer list: {text!r}")
 
 
-def _emit(text: str) -> None:
-    """Write text ending in a newline; a missing one is written on its own
-    rather than appended, which would copy the whole text."""
-    write = sys.stdout.write
-    write(text)
-    if not text.endswith("\n"):
-        write("\n")
-
-
 def _emit_json(obj) -> None:
-    _emit(json.dumps(obj, separators=(",", ":")))
+    print(json.dumps(obj, separators=(",", ":")))
 
 
 def _emit_csv(header: str, rows: Iterable[str]) -> None:
     """The header line, then one line per row; each row is already comma-joined."""
-    _emit("\n".join([header, *rows]))
+    print("\n".join([header, *rows]))
 
 
 # -- compute -----------------------------------------------------------------
@@ -109,11 +101,11 @@ def cmd_compute(args: argparse.Namespace) -> int:
         fn = enumerate_at_most_k if stat in AT_MOST_STATS else enumerate_exact_k
         report = oracle_report(fn(params, args.k), stat, args.m)
     if args.format == "json":
-        _emit(report.to_json())
+        print(report.to_json())
     elif args.format == "csv":
-        _emit(report.to_csv())
+        print(report.to_csv())
     else:
-        _emit(report.to_plain())
+        print(report.to_plain())
     return 0
 
 
@@ -125,16 +117,16 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     fn = enumerate_at_most_k if args.at_most else enumerate_exact_k
     gs: GapSet = fn(params, args.k, args.bound)
     if args.format == "json":
-        _emit(gs.to_json())
+        print(gs.to_json())
     elif args.format == "csv":
         sys.stdout.write(gs.to_csv())
     else:
         kind = "at-most" if args.at_most else "exactly"
-        _emit(
+        print(
             f"# params={','.join(map(str, params))} {kind} k={args.k} "
             f"count={len(gs)} complete={str(gs.complete).lower()}"
         )
-        _emit(" ".join(str(j) for j in gs.elements) if gs.elements else "(empty)")
+        print(" ".join(str(j) for j in gs.elements) if gs.elements else "(empty)")
     return 0
 
 
@@ -155,7 +147,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
         _emit_csv("j,count,k", [f"{j},{c},{c}" for j, c in enumerate(counts)])
     else:
         width = max(len(str(args.bound)), 1)
-        _emit("\n".join([f"{str(j).rjust(width)}  r={c}" for j, c in enumerate(counts)]))
+        print("\n".join([f"{str(j).rjust(width)}  r={c}" for j, c in enumerate(counts)]))
     return 0
 
 
@@ -164,11 +156,11 @@ def cmd_classify(args: argparse.Namespace) -> int:
 
 def _emit_poly(poly: IntPoly, fmt: str) -> None:
     if fmt == "json":
-        _emit(poly.to_json())
+        print(poly.to_json())
     elif fmt == "csv":
         _emit_csv("exp,coeff", [f"{e},{c}" for e, c in poly.terms()])
     else:
-        _emit(poly.to_text())
+        print(poly.to_text())
 
 
 def cmd_genfun(args: argparse.Namespace) -> int:
@@ -198,7 +190,7 @@ def cmd_genfun(args: argparse.Namespace) -> int:
         if args.format == "json":
             _emit_json({"params": list(params.denominations), "term_count": count})
         else:
-            _emit(str(count))
+            print(count)
         return 0
     if params.n != 2:
         raise WrongArity(2, params.n)
@@ -209,11 +201,11 @@ def cmd_genfun(args: argparse.Namespace) -> int:
             raise ValidationError("--indicator requires --bound")
         series = s_k_indicator(pair, k, args.bound)
         if args.format == "json":
-            _emit(series.to_json())
+            print(series.to_json())
         elif args.format == "csv":
             _emit_csv("j,bit", [f"{j},{b}" for j, b in enumerate(series.to_bitstring())])
         else:
-            _emit(series.to_bitstring())
+            print(series.to_bitstring())
         return 0
     _emit_poly(p_k_poly(pair, k), args.format)
     return 0
@@ -337,7 +329,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if args.format == "json":
         _emit_json({"pairs": len(pairs), "checks": total_checks, "failures": 0})
     else:
-        _emit(f"verified {len(pairs)} pair(s), {total_checks} checks, all passed")
+        print(f"verified {len(pairs)} pair(s), {total_checks} checks, all passed")
     return 0
 
 
@@ -439,7 +431,14 @@ def main(argv: list[str] | None = None) -> int:
         old_digits = sys.get_int_max_str_digits()
         set_digits(0)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout.  Point its fd at devnull, so the flush at
+        # shutdown cannot raise again, and exit as a writer SIGPIPE killed.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (FrobgenError, ValueError) as exc:
         # each FrobgenError family carries its exit code; a bare ValueError
         # is bad input (2)

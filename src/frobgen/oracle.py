@@ -208,18 +208,19 @@ def _scan(
     """(found, complete) of one query: the scan up to `bound`, or without
     one the certified set.
 
-    Refuses k < 0 (ValueError) and a bound _check_bound refuses.  Without a
-    bound, a single coin is settled analytically; otherwise the scan runs to
-    the FROBGEN_MAX_BOUND cap and raises Indeterminate when the window has
-    not closed by then, at once (before _stream allocates anything) when
-    _window_beyond already places it past the cap.  `split` is _stream's.
+    The query's one plan.  Refuses k < 0 (ValueError) and a bound
+    _check_bound refuses.  Without a bound, a single coin is settled
+    analytically; otherwise the cap is the FROBGEN_MAX_BOUND ceiling and
+    Indeterminate is raised when the window has not closed by then, at once
+    (before _stream allocates anything) when _window_floor already places it
+    past the cap.  `split` is _stream's.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
     if bound is not None:
         _check_bound(bound)
-        return _stream(params, k, at_most, bound, split)
-    if params.n == 1:
+        cap = bound
+    elif params.n == 1:
         # One denomination forces a_1 = 1 and r(j) = 1 for every j >= 0, so
         # the window criterion can never certify k >= 1; settle analytically.
         if k >= 1 if at_most else k == 1:
@@ -227,17 +228,17 @@ def _scan(
                 f"every j >= 0 has exactly 1 representation; the requested set is infinite (k={k})"
             )
         return ([[] for _ in range(k + 1)] if split else []), True
-    cap = max_bound_ceiling()
-    if not _window_beyond(_coins_within(params, cap), k, cap):
-        found, complete = _stream(params, k, at_most, cap, split)
-        if complete:
-            return found, True
-    raise Indeterminate(cap)
-
-
-def _coins_within(params: Params, cap: int) -> list[int]:
-    """a_1, whose window certifies, and every other coin that reaches j <= cap."""
-    return [params.smallest] + [a for a in params.denominations[1:] if a <= cap]
+    else:
+        cap = max_bound_ceiling()
+    # a_1, whose window certifies, and every other coin that reaches j <= cap
+    coins = [params.smallest] + [a for a in params.denominations[1:] if a <= cap]
+    floor = _window_floor(coins, k)
+    if bound is None and (floor is None or floor > cap):
+        raise Indeterminate(cap)
+    found, complete = _stream(coins, k, at_most, cap, floor, split)
+    if bound is None and not complete:
+        raise Indeterminate(cap)
+    return found, complete
 
 
 def _window_floor(coins: list[int], k: int) -> int | None:
@@ -268,13 +269,6 @@ def _window_floor(coins: list[int], k: int) -> int | None:
     return max(0, r - sum(coins) + coins[0])
 
 
-def _window_beyond(coins: list[int], k: int, cap: int) -> bool:
-    """True when no window of a_1 counts > k can end at any j <= cap; `coins`
-    are a_1 and every other denomination <= cap (see _window_floor)."""
-    end = _window_floor(coins, k)
-    return end is None or end > cap
-
-
 BLOCK = 1 << 10  # counts per block after the first
 FIRST_MAX = 1 << 13  # the first block's most counts
 FORMATS = {8: "B", 16: "H", 32: "I", 64: "Q"}  # memoryview.cast of a field
@@ -282,10 +276,18 @@ FLIP = bytes.maketrans(b"\0\x80", b"\x80\0")
 
 
 def _stream(
-    params: Params, k: int, at_most: bool, cap: int, split: bool = False
+    coins: list[int],
+    k: int,
+    at_most: bool,
+    cap: int,
+    floor: int | None,
+    split: bool = False,
 ) -> tuple[list | tuple, bool]:
     """Scan r(0), r(1), ..., r(cap) a block at a time and stop when the
     a_1-window closes.
+
+    `coins` (a_1 and every other denomination <= cap) and `floor` (their
+    _window_floor for k) are _scan's plan; `split` implies `at_most`.
 
     A window of a_1 consecutive counts > k proves that every later j has
     more than k representations too: adding a_1 never lowers a count, and
@@ -312,7 +314,7 @@ def _stream(
     field sets the top bit of those >= K and carries into none.  The test
     of each count against k reaches Python as one byte per j.
 
-    The first block reaches Sum a_i past _window_floor, where most windows
+    The first block reaches Sum a_i past `floor`, where most windows
     close, but holds at most FIRST_MAX counts: a longer block needs more
     doubling steps per count and wider fields.  Later blocks hold BLOCK
     counts.  The window has closed iff the last a_1 or more counts scanned
@@ -324,10 +326,8 @@ def _stream(
     list per count 0..k instead, and each j goes to found[r(j)] alone, so
     each list is sorted too.
     """
-    width = params.smallest
-    coins = _coins_within(params, cap)
+    width = coins[0]
     steps = [min(a, cap + 1) for a in coins]
-    floor = _window_floor(coins, k)
     first = BLOCK if floor is None else min(floor + sum(steps) + 1, FIRST_MAX)
     K = k + 1
     longest = min(max(first, BLOCK), cap + 1)
@@ -364,7 +364,7 @@ def _stream(
         kept = flags.rstrip(b"\0")
         if kept:
             last = j0 + len(kept) - 1
-            if not (at_most or split or k == 0):
+            if not (at_most or k == 0):
                 # exactly k: >= k but not >= K
                 h ^= (x + over_k + (top >> (w - 1))) & top
                 kept = h.to_bytes(bits // 8, "little")[wb - 1 :: wb].rstrip(b"\0")
@@ -390,7 +390,7 @@ def _stream(
 def enumerate_exact_k(params: Params, k: int, bound: int | None = None) -> GapSet:
     """All j with exactly k representations.
 
-    Scan the counts one j at a time until a window of a_1 consecutive
+    Scan the counts a block at a time until a window of a_1 consecutive
     counts all exceed k, which proves the set has been seen in full.  With
     a bound (at most the FROBGEN_MAX_BOUND ceiling, else BoundTooLarge):
     stop there at the latest, with everything found and complete only if

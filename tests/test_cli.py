@@ -172,6 +172,28 @@ class TestStatDispatch:
 
 
 class TestExitCodes:
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("classify", "--params", "3,5", "--bound", "200000"),  # 3 MB of rows
+            ("enumerate", "--params", "3,5", "--k", "2000", "--at-most"),  # 169 KB
+        ],
+    )
+    def test_closed_stdout(self, args):
+        # more than a pipe buffer of output, of which the reader takes 20 bytes
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "frobgen", *args],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            cwd=SRC,
+        )
+        assert len(proc.stdout.read(20)) == 20
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 141
+        assert err == ""  # no traceback, nor any other message
+
     def test_validation_not_coprime(self):
         code, _, err = run_cli("verify", "--params", "4,6")
         assert code == 2

@@ -568,6 +568,29 @@ class TestStreaming:
             enumerate_exact_k(validate_params(list(denoms)), k)
         assert exc.value.cap == 10**6
 
+    @pytest.mark.parametrize(
+        "query",
+        [
+            lambda params: enumerate_exact_k(params, 5),
+            lambda params: enumerate_at_most_k(params, 5),
+            lambda params: enumerate_by_count(params, 5),
+            lambda params: enumerate_exact_k(params, 5, bound=100),
+        ],
+        ids=["exact", "at_most", "by_count", "bounded"],
+    )
+    def test_window_floor_planned_once(self, query, monkeypatch):
+        # _scan plans the query; _stream scans with the floor it is handed
+        calls = []
+        real = oracle._window_floor
+
+        def counted(coins, k):
+            calls.append((coins, k))
+            return real(coins, k)
+
+        monkeypatch.setattr(oracle, "_window_floor", counted)
+        query(validate_params([5, 7, 11]))
+        assert calls == [([5, 7, 11], 5)]
+
 
 class TestBoundedScan:
     @given(coin_sets(), st.integers(0, 8), st.booleans(), st.data())
