@@ -116,7 +116,10 @@ class GapSet:
     (not a bool) and complete a bool; anything else raises ValueError.  The
     elements come from any iterable of strictly increasing ints >= 0 and
     are stored as a tuple; a bool, any other non-int, a negative element or
-    elements that do not strictly increase raise ValueError.
+    elements that do not strictly increase raise ValueError.  The sets the
+    enumerators return are built so by the scan and wrapped by _of without
+    this re-check; the tests hold each equal to the set this constructor
+    builds from its fields.
     """
 
     params: Params
@@ -136,6 +139,17 @@ class GapSet:
             raise ValueError("elements must be integers >= 0")
         if not all(map(lt, e, islice(e, 1, None))):
             raise ValueError("elements must be strictly increasing")
+
+    @classmethod
+    def _of(
+        cls, params: Params, k: int, elements: tuple[int, ...], complete: bool
+    ) -> GapSet:
+        """Wrap, uncopied and unchecked, a set the scan built itself: its
+        elements are a tuple of strictly increasing ints >= 0 by
+        construction."""
+        res = cls.__new__(cls)
+        res.__dict__.update(params=params, k=k, elements=elements, complete=complete)
+        return res
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -227,7 +241,7 @@ def _scan(
             raise InfiniteSet(
                 f"every j >= 0 has exactly 1 representation; the requested set is infinite (k={k})"
             )
-        return ([[] for _ in range(k + 1)] if split else []), True
+        return ([[] for _ in range(k + 1)] if split else ()), True
     else:
         cap = max_bound_ceiling()
     # a_1, whose window certifies, and every other coin that reaches j <= cap
@@ -303,16 +317,22 @@ def _stream(
     int, the first j in the lowest field.  Coin i adds its tail, the last
     a_i values of t_i before the block, then divides by 1 - z^{a_i} within
     the block in doubling shift-and-add steps.  The tail is a bytearray:
-    each block reads and drops its first min(a_i, L) fields and appends the
+    each block reads its first min(a_i, L) fields, and once the block's
+    flags show that another block follows, drops them and appends the
     block's last min(a_i, L), so a block costs O(L w) whatever the coins.
-    At most j = cap is scanned, so a coin a_i > cap other than a_1 adds
-    nothing and is skipped, and no tail holds more than cap + 1 fields.
+    Every tail is zero before the first block, which reads none, and the
+    last block writes none.  At most j = cap is scanned, so a coin
+    a_i > cap other than a_1 adds nothing and is skipped, and no tail holds
+    more than cap + 1 fields.
 
     Before its clamp a field is at most K (ceil(L / a_1) + 1): K for each
-    term of the sum, and K more from the tail.  w is the least power of two
-    >= 8 that keeps this below 2^(w-1), so adding 2^(w-1) - K to every
-    field sets the top bit of those >= K and carries into none.  The test
-    of each count against k reaches Python as one byte per j.
+    term of the sum, and K more from the tail.  w is the least multiple of
+    8 that keeps this below 2^(w-1), so adding 2^(w-1) - K to every field
+    sets the top bit of those >= K and carries into none; the clamp runs
+    only when some top bit is set, since it is the identity otherwise.  The
+    test of each count against k reaches Python as one byte per j, the top
+    byte of each field.  `split` alone rounds w up to a power of two, the
+    field widths memoryview.cast can read.
 
     The first block reaches Sum a_i past `floor`, where most windows
     close, but holds at most FIRST_MAX counts: a longer block needs more
@@ -322,7 +342,7 @@ def _stream(
 
     Returns (found, complete): complete is True iff the window closes by
     cap; found is a tuple of every collected j up to there, in increasing
-    order, which GapSet keeps without a copy.  With `split`, found is one
+    order, which GapSet._of wraps without a copy.  With `split`, found is one
     list per count 0..k instead, and each j goes to found[r(j)] alone, so
     each list is sorted too.
     """
@@ -332,10 +352,11 @@ def _stream(
     K = k + 1
     longest = min(max(first, BLOCK), cap + 1)
     spread = K * (-(-longest // steps[0]) + 1)
-    w = 1 << (max(8, spread.bit_length() + 1) - 1).bit_length()
-    wb = w // 8
-    if split:
-        assert w <= 64, "kmax + 1 lists cannot exist at this width"
+    wb = (spread.bit_length() + 8) // 8  # the fewest bytes with spread < 2^(8 wb - 1)
+    if split:  # memoryview.cast reads fields of 1, 2, 4 or 8 bytes only
+        wb = 1 << (wb - 1).bit_length()
+        assert wb <= 8, "kmax + 1 lists cannot exist at this width"
+    w = 8 * wb
     found: list = [[] for _ in range(K)] if split else []
     tails = [bytearray(a * wb) for a in steps]
     x = 1  # t_0(0) in the first block's first field
@@ -345,20 +366,21 @@ def _stream(
         if size != length:
             length, bits = size, size * w
             mask = (1 << bits) - 1
-            top = mask // ((1 << w) - 1) << (w - 1)
+            top = int.from_bytes((bytes(wb - 1) + b"\x80") * length, "little")
             full = (top >> (w - 1)) * K
             over_k = top - full  # + a field >= K sets its top bit
+        xs = []  # t_i over the block, for the tails of the next one
         for a, tail in zip(steps, tails):
-            n = min(a, length) * wb  # the tail's bytes that reach the block
-            x += int.from_bytes(tail[:n], "little")
+            if j0:  # every tail is zero before the first block
+                x += int.from_bytes(tail[: min(a, length) * wb], "little")
             shift = a * w
             while shift < bits:
                 x += (x << shift) & mask
                 shift <<= 1
             h = (x + over_k) & top
-            x ^= ((h << 1) - (h >> (w - 1))) & (x ^ full)
-            del tail[:n]
-            tail += (x >> bits - 8 * n).to_bytes(n, "little")
+            if h:  # with no field >= K the clamp changes nothing
+                x ^= ((h << 1) - (h >> (w - 1))) & (x ^ full)
+            xs.append(x)
         # one byte per j, 0x80 where its count is <= k
         flags = h.to_bytes(bits // 8, "little")[wb - 1 :: wb].translate(FLIP)
         kept = flags.rstrip(b"\0")
@@ -384,6 +406,10 @@ def _stream(
         closed = j0 - 1 - last >= width
         if closed or j0 > cap:
             return (found if split else tuple(chain.from_iterable(found))), closed
+        for a, tail, x in zip(steps, tails, xs):
+            n = min(a, length) * wb  # the bytes this block read, now stale
+            del tail[:n]
+            tail += (x >> bits - 8 * n).to_bytes(n, "little")
         size, x = min(BLOCK, cap + 1 - j0), 0
 
 
@@ -398,13 +424,13 @@ def enumerate_exact_k(params: Params, k: int, bound: int | None = None) -> GapSe
     has not closed by j = the ceiling, at once when a lower bound on the
     window's position already lies past it.
     """
-    return GapSet(params, k, *_scan(params, k, False, bound))
+    return GapSet._of(params, k, *_scan(params, k, False, bound))
 
 
 def enumerate_at_most_k(params: Params, k: int, bound: int | None = None) -> GapSet:
     """All j with at most k representations; same termination criterion and
     the same FROBGEN_MAX_BOUND ceiling."""
-    return GapSet(params, k, *_scan(params, k, True, bound))
+    return GapSet._of(params, k, *_scan(params, k, True, bound))
 
 
 def enumerate_by_count(params: Params, kmax: int) -> list[GapSet]:
@@ -420,7 +446,7 @@ def enumerate_by_count(params: Params, kmax: int) -> list[GapSet]:
     after that refusal check.
     """
     by_count, complete = _scan(params, kmax, True, None, split=True)
-    return [GapSet(params, k, js, complete) for k, js in enumerate(by_count)]
+    return [GapSet._of(params, k, tuple(js), complete) for k, js in enumerate(by_count)]
 
 
 def oracle_report(gap_set: GapSet, stat: str, m: int | None = None) -> StatReport:

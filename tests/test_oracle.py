@@ -685,7 +685,13 @@ class TestEnumerateByCount:
                     enumerate_by_count(params, kmax)
 
     @pytest.mark.parametrize(
-        "denoms, kmax", [((7, 11), 200), ((7, 1500), 3), ((2, 4, 6, 8, 10001), 3)]
+        "denoms, kmax",
+        [
+            ((7, 11), 200),
+            ((7, 1500), 3),
+            ((2, 4, 6, 8, 10001), 3),
+            ((3, 5), 300),  # 3-byte fields would do; memoryview.cast reads 4
+        ],
     )
     def test_sets_across_blocks(self, denoms, kmax):
         exact = enumerate_by_count(validate_params(list(denoms)), kmax)
@@ -699,14 +705,14 @@ class TestEnumerateByCount:
     @pytest.mark.parametrize("kmax", [0, 1, 5])
     def test_one_gap_set_per_count(self, denoms, kmax, monkeypatch):
         # the exactly-k sets and nothing else: no at-most-kmax set is built
-        real = GapSet.__post_init__
+        real = GapSet._of
         built = []
 
-        def counted(self):
-            built.append(self.k)
-            real(self)
+        def counted(params, k, elements, complete):
+            built.append(k)
+            return real(params, k, elements, complete)
 
-        monkeypatch.setattr(GapSet, "__post_init__", counted)
+        monkeypatch.setattr(GapSet, "_of", staticmethod(counted))
         exact = enumerate_by_count(validate_params(list(denoms)), kmax)
         assert built == list(range(kmax + 1))
         assert [gs.k for gs in exact] == built
@@ -723,3 +729,41 @@ class TestEnumerateByCount:
     def test_negative_kmax(self):
         with pytest.raises(ValueError):
             enumerate_by_count(validate_params([3, 5]), -1)
+
+
+class TestScannedSets:
+    """The enumerators wrap the scan's sets without GapSet's checks."""
+
+    @given(
+        st.one_of(st.tuples(coin_sets(), st.integers(0, 300)), st.sampled_from(BLOCK_CASES)),
+        st.sampled_from(["exact", "at_most", "by_count"]),
+        st.one_of(st.none(), st.integers(0, 3 * FIRST)),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_each_set_is_one_the_constructor_accepts(self, query, kind, bound):
+        # certified and bounded scans, one block or many; by_count takes no bound
+        denoms, k = query
+        params = validate_params(list(denoms))
+        if kind == "by_count":
+            sets = enumerate_by_count(params, k)
+        else:
+            fn = enumerate_at_most_k if kind == "at_most" else enumerate_exact_k
+            sets = [fn(params, k, bound)]
+        for gs in sets:
+            assert gs == GapSet(gs.params, gs.k, gs.elements, gs.complete)
+
+    # A field is the fewest whole bytes that keep a block's largest sum
+    # below its top bit; a split scan rounds it up to 1, 2, 4 or 8 bytes.
+    @pytest.mark.parametrize(
+        "denoms, k, bound",
+        [
+            ((9, 33, 52), 2575, None),  # 3 bytes; a FIRST_MAX block, then a BLOCK
+            ((2, 3), 10**6, 5000),  # 5 bytes
+            # the repeated coin's sums reach the bound the width is sized
+            # for: a field one bit short overflows
+            ((2, 2, 2, 1001), 64, None),
+        ],
+    )
+    def test_field_widths_against_rep_counts(self, denoms, k, bound):
+        gs = enumerate_at_most_k(validate_params(list(denoms)), k, bound)
+        assert (gs.elements, gs.complete) == _rep_reference(denoms, k, True, bound)
