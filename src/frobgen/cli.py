@@ -219,14 +219,15 @@ def verify_pair(a: int, b: int, kmax: int, mmax: int) -> tuple[int, list[dict]]:
 
     The oracle side is one certified scan per pair (enumerate_by_count up to
     the kmax window), which yields every exactly-k set, and one power_sums
-    walk per exactly-k set for its s^m checks.  The at-most-k set is the
-    disjoint union of the exactly-j sets, j <= k, so its oracle values are
-    running totals of theirs: the max (over nonempty sets) and two sums.
-    numerator_h works from that scan's gap set, and no closed form scans,
-    so nothing scans again, a = 1 included.  The closed-form side is one
-    object per check or per k: p_k_poly reads its 0/1 coefficients off the
-    product forms' bytes, and power_sums_k gives every order of one k as
-    one table.
+    walk per exactly-k set, which gives its sum and its s^m values.  The
+    at-most-k set is the disjoint union of the exactly-j sets, j <= k, so
+    its oracle values are running totals of theirs: the max (over nonempty
+    sets) and two sums.  numerator_h works from that scan's gap set, and no
+    closed form scans, so nothing scans again, a = 1 included.  On the
+    closed-form side the one PairParams keeps what every k >= 1 shares (the
+    sumset's 0/1 bytes and power sums), so per k only the translate by
+    ab(k-1) is computed: p_k_poly shifts the bytes, and power_sums_k gives
+    every order of one k as one table.
     Returns (number of checks run, failures); each failure is a JSON-ready
     dict naming the check and both values.
     """
@@ -256,7 +257,8 @@ def verify_pair(a: int, b: int, kmax: int, mmax: int) -> tuple[int, list[dict]]:
     g_le, c_le, s_le = None, 0, 0
     for k in range(kmax + 1):
         exact = exact_sets[k]
-        g, c, s = exact.maximum, len(exact), exact.power_sum(1)
+        oracle_sums = exact.power_sums(max(mmax, 1) if k else 1)
+        g, c, s = exact.maximum, oracle_sums[0], oracle_sums[1]
         exact_forms = (frobenius_k(pair, k), count_k(pair, k), sum_k(pair, k))
         for closed, oracle in zip(exact_forms, (g, c, s)):
             check(closed.stat, k, None, oracle, closed.value)
@@ -273,7 +275,7 @@ def verify_pair(a: int, b: int, kmax: int, mmax: int) -> tuple[int, list[dict]]:
             check(closed.stat, k, None, oracle, closed.value)
 
         if k >= 1:
-            sums = zip(exact.power_sums(mmax), power_sums_k(pair, k, mmax))
+            sums = zip(oracle_sums, power_sums_k(pair, k, mmax))
             for m, (oracle_sum, closed_sum) in enumerate(sums):
                 check("s^m", k, m, oracle_sum, closed_sum)
 

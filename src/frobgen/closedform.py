@@ -13,13 +13,21 @@ and for k >= 1 the power sum of order m is a trinomial convolution of the
 sums S_i(x) = sum_{j<x} j^i at x = a and x = b (see power_sum_k), which
 power_sums_below gets by Pascal's identity; power_sums_k gives every order
 up to m as one list.  Every other statistic comes as a StatReport with
-closed-form provenance.  All arithmetic is in integers; each division is
-exact and checked by _exact_div.  Every two-coin set is read off one of
-the two product forms, laid out as 0/1 bytes by _grid and _rows.
+closed-form provenance; g, c and s (exactly-k and at-most-k alike) each
+come from one integer formula.  All arithmetic is in integers; each
+division is exact and checked by _exact_div.  Every two-coin set is read
+off one of the two product forms, laid out as 0/1 bytes by _grid and
+_rows.
+
+Every exactly-k set with k >= 1 is the one sumset {ia + jb} translated by
+ab(k-1), so a PairParams keeps what they share: the sumset's 0/1 bytes
+and its power sums, each computed on first use and reused for every k.
+Only the translate is computed per k.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import accumulate, compress, repeat
 from math import comb
 from operator import add, mul
@@ -32,7 +40,14 @@ from frobgen.report import AT_MOST_STATS, CLOSED_FORM, StatReport
 @dataclass(frozen=True)
 class PairParams:
     """Two coprime positive denominations (order immaterial), checked by
-    Params: NonPositive for a (then b), else NotCoprime."""
+    Params: NonPositive for a (then b), else NotCoprime.
+
+    An instance also holds, privately, the pieces of the k >= 1 closed forms
+    that do not depend on k (_grid_bytes, _sumset_power_sums), each computed
+    from a and b on first use.  They are values of a and b alone, take no part
+    in ==, hash, repr or pickling, and no public function hands them out
+    mutably.
+    """
 
     a: int
     b: int
@@ -47,6 +62,42 @@ class PairParams:
     @property
     def pair(self) -> tuple[int, int]:
         return (self.a, self.b)
+
+    def __reduce__(self) -> tuple:
+        # a and b alone: a copy rebuilds the private state when it is used
+        return (PairParams, (self.a, self.b))
+
+    @cached_property
+    def _grid_bytes(self) -> bytes:
+        """R_1 = {ia + jb : 0 <= i < b, 0 <= j < a} as 0/1 bytes over 0..2ab - a - b.
+
+        Each term z^(ia) of (1 + z^a + ... + z^((b-1)a)) lays out the row
+        z^(ia) * (1 + z^b + ... + z^((a-1)b)) as one strided slice.  A row
+        landing on a set byte (fewer than ab set) is a coefficient >= 2:
+        AssertionError.  Read through _grid, which guards the size.
+        """
+        a, b = self.a, self.b
+        coeffs = bytearray(2 * a * b - a - b + 1)
+        width = (a - 1) * b + 1  # one row: exponents 0, b, ..., (a-1)b
+        row = b"\x01" * a
+        for start in range(0, b * a, a):
+            coeffs[start : start + width : b] = row
+        if coeffs.count(1) != a * b:
+            raise AssertionError("exactly-k polynomial has a coefficient outside {0,1}")
+        return bytes(coeffs)
+
+    def _sumset_power_sums(self, m: int) -> list[int]:
+        """A new list of the power sums of orders 0..m of R_1, the sumset of
+        {ia : 0 <= i < b} and {jb : 0 <= j < a}.
+
+        The row kept is that of the largest m asked so far: a smaller m
+        reads its prefix (order n needs orders <= n of both factors only).
+        """
+        sums = self.__dict__.get("_sumset_sums", ())
+        if len(sums) <= m:
+            sums = _binomial_convolution(*_grid_power_sums(self, m))
+            self.__dict__["_sumset_sums"] = sums
+        return sums[: m + 1]
 
 
 def _exact_div(num: int, den: int) -> int:
@@ -82,6 +133,24 @@ def power_sums_below(x: int, m: int) -> list[int]:
     return sums
 
 
+def _frobenius(p: PairParams, k: int) -> int | None:
+    """(k+1)ab - a - b, or None where that is negative (the empty set)."""
+    value = (k + 1) * p.a * p.b - p.a - p.b
+    return value if value >= 0 else None
+
+
+def _count(p: PairParams, k: int) -> int:
+    a, b = p.a, p.b
+    return _exact_div((a - 1) * (b - 1), 2) if k == 0 else a * b
+
+
+def _sum(p: PairParams, k: int) -> int:
+    a, b = p.a, p.b
+    if k == 0:
+        return _exact_div((a - 1) * (b - 1) * (2 * a * b - a - b - 1), 12)
+    return _exact_div(a * b * (2 * a * b * k - a - b), 2)
+
+
 def frobenius_k(p: PairParams, k: int) -> StatReport:
     """Largest integer with exactly k representations: (k+1)ab - a - b.
 
@@ -90,33 +159,21 @@ def frobenius_k(p: PairParams, k: int) -> StatReport:
     """
     if k < 0:
         raise ValueError("k must be >= 0")
-    a, b = p.a, p.b
-    value = (k + 1) * a * b - a - b
-    return StatReport("g", p.pair, k, value if value >= 0 else None, provenance=CLOSED_FORM)
+    return StatReport("g", p.pair, k, _frobenius(p, k), provenance=CLOSED_FORM)
 
 
 def count_k(p: PairParams, k: int) -> StatReport:
     """Cardinality: (a-1)(b-1)/2 for k = 0, else ab."""
     if k < 0:
         raise ValueError("k must be >= 0")
-    a, b = p.a, p.b
-    if k == 0:
-        value = _exact_div((a - 1) * (b - 1), 2)
-    else:
-        value = a * b
-    return StatReport("c", p.pair, k, value, provenance=CLOSED_FORM)
+    return StatReport("c", p.pair, k, _count(p, k), provenance=CLOSED_FORM)
 
 
 def sum_k(p: PairParams, k: int) -> StatReport:
     """Sum of all elements: Brown--Shiue for k = 0, ab(2abk - a - b)/2 after."""
     if k < 0:
         raise ValueError("k must be >= 0")
-    a, b = p.a, p.b
-    if k == 0:
-        value = _exact_div((a - 1) * (b - 1) * (2 * a * b - a - b - 1), 12)
-    else:
-        value = _exact_div(a * b * (2 * a * b * k - a - b), 2)
-    return StatReport("s", p.pair, k, value, provenance=CLOSED_FORM)
+    return StatReport("s", p.pair, k, _sum(p, k), provenance=CLOSED_FORM)
 
 
 def _powers(x: int, m: int) -> list[int]:
@@ -165,13 +222,15 @@ def power_sums_k(p: PairParams, k: int, m: int) -> list[int]:
     all ab sums distinct, so its power sums are two binomial convolutions:
     the sumset's from those of {ia} and {jb} (_grid_power_sums), then the
     translate's from the sumset's and the powers of ab(k-1).  That is
-    O(m^2) integer operations for all m + 1 orders together.
+    O(m^2) integer operations for all m + 1 orders together.  The sumset's
+    sums are the pair's, computed once per PairParams; only the translate
+    is computed per k.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     if m < 0:
         raise ValueError("m must be >= 0")
-    sums = _binomial_convolution(*_grid_power_sums(p, m))
+    sums = p._sumset_power_sums(m)
     base = p.a * p.b * (k - 1)
     if base:
         sums = _binomial_convolution(sums, _powers(base, m))
@@ -187,29 +246,29 @@ def power_sum_k(p: PairParams, k: int, m: int) -> StatReport:
     with the convention 0^0 = 1 in the (k-1)^l factor, which the k = 1 case
     requires.  This is the m-th power sum of the translate
     ab(k-1) + {ia + jb : 0 <= i < b, 0 <= j < a}, expanded by the
-    multinomial theorem.  Only order m is computed: for k = 1 one binomial
-    sum over the power sums of {ia} and {jb}; for k >= 2 the sumset's sums
-    of every order up to m (the translate mixes them all), then one
-    binomial sum with the powers of ab(k-1).  power_sums_k gives every
-    order at once.  k = 0 with m <= 1 delegates to count_k / sum_k; k = 0
-    with m >= 2 is refused: a closed form exists (Rodseth 1994; Tuenter
-    2006) but is not implemented.
+    multinomial theorem.  For k = 1 only order m is computed, one binomial
+    sum over the power sums of {ia} and {jb}: m + 1 products, where every
+    order up to m would cost O(m^2) products of large integers.  For k >= 2
+    the translate mixes the sumset's sums of every order up to m, which the
+    PairParams keeps, in one binomial sum with the powers of ab(k-1).
+    power_sums_k gives every order at once.  k = 0 with m <= 1 is the count
+    or the sum; k = 0 with m >= 2 is refused: a closed form exists (Rodseth
+    1994; Tuenter 2006) but is not implemented.
     """
     if k < 0 or m < 0:
         raise ValueError("k and m must be >= 0")
     if k == 0:
         if m == 0:
-            value = count_k(p, 0).value
+            value = _count(p, 0)
         elif m == 1:
-            value = sum_k(p, 0).value
+            value = _sum(p, 0)
         else:
             raise UnsupportedK(k, m)
         return StatReport("s^m", p.pair, k, value, m=m, provenance=CLOSED_FORM)
-    along_a, along_b = _grid_power_sums(p, m)
     if k == 1:
-        total = _binomial_term(along_a, along_b, m)
+        total = _binomial_term(*_grid_power_sums(p, m), m)
     else:
-        sumset = _binomial_convolution(along_a, along_b)
+        sumset = p._sumset_power_sums(m)
         total = _binomial_term(sumset, _powers(p.a * p.b * (k - 1), m), m)
     return StatReport("s^m", p.pair, k, total, m=m, provenance=CLOSED_FORM)
 
@@ -224,12 +283,13 @@ def at_most_stats(p: PairParams, k: int) -> tuple[StatReport, StatReport, StatRe
     """
     if k < 0:
         raise ValueError("k must be >= 0")
-    a, b = p.a, p.b
-    g_le = StatReport("g<=", p.pair, k, frobenius_k(p, k).value, provenance=CLOSED_FORM)
-    c_le = StatReport("c<=", p.pair, k, count_k(p, 0).value + a * b * k, provenance=CLOSED_FORM)
-    s_value = sum_k(p, 0).value + _exact_div(k * (sum_k(p, 1).value + sum_k(p, k).value), 2)
-    s_le = StatReport("s<=", p.pair, k, s_value, provenance=CLOSED_FORM)
-    return g_le, c_le, s_le
+    c_le = _count(p, 0) + p.a * p.b * k
+    s_le = _sum(p, 0) + _exact_div(k * (_sum(p, 1) + _sum(p, k)), 2)
+    return (
+        StatReport("g<=", p.pair, k, _frobenius(p, k), provenance=CLOSED_FORM),
+        StatReport("c<=", p.pair, k, c_le, provenance=CLOSED_FORM),
+        StatReport("s<=", p.pair, k, s_le, provenance=CLOSED_FORM),
+    )
 
 
 def closed_report(p: PairParams, stat: str, k: int, m: int | None = None) -> StatReport:
@@ -254,25 +314,15 @@ def closed_report(p: PairParams, stat: str, k: int, m: int | None = None) -> Sta
     raise ValueError(f"unknown statistic {stat!r}")
 
 
-def _grid(p: PairParams) -> bytearray:
-    """R_1 = {ia + jb : 0 <= i < b, 0 <= j < a} as 0/1 bytes over 0..2ab - a - b.
+def _grid(p: PairParams) -> bytes:
+    """The pair's R_1 bytes (PairParams._grid_bytes), built on first use.
 
-    Each term z^(ia) of (1 + z^a + ... + z^((b-1)a)) lays out the row
-    z^(ia) * (1 + z^b + ... + z^((a-1)b)) as one strided slice.  A row landing
-    on a set byte (fewer than ab set) is a coefficient >= 2: AssertionError.
-    2ab - a - b goes through _check_bound before anything is allocated.
+    The top position 2ab - a - b goes through _check_bound on every call,
+    so the FROBGEN_MAX_BOUND ceiling in force applies, and before the first
+    call allocates anything.
     """
-    a, b = p.a, p.b
-    top = 2 * a * b - a - b
-    _check_bound(top)
-    coeffs = bytearray(top + 1)
-    width = (a - 1) * b + 1  # one row: exponents 0, b, ..., (a-1)b
-    row = b"\x01" * a
-    for start in range(0, b * a, a):
-        coeffs[start : start + width : b] = row
-    if coeffs.count(1) != a * b:
-        raise AssertionError("exactly-k polynomial has a coefficient outside {0,1}")
-    return coeffs
+    _check_bound(2 * p.a * p.b - p.a - p.b)
+    return p._grid_bytes
 
 
 def _rows(p: PairParams, length: int) -> bytearray:
@@ -296,8 +346,8 @@ def structured_r_k(p: PairParams, k: int) -> GapSet:
 
         ab(k-1) + {0, a, ..., (b-1)a} + {0, b, ..., (a-1)b}
 
-    read off _grid, which asserts that all ab sums are distinct; the result
-    is complete by construction.
+    read off the pair's _grid, which asserts that all ab sums are distinct;
+    the result is complete by construction.
     """
     if k < 1:
         raise ValueError("k must be >= 1")

@@ -15,18 +15,35 @@ numerator h(z) and cyclotomic polynomials are all built from these two.
 from __future__ import annotations
 
 from itertools import accumulate
-from operator import sub
+from operator import add, sub
 from typing import Iterable, Sequence
+
+# A factor whose residue classes hold at most this many entries each (and
+# at most a // 2) is divided block by block; see divide_binomials.
+_BLOCK_CLASS_MAX = 8
 
 
 def divide_binomials(table: list[int], exponents: Iterable[int]) -> None:
     """Divide the truncated series in place by prod (1 - z^a) over exponents.
 
     A factor with a >= len(table) is 1 below the truncation and is skipped.
+    The running sum along each residue class mod a is taken either as one
+    strided slice per class (a slice operations) or, when the classes are
+    short, as one contiguous block of a entries added to the block before
+    it (about len/a operations): the blocks win once each class holds at
+    most min(_BLOCK_CLASS_MAX, a // 2) entries, as timed over tables of 12
+    to 10^6 entries.
     """
     size = len(table)
     for a in exponents:
-        if a < size:
+        if a >= size:
+            continue
+        if size <= a * min(_BLOCK_CLASS_MAX, a // 2):
+            block = table[:a]
+            for lo in range(a, size, a):
+                block = list(map(add, table[lo : lo + a], block))
+                table[lo : lo + a] = block
+        else:
             for r in range(a):
                 table[r::a] = accumulate(table[r::a])
 

@@ -177,17 +177,23 @@ class GapSet:
     def power_sums(self, mmax: int) -> list[int]:
         """[power_sum(0), ..., power_sum(mmax)]; mmax must be >= 0.
 
-        Each row of powers is the row before times the elements, so each
-        j**m costs one multiplication.
+        Order m sums the products of the rows of powers m // 2 and
+        m - m // 2, so only the rows up to (mmax + 1) // 2 are built, each
+        the row before times the elements, and no row is built that no
+        later order reads: orders 2, 3 and 4 all come from the squares.
+        Each j**m costs one multiplication.
         """
         if mmax < 0:
             raise ValueError("m must be >= 0")
         e = self.elements
         sums = [len(e), sum(e)]
-        powers = e
-        for _ in range(mmax - 1):
-            powers = list(map(mul, powers, e))
-            sums.append(sum(powers))
+        rows = [(), e]  # rows[t] = the elements to the power t
+        for m in range(2, mmax + 1):
+            if 2 * m - 1 <= mmax:  # a later order reads this row
+                rows.append(list(map(mul, rows[-1], e)))
+                sums.append(sum(rows[m]))
+            else:
+                sums.append(sum(map(mul, rows[m // 2], rows[m - m // 2])))
         return sums[: mmax + 1]
 
     def to_json(self) -> str:

@@ -1,3 +1,4 @@
+import pickle
 from math import factorial
 
 import pytest
@@ -19,7 +20,7 @@ from frobgen.errors import NonPositive, NotCoprime, UnsupportedK
 from frobgen.genfun import p_k_poly
 from frobgen.oracle import enumerate_at_most_k, enumerate_exact_k, validate_params
 
-from helpers import coprime_pairs
+from helpers import brute_counts, coprime_pairs
 
 
 class TestPairParams:
@@ -99,6 +100,43 @@ class TestCount:
 
     def test_degenerate_ones(self):
         assert count_k(PairParams(1, 1), 3).value == 1
+
+
+class TestPairState:
+    """The pieces a PairParams keeps for every k >= 1 (the sumset's bytes
+    and power sums) give what fresh instances give, and cannot be seen."""
+
+    @given(
+        pair=st.sampled_from(coprime_pairs(20)),
+        steps=st.lists(st.tuples(st.integers(1, 6), st.integers(0, 9)), max_size=6),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_reused_instance_matches_fresh_ones(self, pair, steps):
+        # the fixed tail takes m both up and down past the row already kept
+        reused = PairParams(*pair)
+        for k, m in [*steps, (2, 3), (1, 7), (3, 0), (5, 9), (4, 2), (1, 4)]:
+            assert p_k_poly(reused, k) == p_k_poly(PairParams(*pair), k)
+            assert power_sums_k(reused, k, m) == power_sums_k(PairParams(*pair), k, m)
+            assert power_sum_k(reused, k, m) == power_sum_k(PairParams(*pair), k, m)
+
+    def test_returned_sums_are_the_callers(self):
+        pair = PairParams(3, 5)
+        power_sums_k(pair, 1, 4)[2] += 1
+        power_sums_k(pair, 2, 4)[0] = 0
+        assert power_sums_k(pair, 1, 4) == power_sums_k(PairParams(3, 5), 1, 4)
+        assert power_sum_k(pair, 1, 2).value == 2335
+
+    def test_values_unchanged_once_built(self):
+        used = PairParams(7, 5)
+        fresh = PairParams(7, 5)
+        p_k_poly(used, 3)
+        power_sums_k(used, 2, 6)
+        assert used == fresh and hash(used) == hash(fresh)
+        assert repr(used) == repr(fresh) == "PairParams(a=7, b=5)"
+        back = pickle.loads(pickle.dumps(used))
+        assert back == used and hash(back) == hash(used) and repr(back) == repr(used)
+        assert pickle.dumps(used) == pickle.dumps(fresh)
+        assert power_sums_k(back, 2, 6) == power_sums_k(used, 2, 6)
 
 
 class TestSum:
@@ -190,6 +228,24 @@ class TestAtMost:
                 assert c.value == sum(count_k(p, i).value for i in range(k + 1))
                 assert s.value == sum(sum_k(p, i).value for i in range(k + 1))
                 assert g.value == frobenius_k(p, k).value
+
+
+    @given(pair=st.sampled_from(coprime_pairs(40)))
+    @settings(max_examples=60, deadline=None)
+    def test_running_totals_of_brute_counts(self, pair):
+        a, b = pair
+        counts = brute_counts(pair, 7 * a * b)  # R_6 ends at 7ab - a - b
+        p = PairParams(a, b)
+        g_le, c_le, s_le = None, 0, 0
+        for k in range(7):
+            exact = [j for j, c in enumerate(counts) if c == k]
+            if exact:
+                g_le = max(exact) if g_le is None else max(g_le, max(exact))
+            c_le += len(exact)
+            s_le += sum(exact)
+            g, c, s = at_most_stats(p, k)
+            assert (g.value, c.value, s.value) == (g_le, c_le, s_le)
+            assert (g.stat, c.stat, s.stat) == ("g<=", "c<=", "s<=")
 
 
 class TestClosedReport:

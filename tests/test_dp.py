@@ -1,4 +1,5 @@
 from math import comb
+from unittest.mock import patch
 
 import pytest
 from hypothesis import example, given, settings
@@ -56,6 +57,39 @@ class TestBinomialSteps:
         dp.divide_binomials(work, exps)
         dp.multiply_binomials(work, exps)
         assert work == table
+
+
+    @given(
+        table=st.lists(st.integers(-(10**6), 10**6), min_size=1, max_size=200),
+        data=st.data(),
+    )
+    @example(table=list(range(870)), data=None)  # verify's (29, 30) table
+    @settings(max_examples=200, deadline=None)
+    def test_block_and_strided_paths_agree(self, table, data):
+        # exponents from 1 past the table's end, so short classes (blocks)
+        # and long ones (strided slices) both occur
+        size = len(table)
+        exps = [29, 30] if data is None else data.draw(
+            st.lists(st.integers(1, size + 2), max_size=6)
+        )
+        default = list(table)
+        dp.divide_binomials(default, exps)
+        strided = list(table)
+        with patch.object(dp, "_BLOCK_CLASS_MAX", 0):
+            dp.divide_binomials(strided, exps)
+        by_definition = list(table)
+        for a in exps:
+            for j in range(a, size):
+                by_definition[j] += by_definition[j - a]
+        assert default == strided == by_definition
+
+    def test_short_classes_take_the_block_path(self):
+        # 2 and 3 entries per class in a 92,161-entry table: no strided slice
+        table = [1] + [0] * 92_160
+        with patch.object(dp, "accumulate", side_effect=AssertionError("strided")):
+            dp.divide_binomials(table, [46_081, 30_721])
+        assert [j for j, c in enumerate(table) if c] == [0, 30_721, 46_081, 61_442, 76_802]
+        assert set(table) == {0, 1}
 
 
 class TestOverflowGuard:

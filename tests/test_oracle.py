@@ -414,6 +414,22 @@ class TestPowerSums:
         with pytest.raises(ValueError, match="m must be >= 0"):
             gs.power_sums(-1)
 
+    @pytest.mark.parametrize("mmax", range(10))
+    @given(
+        elements=st.one_of(
+            st.just(()),
+            st.integers(0, 10**4).map(lambda j: (j,)),
+            st.sets(st.integers(0, 10**4), max_size=30).map(sorted),
+        )
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_every_order_up_to_9(self, mmax, elements):
+        # orders past (mmax + 1) // 2 come from products of two built rows
+        gs = GapSet(Params((2, 3)), 0, elements, True)
+        assert gs.power_sums(mmax) == [
+            sum(j**m for j in elements) for m in range(mmax + 1)
+        ]
+
 
 class TestSweepAgainstBruteForce:
     @pytest.mark.parametrize("a,b", coprime_pairs(12))
