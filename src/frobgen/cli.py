@@ -50,13 +50,13 @@ from frobgen.genfun import (
 from frobgen.intpoly import IntPoly, cyclotomic
 from frobgen.oracle import (
     GapSet,
+    Params,
     _check_bound,
     enumerate_at_most_k,
     enumerate_by_count,
     enumerate_exact_k,
     oracle_report,
     rep_table,
-    validate_params,
 )
 from frobgen.report import AT_MOST_STATS
 
@@ -87,7 +87,7 @@ def cmd_compute(args: argparse.Namespace) -> int:
     stat = STATS[args.stat]
     if args.m is not None and stat != "s^m":
         raise ValidationError("--m is only read with --stat sm")
-    params = validate_params(args.params)
+    params = Params(args.params)
     if stat == "s^m":
         if args.m is None:
             raise ValidationError("--stat sm requires --m")
@@ -113,7 +113,7 @@ def cmd_compute(args: argparse.Namespace) -> int:
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
-    params = validate_params(args.params)
+    params = Params(args.params)
     fn = enumerate_at_most_k if args.at_most else enumerate_exact_k
     gs: GapSet = fn(params, args.k, args.bound)
     if args.format == "json":
@@ -135,7 +135,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 
 def cmd_classify(args: argparse.Namespace) -> int:
     # Rows are formatted straight into the output text, with no object per row.
-    params = validate_params(args.params)
+    params = Params(args.params)
     counts = rep_table(params, args.bound)
     if args.format == "json":
         write = sys.stdout.write
@@ -179,7 +179,7 @@ def cmd_genfun(args: argparse.Namespace) -> int:
         return 0
     if args.params is None:
         raise ValidationError("--params is required unless --cyclotomic is used")
-    params = validate_params(args.params)
+    params = Params(args.params)
     if args.numerator:
         _emit_poly(numerator_h(params), args.format)
         return 0
@@ -295,7 +295,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     _check_bound(args.mmax)
     workers = min(args.workers, os.cpu_count() or 1)
     if args.params is not None:
-        params = validate_params(args.params)
+        params = Params(args.params)
         if params.n != 2:
             raise WrongArity(2, params.n)
         pairs = [tuple(params.denominations)]

@@ -9,20 +9,21 @@ sums all have closed forms:
     s_0 = (a-1)(b-1)(2ab-a-b-1)/12        (Brown--Shiue)
     s_k = ab(2abk - a - b)/2              for k >= 1
 
-and for k >= 1 the power sum of order m is a trinomial convolution of the
-sums S_i(x) = sum_{j<x} j^i at x = a and x = b (see power_sum_k), which
-power_sums_below gets by Pascal's identity; power_sums_k gives every order
-up to m as one list.  Every other statistic comes as a StatReport with
-closed-form provenance; g, c and s (exactly-k and at-most-k alike) each
-come from one integer formula.  All arithmetic is in integers; each
+and for k >= 1 the exactly-k set is the sumset of {ia : b(k-1) <= i < bk}
+and {jb : 0 <= j < a}, so its power sum of order m is one binomial sum of
+theirs (see power_sum_k).  Both come from the sums S_i(x) = sum_{j<x} j^i,
+which power_sums_below gets by Pascal's identity; power_sums_k gives every
+order up to m as one list.  Every other statistic comes as a StatReport
+with closed-form provenance; g, c and s (exactly-k and at-most-k alike)
+each come from one integer formula.  All arithmetic is in integers; each
 division is exact and checked by _exact_div.  Every two-coin set is read
 off one of the two product forms, laid out as 0/1 bytes by _grid and
 _rows.
 
-Every exactly-k set with k >= 1 is the one sumset {ia + jb} translated by
-ab(k-1), so a PairParams keeps what they share: the sumset's 0/1 bytes
-and its power sums, each computed on first use and reused for every k.
-Only the translate is computed per k.
+Every exactly-k set with k >= 1 is also the one sumset {ia + jb} translated
+by ab(k-1), so a PairParams keeps what they share: the sumset's 0/1 bytes
+and its power sums, each computed on first use and reused for every k by
+_grid and power_sums_k.  Only the translate is computed per k.
 """
 from __future__ import annotations
 
@@ -30,7 +31,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate, compress, repeat
 from math import comb
-from operator import add, mul
+from operator import add, mul, sub
 
 from frobgen.errors import UnsupportedK
 from frobgen.oracle import GapSet, Params, _check_bound
@@ -181,14 +182,17 @@ def _powers(x: int, m: int) -> list[int]:
     return list(accumulate(repeat(x, m), mul, initial=1))
 
 
-def _grid_power_sums(p: PairParams, m: int) -> tuple[list[int], list[int]]:
-    """Power sums of orders 0..m of {ia : 0 <= i < b} and of {jb : 0 <= j < a}.
+def _grid_power_sums(p: PairParams, m: int, k: int = 1) -> tuple[list[int], list[int]]:
+    """Power sums of orders 0..m of {ia : b(k-1) <= i < bk} and of
+    {jb : 0 <= j < a}, whose sumset is the exactly-k set for k >= 1.
 
-    The order-t sum of the first is a^t S_t(b), of the second b^t S_t(a).
+    The order-t sum of the first is a^t (S_t(bk) - S_t(b(k-1))), of the
+    second b^t S_t(a).
     """
     a, b = p.a, p.b
+    s_i = map(sub, power_sums_below(b * k, m), power_sums_below(b * (k - 1), m))
     return (
-        list(map(mul, _powers(a, m), power_sums_below(b, m))),
+        list(map(mul, _powers(a, m), s_i)),
         list(map(mul, _powers(b, m), power_sums_below(a, m))),
     )
 
@@ -240,20 +244,15 @@ def power_sums_k(p: PairParams, k: int, m: int) -> list[int]:
 def power_sum_k(p: PairParams, k: int, m: int) -> StatReport:
     """Power sum of order m over the exactly-k set, for k >= 1:
 
-        sum_{l+u+v=m} multinomial(m; l,u,v) a^(l+u) b^(l+v) (k-1)^l
-                      * S_v(a) * S_u(b)
+        sum_t C(m, t) a^t (S_t(bk) - S_t(b(k-1))) b^(m-t) S_(m-t)(a)
 
-    with the convention 0^0 = 1 in the (k-1)^l factor, which the k = 1 case
-    requires.  This is the m-th power sum of the translate
-    ab(k-1) + {ia + jb : 0 <= i < b, 0 <= j < a}, expanded by the
-    multinomial theorem.  For k = 1 only order m is computed, one binomial
-    sum over the power sums of {ia} and {jb}: m + 1 products, where every
-    order up to m would cost O(m^2) products of large integers.  For k >= 2
-    the translate mixes the sumset's sums of every order up to m, which the
-    PairParams keeps, in one binomial sum with the powers of ab(k-1).
-    power_sums_k gives every order at once.  k = 0 with m <= 1 is the count
-    or the sum; k = 0 with m >= 2 is refused: a closed form exists (Rodseth
-    1994; Tuenter 2006) but is not implemented.
+    The set is the sumset {ia : b(k-1) <= i < bk} + {jb : 0 <= j < a}, all
+    ab sums distinct, and this is the binomial theorem over it: the order-t
+    sums of the two sets are a^t (S_t(bk) - S_t(b(k-1))) and b^t S_t(a).
+    Only order m is summed, in m + 1 products; power_sums_k gives every
+    order at once.  k = 0 with m <= 1 is the count or the sum; k = 0 with
+    m >= 2 is refused: a closed form exists (Rodseth 1994; Tuenter 2006)
+    but is not implemented.
     """
     if k < 0 or m < 0:
         raise ValueError("k and m must be >= 0")
@@ -265,11 +264,7 @@ def power_sum_k(p: PairParams, k: int, m: int) -> StatReport:
         else:
             raise UnsupportedK(k, m)
         return StatReport("s^m", p.pair, k, value, m=m, provenance=CLOSED_FORM)
-    if k == 1:
-        total = _binomial_term(*_grid_power_sums(p, m), m)
-    else:
-        sumset = p._sumset_power_sums(m)
-        total = _binomial_term(sumset, _powers(p.a * p.b * (k - 1), m), m)
+    total = _binomial_term(*_grid_power_sums(p, m, k), m)
     return StatReport("s^m", p.pair, k, total, m=m, provenance=CLOSED_FORM)
 
 

@@ -9,11 +9,10 @@ from __future__ import annotations
 
 import json
 import os
-import sys
 from dataclasses import dataclass
 from itertools import chain, compress, islice, repeat
 from math import factorial, gcd, prod
-from operator import lt, mul
+from operator import add, lshift, lt, mul
 from typing import Iterable, Iterator
 
 from frobgen import dp
@@ -291,7 +290,6 @@ def _window_floor(coins: list[int], k: int) -> int | None:
 
 BLOCK = 1 << 10  # counts per block after the first
 FIRST_MAX = 1 << 13  # the first block's most counts
-FORMATS = {8: "B", 16: "H", 32: "I", 64: "Q"}  # memoryview.cast of a field
 FLIP = bytes.maketrans(b"\0\x80", b"\x80\0")
 
 
@@ -337,8 +335,9 @@ def _stream(
     sets the top bit of those >= K and carries into none; the clamp runs
     only when some top bit is set, since it is the identity otherwise.  The
     test of each count against k reaches Python as one byte per j, the top
-    byte of each field.  `split` alone rounds w up to a power of two, the
-    field widths memoryview.cast can read.
+    byte of each field.  `split` reads each kept count, which is <= k, from
+    the same little-endian bytes of the clamped block: its field's low byte,
+    plus one byte plane more for each further byte that k needs (k >= 256).
 
     The first block reaches Sum a_i past `floor`, where most windows
     close, but holds at most FIRST_MAX counts: a longer block needs more
@@ -359,9 +358,6 @@ def _stream(
     longest = min(max(first, BLOCK), cap + 1)
     spread = K * (-(-longest // steps[0]) + 1)
     wb = (spread.bit_length() + 8) // 8  # the fewest bytes with spread < 2^(8 wb - 1)
-    if split:  # memoryview.cast reads fields of 1, 2, 4 or 8 bytes only
-        wb = 1 << (wb - 1).bit_length()
-        assert wb <= 8, "kmax + 1 lists cannot exist at this width"
     w = 8 * wb
     found: list = [[] for _ in range(K)] if split else []
     tails = [bytearray(a * wb) for a in steps]
@@ -399,12 +395,11 @@ def _stream(
             lo = len(kept) - len(kept.lstrip(b"\0"))
             js = range(j0 + lo, j0 + len(kept))
             if split:
-                counts = memoryview(x.to_bytes(bits // 8, sys.byteorder)).cast(
-                    FORMATS[w]
-                )
-                if sys.byteorder == "big":  # the last field comes first
-                    counts = counts[::-1]
-                for j, c in compress(zip(js, counts[lo:]), kept[lo:]):
+                fields = x.to_bytes(bits // 8, "little")[lo * wb :]
+                counts = fields[::wb]
+                for p in range(1, -(-k.bit_length() // 8)):
+                    counts = map(add, counts, map(lshift, fields[p::wb], repeat(8 * p)))
+                for j, c in compress(zip(js, counts), kept[lo:]):
                     found[c].append(j)
             else:  # read once, into the tuple returned
                 found.append(compress(js, kept[lo:]))
@@ -444,10 +439,11 @@ def enumerate_by_count(params: Params, kmax: int) -> list[GapSet]:
 
     The scan is the one behind enumerate_at_most_k(params, kmax), split by
     count: it files every element it collects under its count alone, and
-    those lists are the exactly-k sets.  The at-most-k set is the disjoint
-    union of exact[0..k], so none is built: kmax + 1 GapSets in all.  The
-    scan's window of a_1 counts > kmax also certifies every smaller k, so
-    every set is complete.  The FROBGEN_MAX_BOUND cap and its refusal before
+    those lists are the exactly-k sets.  Each count is read from the scan's
+    own fields, one byte plane per byte of kmax.  The at-most-k set is the
+    disjoint union of exact[0..k], so none is built: kmax + 1 GapSets in
+    all.  The scan's window of a_1 counts > kmax also certifies every
+    smaller k, so every set is complete.  The FROBGEN_MAX_BOUND cap and its refusal before
     the scan apply at kmax; the kmax + 1 per-count lists are allocated only
     after that refusal check.
     """

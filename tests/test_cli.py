@@ -784,7 +784,7 @@ class TestFlagCombinations:
         def no_work(*_args, **_kwargs):
             raise AssertionError("work done before the flag check")
 
-        for name in ("validate_params", "closed_report", "enumerate_exact_k",
+        for name in ("Params", "closed_report", "enumerate_exact_k",
                      "enumerate_at_most_k"):
             monkeypatch.setattr(cli, name, no_work)
         code = main(["compute", *args])

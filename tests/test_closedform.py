@@ -153,8 +153,8 @@ class TestPowerSum:
         assert power_sum_k(PairParams(3, 5), 1, m).value == expected
 
     def test_hand_checked_terms(self):
-        # k=1 kills every term with a (k-1) factor; the three survivors are
-        # a^2 b1(a) b3(b), 2ab b2(a) b2(b), b^2 b3(a) b1(b) = 810 + 900 + 625
+        # the binomial terms t = 2, 1, 0 of power_sum_k at k = 1:
+        # a^2 S_2(b) S_0(a), 2 a S_1(b) b S_1(a), S_0(b) b^2 S_2(a) = 810 + 900 + 625
         assert power_sum_k(PairParams(3, 5), 1, 2).value == 810 + 900 + 625
 
     def test_k0_delegates_for_small_m(self):
@@ -197,6 +197,13 @@ class TestPowerSumHighOrders:
 
 
 class TestPowerSumsTable:
+    @given(st.sampled_from(coprime_pairs(40)), st.integers(1, 8), st.integers(0, 12))
+    @settings(max_examples=80, deadline=None)
+    def test_single_order_is_the_tables(self, pair, k, m):
+        # power_sum_k's one binomial sum against power_sums_k's convolutions
+        p = PairParams(*pair)
+        assert power_sum_k(p, k, m).value == power_sums_k(p, k, m)[m]
+
     def test_order_is_immaterial(self):
         assert power_sums_k(PairParams(5, 3), 2, 6) == power_sums_k(PairParams(3, 5), 2, 6)
 

@@ -706,16 +706,27 @@ class TestEnumerateByCount:
             ((7, 11), 200),
             ((7, 1500), 3),
             ((2, 4, 6, 8, 10001), 3),
-            ((3, 5), 300),  # 3-byte fields would do; memoryview.cast reads 4
+            ((3, 5), 300),  # 3-byte fields; counts span two byte planes
+            ((2, 3), 70000),  # 4-byte fields; counts span three byte planes
         ],
     )
     def test_sets_across_blocks(self, denoms, kmax):
         exact = enumerate_by_count(validate_params(list(denoms)), kmax)
         at_most = _rep_reference(denoms, kmax, True)[0]
         counts = dp.rep_counts(denoms, at_most[-1])
-        for k, gs in enumerate(exact):
-            assert gs.complete
-            assert gs.elements == tuple(j for j in at_most if counts[j] == k)
+        by_count = [[] for _ in range(kmax + 1)]
+        for j in at_most:
+            by_count[counts[j]].append(j)
+        assert all(gs.complete for gs in exact)
+        assert [gs.elements for gs in exact] == list(map(tuple, by_count))
+
+    @pytest.mark.parametrize("denoms", [(3, 5), (2, 7), (2, 3, 5)])
+    def test_counts_across_the_byte_plane_edge(self, denoms):
+        # kmax 255 reads one byte plane of counts, 256 two
+        params = validate_params(list(denoms))
+        per_k = [enumerate_exact_k(params, k) for k in range(258)]
+        for kmax in range(254, 258):
+            assert enumerate_by_count(params, kmax) == per_k[: kmax + 1]
 
     @pytest.mark.parametrize("denoms", [(2, 3), (3, 5), (5, 7, 9), (4, 6, 9)])
     @pytest.mark.parametrize("kmax", [0, 1, 5])
