@@ -29,7 +29,7 @@ import sys
 from functools import cache
 from itertools import repeat
 from math import gcd
-from typing import Iterable
+from typing import Iterable, Iterator, Sequence
 
 from frobgen.closedform import (
     PairParams,
@@ -78,6 +78,55 @@ def _emit_json(obj) -> None:
 def _emit_csv(header: str, rows: Iterable[str]) -> None:
     """The header line, then one line per row; each row is already comma-joined."""
     print("\n".join([header, *rows]))
+
+
+# A table's rows are written in runs of this many decades, so its whole text
+# never exists at once.
+_RUN_DECADES = 4096
+
+
+def _decade_rows(
+    row: str, sep: str, values: Sequence, uses: int = 1, pad: int = 0
+) -> Iterator[str]:
+    """sep.join(row % (str(j).rjust(pad), *[v] * uses) for j, v in
+    enumerate(values)), in pieces whose concatenation is that text.
+
+    row's first %s takes j and each later one v.  Rows 10q..10q+9 all
+    start with str(q) and end in the digits 0-9, so one template per decade
+    writes ten rows in one % call: each row's last digit is in the template,
+    and the decade's prefix is str(q) right-justified to pad - 1 (pad - 1
+    spaces at q = 0).  The values are converted by %s itself.  The last
+    len(values) % 10 rows are written one per row.  A piece holds at most
+    _RUN_DECADES decades, and each piece after the first starts with sep.
+    """
+    head, tail = row.split("%s", 1)
+    decade = sep.join(f"{head}%s{d}{tail}" for d in range(10))
+    prefix = f"%{pad - 1}d".__mod__ if pad > 1 else str
+    full = len(values) // 10
+    lead = ""
+    for q0 in range(0, full, _RUN_DECADES):
+        q1 = min(q0 + _RUN_DECADES, full)
+        prefixes = list(map(prefix, range(q0, q1)))
+        if q0 == 0:
+            prefixes[0] = " " * (pad - 1)
+        # row d of each decade takes its prefix, then its value uses times
+        slots = []
+        for d in range(10):
+            slots += [prefixes, *[values[10 * q0 + d : 10 * q1 : 10]] * uses]
+        yield lead + sep.join(map(decade.__mod__, zip(*slots)))
+        lead = sep
+    rest = [
+        row % (str(j).rjust(pad), *[values[j]] * uses) for j in range(10 * full, len(values))
+    ]
+    if rest:
+        yield lead + sep.join(rest)
+
+
+def _write_rows(head: str, pieces: Iterable[str], end: str) -> None:
+    out = sys.stdout
+    out.write(head)
+    out.writelines(pieces)
+    out.write(end)
 
 
 # -- compute -----------------------------------------------------------------
@@ -134,20 +183,18 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def cmd_classify(args: argparse.Namespace) -> int:
-    # Rows are formatted straight into the output text, with no object per row.
+    # Rows are formatted ten at a time straight into the output text.
     params = Params(args.params)
     counts = rep_table(params, args.bound)
     if args.format == "json":
-        write = sys.stdout.write
         denoms = ",".join(map(str, params.denominations))
-        write(f'{{"params":[{denoms}],"bound":{args.bound},"rows":[')
-        write(",".join([f'{{"j":{j},"count":"{c}","k":"{c}"}}' for j, c in enumerate(counts)]))
-        write("]}\n")
+        rows = _decade_rows('{"j":%s,"count":"%s","k":"%s"}', ",", counts, uses=2)
+        _write_rows(f'{{"params":[{denoms}],"bound":{args.bound},"rows":[', rows, "]}\n")
     elif args.format == "csv":
-        _emit_csv("j,count,k", [f"{j},{c},{c}" for j, c in enumerate(counts)])
+        _write_rows("j,count,k\n", _decade_rows("%s,%s,%s", "\n", counts, uses=2), "\n")
     else:
         width = max(len(str(args.bound)), 1)
-        print("\n".join([f"{str(j).rjust(width)}  r={c}" for j, c in enumerate(counts)]))
+        _write_rows("", _decade_rows("%s  r=%s", "\n", counts, pad=width), "\n")
     return 0
 
 
@@ -203,7 +250,7 @@ def cmd_genfun(args: argparse.Namespace) -> int:
         if args.format == "json":
             print(series.to_json())
         elif args.format == "csv":
-            _emit_csv("j,bit", [f"{j},{b}" for j, b in enumerate(series.to_bitstring())])
+            _write_rows("j,bit\n", _decade_rows("%s,%s", "\n", series.to_bitstring()), "\n")
         else:
             print(series.to_bitstring())
         return 0

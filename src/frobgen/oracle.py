@@ -196,14 +196,13 @@ class GapSet:
         return sums[: mmax + 1]
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "params": list(self.params.denominations),
-                "k": self.k,
-                "complete": self.complete,
-                "elements": [str(j) for j in self.elements],
-            },
-            separators=(",", ":"),
+        """Compact JSON with the elements as decimal strings, written directly."""
+        params = ",".join(map(str, self.params.denominations))
+        elements = '"%s"' % '","'.join(map(str, self.elements)) if self.elements else ""
+        complete = "true" if self.complete else "false"
+        return (
+            f'{{"params":[{params}],"k":{self.k},"complete":{complete},'
+            f'"elements":[{elements}]}}'
         )
 
     @classmethod

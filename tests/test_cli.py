@@ -8,8 +8,11 @@ from dataclasses import replace
 from itertools import chain, combinations
 from math import gcd
 from pathlib import Path
+from unittest.mock import patch
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from frobgen import cli, oracle
 from frobgen.cli import main
@@ -518,6 +521,58 @@ class TestClassify:
         )
         text = out.strip()
         assert json.dumps(json.loads(text), separators=(",", ":")) == text
+
+
+def decade_text(row, sep, values, uses=1, pad=0, run=None):
+    """cli._decade_rows's pieces joined, with its run length set to `run`."""
+    with patch.object(cli, "_RUN_DECADES", run or cli._RUN_DECADES):
+        return "".join(cli._decade_rows(row, sep, values, uses, pad))
+
+
+class TestDecadeRows:
+    @settings(max_examples=300)
+    @given(
+        values=st.one_of(
+            st.lists(st.integers(min_value=-(10**30), max_value=10**30), max_size=250),
+            st.text(alphabet="01", max_size=250),
+        ),
+        pad=st.integers(min_value=0, max_value=6),
+        uses=st.integers(min_value=1, max_value=2),
+        sep=st.sampled_from(["\n", ","]),
+        run=st.sampled_from([None, 1, 2, 3]),
+    )
+    def test_equals_one_f_string_per_row(self, values, pad, uses, sep, run):
+        # run None keeps the default length; 1-3 decades split 250 rows into
+        # up to 25 pieces, each after the first led by sep
+        expected = sep.join(
+            f"<{str(j).rjust(pad)}" + f"|{v}" * uses + ">" for j, v in enumerate(values)
+        )
+        row = "<%s" + "|%s" * uses + ">"
+        assert decade_text(row, sep, values, uses, pad, run) == expected
+
+    @pytest.mark.parametrize("run", [None, 1, 7])
+    @pytest.mark.parametrize("n", [1, 9, 10, 11, 99, 100, 101, 1234])
+    def test_the_callers_rows(self, n, run):
+        # the four row shapes cmd_classify and genfun --indicator write
+        counts = [(j * j) % 1001 for j in range(n)]
+        bits = "".join(str(j % 3 % 2) for j in range(n))
+        width = len(str(n - 1))
+        cases = [
+            ('{"j":%s,"count":"%s","k":"%s"}', ",", counts, 2, 0,
+             [f'{{"j":{j},"count":"{c}","k":"{c}"}}' for j, c in enumerate(counts)]),
+            ("%s,%s,%s", "\n", counts, 2, 0, [f"{j},{c},{c}" for j, c in enumerate(counts)]),
+            ("%s  r=%s", "\n", counts, 1, width,
+             [f"{str(j).rjust(width)}  r={c}" for j, c in enumerate(counts)]),
+            ("%s,%s", "\n", bits, 1, 0, [f"{j},{b}" for j, b in enumerate(bits)]),
+        ]
+        for row, sep, values, uses, pad, rows in cases:
+            assert decade_text(row, sep, values, uses, pad, run) == sep.join(rows)
+
+    def test_runs_of_whole_decades(self):
+        pieces = list(cli._decade_rows("%s,%s", "\n", range(10 * cli._RUN_DECADES * 2 + 3)))
+        assert len(pieces) == 3
+        assert pieces[1].startswith("\n") and pieces[2].startswith("\n")
+        assert pieces[0].count("\n") == 10 * cli._RUN_DECADES - 1
 
 
 class TestGenfun:
@@ -1068,6 +1123,34 @@ class TestGoldenOutput:
                  "20"),
                 "b5b644fc550fec16884c31f68449fc7b5a57044564e2c6f27e6f2a4510b705c3",
                 id="indicator-plain-huge-pair",
+            ),
+            # j runs through the 10/100/1000 prefix widths of the decade rows
+            pytest.param(
+                ("classify", "--params", "3,5,7", "--bound", "1234"),
+                "e69b6230dec4244ae1f53ffcd12bf5045d75c4234d0d524fc0ce013a4e09e65c",
+                id="classify-plain-3-5-7-1234",
+            ),
+            pytest.param(
+                ("classify", "--params", "3,5,7", "--bound", "1234", "--format", "csv"),
+                "8247fca78d14345faae23eb3b63e4640d91c30146fdd7f61f02f5992bf01f444",
+                id="classify-csv-3-5-7-1234",
+            ),
+            pytest.param(
+                ("classify", "--params", "3,5,7", "--bound", "1234", "--format", "json"),
+                "4387ee25393233b5ba7678906e84446fa1e0bb4f622c45a19614a9c97b115e30",
+                id="classify-json-3-5-7-1234",
+            ),
+            pytest.param(
+                ("genfun", "--params", "3,5", "--indicator", "--k", "1", "--bound", "1234",
+                 "--format", "csv"),
+                "ad82c06266e90c25ff02e4514aef678faf3dcf3ea993c844eb7d56cea3e907ff",
+                id="indicator-csv-3-5-k1-1234",
+            ),
+            # 12,346 decades: three runs of rows, the last one short
+            pytest.param(
+                ("classify", "--params", "3,5,7", "--bound", "123457", "--format", "json"),
+                "abe944a69d96a11ed728db7f5daf387febd5b490ebc16ef683ed8b6ece23b1ac",
+                id="classify-json-3-5-7-three-runs",
             ),
             pytest.param(
                 ("genfun", "--cyclotomic", "2310", "--format", "json"),

@@ -1,7 +1,8 @@
+import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import frobgen
@@ -214,6 +215,15 @@ class TestSerialization:
     def test_json_big_coefficients(self):
         p = IntPoly({3: 10**40, 0: -(10**45)})
         assert IntPoly.from_json(p.to_json()) == p
+
+    @given(polys)
+    @example(IntPoly())
+    @example(IntPoly({0: -1, 4: -7}))
+    @example(IntPoly({0: -(10**299) - 3, 2: 10**299, 300: 7 * 10**299}))
+    def test_json_is_the_json_dumps_form(self, p):
+        # to_json writes its text directly; json.dumps gives the same bytes
+        dumped = json.dumps({"terms": [[e, str(c)] for e, c in p.terms()]}, separators=(",", ":"))
+        assert p.to_json() == dumped
 
 
 class TestInvariants:

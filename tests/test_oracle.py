@@ -1,3 +1,4 @@
+import json
 import os
 import tracemalloc
 from functools import reduce
@@ -6,7 +7,7 @@ from math import gcd
 from unittest.mock import patch
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from frobgen import dp, oracle
@@ -327,6 +328,29 @@ class TestGapSetSerialization:
         gs = enumerate_exact_k(validate_params([3, 5]), 1)
         text = gs.to_json()
         assert GapSet.from_json(text).to_json() == text
+
+    @given(
+        params=st.sampled_from([(3, 5), (1,), (6, 10, 15), (2, 3, 5, 7)]),
+        k=st.integers(min_value=0, max_value=10**40),
+        elements=st.lists(st.integers(min_value=0, max_value=10**40), unique=True),
+        complete=st.booleans(),
+    )
+    @example(params=(3, 5), k=0, elements=[], complete=True)
+    @example(params=(3, 5), k=0, elements=[], complete=False)
+    @example(params=(2, 3), k=10**299, elements=[7, 10**299, 10**300 - 1], complete=True)
+    def test_json_is_the_json_dumps_form(self, params, k, elements, complete):
+        # to_json writes its text directly; json.dumps gives the same bytes
+        gs = GapSet(Params(params), k, sorted(elements), complete)
+        dumped = json.dumps(
+            {
+                "params": list(gs.params.denominations),
+                "k": gs.k,
+                "complete": gs.complete,
+                "elements": [str(j) for j in gs.elements],
+            },
+            separators=(",", ":"),
+        )
+        assert gs.to_json() == dumped
 
     def test_csv(self):
         gs = enumerate_exact_k(validate_params([3, 5]), 0)
