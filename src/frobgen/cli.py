@@ -42,6 +42,7 @@ from frobgen.closedform import (
 )
 from frobgen.errors import FrobgenError, ValidationError, WrongArity
 from frobgen.genfun import (
+    _BIT_DIGITS,
     denham_term_count,
     numerator_h,
     p_k_poly,
@@ -75,13 +76,8 @@ def _emit_json(obj) -> None:
     print(json.dumps(obj, separators=(",", ":")))
 
 
-def _emit_csv(header: str, rows: Iterable[str]) -> None:
-    """The header line, then one line per row; each row is already comma-joined."""
-    print("\n".join([header, *rows]))
-
-
-# A table's rows are written in runs of this many decades, so its whole text
-# never exists at once.
+# A table's rows are written in runs of this many decades (ten times as many
+# rows), so its whole text never exists at once.
 _RUN_DECADES = 4096
 
 
@@ -120,6 +116,49 @@ def _decade_rows(
     ]
     if rest:
         yield lead + sep.join(rest)
+
+
+def _digit_column(lo: int, hi: int, v: int) -> bytes:
+    """The digit at place value v of each j in lo..hi-1, as ASCII.
+
+    Over j it is the period b"0" * v + b"1" * v + ... + b"9" * v, repeated
+    and cut at lo % 10v.  When lo..hi-1 meets at most ten runs of one digit,
+    those runs are cut to it instead, so no buffer built here holds more
+    than about 3(hi - lo) bytes, whatever v.
+    """
+    q0, q1 = lo // v, (hi - 1) // v
+    if q1 - q0 < 10:
+        return b"".join(
+            (b"%d" % (q % 10)) * (min(hi, q * v + v) - max(lo, q * v)) for q in range(q0, q1 + 1)
+        )
+    period = b"".join((b"%d" % d) * v for d in range(10))
+    start = lo % (10 * v)
+    return (period * ((start + hi - lo) // (10 * v) + 1))[start : start + hi - lo]
+
+
+def _bit_rows(bits: bytes) -> Iterator[str]:
+    """"".join(f"{j},{b}\n" for j, b in enumerate(bits)) for 0/1 bytes bits,
+    in pieces whose concatenation is that text.
+
+    Every row of one digit band of j (0-9, 10-99, ...) has the same width,
+    so a piece of a band starts as one bytearray of a repeated row, and each
+    digit place of j (_digit_column) and the bit column, bits as ASCII, is
+    written by one strided slice copy.  A band is cut into pieces of at most
+    10 * _RUN_DECADES rows.
+    """
+    n, run = len(bits), 10 * _RUN_DECADES
+    band, width = 0, 1
+    while band < n:
+        band_end = min(10**width, n)
+        stride = width + 3  # width digits, ",", the bit, "\n"
+        for lo in range(band, band_end, run):
+            hi = min(lo + run, band_end)
+            rows = bytearray(b"0" * width + b",0\n") * (hi - lo)
+            for place in range(width):
+                rows[width - 1 - place :: stride] = _digit_column(lo, hi, 10**place)
+            rows[width + 1 :: stride] = bits[lo:hi].translate(_BIT_DIGITS)
+            yield rows.decode("ascii")
+        band, width = band_end, width + 1
 
 
 def _write_rows(head: str, pieces: Iterable[str], end: str) -> None:
@@ -175,7 +214,8 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
             f"# params={','.join(map(str, params))} {kind} k={args.k} "
             f"count={len(gs)} complete={str(gs.complete).lower()}"
         )
-        print(" ".join(str(j) for j in gs.elements) if gs.elements else "(empty)")
+        n = len(gs.elements)
+        print(("%s " * n)[:-1] % gs.elements if n else "(empty)")
     return 0
 
 
@@ -205,7 +245,7 @@ def _emit_poly(poly: IntPoly, fmt: str) -> None:
     if fmt == "json":
         print(poly.to_json())
     elif fmt == "csv":
-        _emit_csv("exp,coeff", [f"{e},{c}" for e, c in poly.terms()])
+        sys.stdout.write(poly.to_csv())
     else:
         print(poly.to_text())
 
@@ -250,7 +290,7 @@ def cmd_genfun(args: argparse.Namespace) -> int:
         if args.format == "json":
             print(series.to_json())
         elif args.format == "csv":
-            _write_rows("j,bit\n", _decade_rows("%s,%s", "\n", series.to_bitstring()), "\n")
+            _write_rows("j,bit\n", _bit_rows(series.bits), "")
         else:
             print(series.to_bitstring())
         return 0

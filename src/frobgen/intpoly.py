@@ -16,6 +16,7 @@ All arithmetic is exact; there is no floating-point path anywhere.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from itertools import compress
 from typing import Iterable, Mapping
 
@@ -181,6 +182,10 @@ class IntPoly:
     def to_text(self) -> str:
         """Canonical text form, terms in increasing exponent order.
 
+        A nonzero 0/1 polynomial is written by one % call over a repeated
+        "z^%s + " template, after "1 + " and "z + " for exponents 0 and 1;
+        any other goes term by term through _terms_text.
+
         >>> IntPoly({1: 1, 2: 1, 4: 1, 7: 1}).to_text()
         'z + z^2 + z^4 + z^7'
         >>> IntPoly({0: -2, 3: 1}).to_text()
@@ -188,16 +193,43 @@ class IntPoly:
         >>> IntPoly().to_text()
         '0'
         """
+        if self._terms and self.is_zero_one():
+            exps = self.support()
+            low = bisect_left(exps, 2)  # exponents 0 and 1 print as 1 and z
+            head = "".join([("1 + ", "z + ")[e] for e in exps[:low]])
+            return (head + ("z^%s + " * (len(exps) - low)) % exps[low:])[:-3]
         return _terms_text(sorted(self._terms.items()), "z")
 
     def to_json(self) -> str:
         """JSON form with coefficients as decimal strings (arbitrary precision
-        survives any JSON parser), written directly: one % call per term.
+        survives any JSON parser), written directly: a nonzero 0/1
+        polynomial by one % call over a repeated '[%s,"1"],' template, any
+        other by one % call per term.
 
         >>> IntPoly({0: 1, 3: -2}).to_json()
         '{"terms":[[0,"1"],[3,"-2"]]}'
+        >>> IntPoly({0: 1, 3: 1}).to_json()
+        '{"terms":[[0,"1"],[3,"1"]]}'
         """
+        if self._terms and self.is_zero_one():
+            exps = self.support()
+            return '{"terms":[' + ('[%s,"1"],' * len(exps))[:-1] % exps + "]}"
         return '{"terms":[' + ",".join(map('[%d,"%d"]'.__mod__, self.terms())) + "]}"
+
+    def to_csv(self) -> str:
+        """The line exp,coeff, then one line per term in increasing exponent
+        order: a nonzero 0/1 polynomial by one % call over a repeated "%s,1"
+        line, any other by one % call per term.
+
+        >>> print(IntPoly({0: 1, 3: -2}).to_csv(), end="")
+        exp,coeff
+        0,1
+        3,-2
+        """
+        if self._terms and self.is_zero_one():
+            exps = self.support()
+            return "exp,coeff\n" + ("%s,1\n" * len(exps)) % exps
+        return "exp,coeff\n" + "".join(map("%d,%d\n".__mod__, self.terms()))
 
     @classmethod
     def from_json(cls, text: str) -> IntPoly:

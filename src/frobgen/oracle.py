@@ -196,9 +196,11 @@ class GapSet:
         return sums[: mmax + 1]
 
     def to_json(self) -> str:
-        """Compact JSON with the elements as decimal strings, written directly."""
+        """Compact JSON with the elements as decimal strings, written
+        directly: the elements by one % call over a repeated '"%s",'
+        template."""
         params = ",".join(map(str, self.params.denominations))
-        elements = '"%s"' % '","'.join(map(str, self.elements)) if self.elements else ""
+        elements = ('"%s",' * len(self.elements))[:-1] % self.elements
         complete = "true" if self.complete else "false"
         return (
             f'{{"params":[{params}],"k":{self.k},"complete":{complete},'
@@ -216,8 +218,8 @@ class GapSet:
         )
 
     def to_csv(self) -> str:
-        """One element per line."""
-        return "".join(f"{j}\n" for j in self.elements)
+        """One element per line, by one % call over a repeated "%s" line."""
+        return ("%s\n" * len(self.elements)) % self.elements
 
 
 def _scan(

@@ -1,9 +1,11 @@
 import concurrent.futures
 import hashlib
+import io
 import json
 import subprocess
 import sys
 import tracemalloc
+from contextlib import redirect_stdout
 from dataclasses import replace
 from itertools import chain, combinations
 from math import gcd
@@ -11,7 +13,7 @@ from pathlib import Path
 from unittest.mock import patch
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from frobgen import cli, oracle
@@ -463,6 +465,17 @@ class TestEnumerate:
         text = out.strip()
         assert json.dumps(json.loads(text), separators=(",", ":")) == text
 
+    @given(elements=st.lists(st.integers(min_value=0, max_value=10**40), unique=True))
+    @example(elements=[])
+    @example(elements=[0])
+    def test_plain_line_is_the_join_form(self, elements):
+        gs = oracle.GapSet(oracle.Params((3, 5)), 0, sorted(elements), False)
+        out = io.StringIO()
+        with patch.object(cli, "enumerate_exact_k", return_value=gs), redirect_stdout(out):
+            assert main(["enumerate", "--params", "3,5"]) == 0
+        line = " ".join(str(j) for j in gs.elements) if gs.elements else "(empty)"
+        assert out.getvalue().split("\n")[1:] == [line, ""]
+
     def test_csv_one_element_per_line(self, capsys):
         code, out = run_main(
             capsys, "enumerate", "--params", "3,5", "--format", "csv"
@@ -553,7 +566,7 @@ class TestDecadeRows:
     @pytest.mark.parametrize("run", [None, 1, 7])
     @pytest.mark.parametrize("n", [1, 9, 10, 11, 99, 100, 101, 1234])
     def test_the_callers_rows(self, n, run):
-        # the four row shapes cmd_classify and genfun --indicator write
+        # the three row shapes cmd_classify writes, and a two-column csv row
         counts = [(j * j) % 1001 for j in range(n)]
         bits = "".join(str(j % 3 % 2) for j in range(n))
         width = len(str(n - 1))
@@ -573,6 +586,59 @@ class TestDecadeRows:
         assert len(pieces) == 3
         assert pieces[1].startswith("\n") and pieces[2].startswith("\n")
         assert pieces[0].count("\n") == 10 * cli._RUN_DECADES - 1
+
+
+def bit_pieces(bits, run=None):
+    """cli._bit_rows's pieces, with its run length set to `run` decades."""
+    with patch.object(cli, "_RUN_DECADES", run or cli._RUN_DECADES):
+        return list(cli._bit_rows(bits))
+
+
+def bit_rows_by_f_string(bits):
+    return "".join(f"{j},{b}\n" for j, b in enumerate(bits))
+
+
+class TestBitRows:
+    @settings(max_examples=300)
+    @given(
+        bits=st.lists(st.integers(min_value=0, max_value=1), max_size=250).map(bytes),
+        run=st.sampled_from([None, 1, 2, 3]),
+    )
+    def test_equals_one_f_string_per_row(self, bits, run):
+        # run 1-3 cuts the 90- and 900-row bands into pieces of 10-30 rows
+        assert "".join(bit_pieces(bits, run)) == bit_rows_by_f_string(bits)
+
+    @pytest.mark.parametrize(
+        "n", [9, 10, 11, 99, 100, 101, 999, 1000, 1001, 9999, 10000, 10001, 99999, 100000, 100001]
+    )
+    def test_every_band_edge(self, n):
+        bits = bytes(j * j % 7 % 2 for j in range(n))
+        assert "".join(cli._bit_rows(bits)) == bit_rows_by_f_string(bits)
+
+    def test_pieces_hold_at_most_one_run(self):
+        # the five-digit band's 81,925 rows span three runs, the last short
+        run = 10 * cli._RUN_DECADES
+        n = 10000 + 2 * run + 5
+        bits = bytes(j % 3 % 2 for j in range(n))
+        pieces = list(cli._bit_rows(bits))
+        sizes = [piece.count("\n") for piece in pieces]
+        assert sizes == [10, 90, 900, 9000, run, run, 5]
+        assert max(sizes) <= run
+        assert "".join(pieces) == bit_rows_by_f_string(bits)
+
+    @pytest.mark.parametrize("lo", [0, 7, 123456789, 10**9 - 20000])
+    @pytest.mark.parametrize("place", range(10))
+    def test_digit_column_is_bounded(self, lo, place):
+        # a place value far past the piece builds only the runs it meets
+        v, hi = 10**place, lo + 10 * cli._RUN_DECADES
+        tracemalloc.start()
+        try:
+            column = cli._digit_column(lo, hi, v)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert column == bytes(48 + j // v % 10 for j in range(lo, hi))
+        assert peak < 4 * (hi - lo)
 
 
 class TestGenfun:
@@ -1151,6 +1217,45 @@ class TestGoldenOutput:
                 ("classify", "--params", "3,5,7", "--bound", "123457", "--format", "json"),
                 "abe944a69d96a11ed728db7f5daf387febd5b490ebc16ef683ed8b6ece23b1ac",
                 id="classify-json-3-5-7-three-runs",
+            ),
+            # 0/1 polynomials and gap sets written through one % template
+            pytest.param(
+                ("genfun", "--params", "76,79", "--k", "1"),
+                "b53aac9c1601d352697c2f11591d96c1dcabdb13f61def028f7b130856756b77",
+                id="p_k-plain-76-79-k1",
+            ),
+            pytest.param(
+                ("genfun", "--params", "76,79", "--k", "3", "--format", "json"),
+                "bc291ed29c716f4585586ebb5f12b4832e3efa6e0005a7b3021c493e8964b491",
+                id="p_k-json-76-79-k3",
+            ),
+            pytest.param(
+                ("genfun", "--params", "61,97", "--k", "0"),
+                "338810c19502fb848a09cf8d224c108db46875a43cdd1cb797530f2a00a49f56",
+                id="gap-polynomial-plain-61-97",
+            ),
+            pytest.param(
+                ("enumerate", "--params", "31,37", "--k", "5", "--at-most", "--bound", "60000"),
+                "a92983f535f4aae195dd61d31c66b81336110439fd8e65ee67ec0ae1093cb3be",
+                id="enumerate-plain-31-37-k5",
+            ),
+            pytest.param(
+                ("enumerate", "--params", "31,37", "--k", "5", "--at-most", "--bound", "60000",
+                 "--format", "csv"),
+                "a7007ff7e9be55d01b42f9d289c039fbdb995853250610b97d81e234b6e1e90b",
+                id="enumerate-csv-31-37-k5",
+            ),
+            pytest.param(
+                ("enumerate", "--params", "31,37", "--k", "5", "--at-most", "--bound", "60000",
+                 "--format", "json"),
+                "0dc0aaeb370c7804aa392732c687847ed1f75d57e45eb22b5be40071b0a5b4c3",
+                id="enumerate-json-31-37-k5",
+            ),
+            # p_0 of (1,2) is the zero polynomial: the header line alone
+            pytest.param(
+                ("genfun", "--params", "1,2", "--k", "0", "--format", "csv"),
+                "9b4636e822f8b816dc690ccd62dd0275f3ac610832889c89a0812fe818cae187",
+                id="zero-polynomial-csv",
             ),
             pytest.param(
                 ("genfun", "--cyclotomic", "2310", "--format", "json"),

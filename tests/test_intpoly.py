@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import frobgen
 from frobgen.errors import BoundTooLarge, NotDivisible
-from frobgen.intpoly import IntPoly, cyclotomic, poly_exact_div
+from frobgen.intpoly import IntPoly, _terms_text, cyclotomic, poly_exact_div
 
 from helpers import totient
 
@@ -30,6 +30,10 @@ polys = st.builds(
     ),
 )
 nonzero_polys = polys.filter(lambda p: bool(p))
+zero_one_polys = st.builds(
+    lambda exps: IntPoly(dict.fromkeys(exps, 1)),
+    st.sets(st.integers(min_value=0, max_value=40) | st.integers(min_value=0, max_value=10**12)),
+)
 
 
 def substitute_power(p: IntPoly, k: int) -> IntPoly:
@@ -224,6 +228,23 @@ class TestSerialization:
         # to_json writes its text directly; json.dumps gives the same bytes
         dumped = json.dumps({"terms": [[e, str(c)] for e, c in p.terms()]}, separators=(",", ":"))
         assert p.to_json() == dumped
+
+
+    @given(zero_one_polys | polys)
+    @example(IntPoly())
+    @example(IntPoly({0: 1}))
+    @example(IntPoly({1: 1}))
+    @example(IntPoly({9: 1}))
+    @example(IntPoly({0: 1, 1: 1}))
+    @example(IntPoly({0: 1, 2: 1}))
+    @example(IntPoly({1: 1, 2: 1, 10**12: 1}))
+    def test_forms_equal_the_term_by_term_forms(self, p):
+        # a nonzero 0/1 polynomial is written through one % template; the
+        # text, json and csv it gives are those of one term at a time
+        terms = p.terms()
+        assert p.to_text() == _terms_text(terms, "z")
+        assert p.to_json() == '{"terms":[' + ",".join(map('[%d,"%d"]'.__mod__, terms)) + "]}"
+        assert p.to_csv() == "\n".join(["exp,coeff", *[f"{e},{c}" for e, c in terms]]) + "\n"
 
 
 class TestInvariants:

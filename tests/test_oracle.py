@@ -356,6 +356,19 @@ class TestGapSetSerialization:
         gs = enumerate_exact_k(validate_params([3, 5]), 0)
         assert gs.to_csv() == "1\n2\n4\n7\n"
 
+    @given(elements=st.lists(st.integers(min_value=0, max_value=10**40), unique=True))
+    @example(elements=[])
+    @example(elements=[0])
+    @example(elements=[3, 10**300])
+    def test_csv_and_json_are_the_join_forms(self, elements):
+        # both are written through one % template over the elements
+        gs = GapSet(Params((3, 5)), 2, sorted(elements), True)
+        assert gs.to_csv() == "".join(f"{j}\n" for j in gs.elements)
+        joined = '"%s"' % '","'.join(map(str, gs.elements)) if gs.elements else ""
+        assert gs.to_json() == (
+            f'{{"params":[3,5],"k":2,"complete":true,"elements":[{joined}]}}'
+        )
+
     def test_elements_must_increase(self):
         with pytest.raises(ValueError):
             GapSet(Params((2, 3)), 0, (3, 1), True)
