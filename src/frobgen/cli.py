@@ -40,6 +40,7 @@ from frobgen.closedform import (
     power_sums_k,
     sum_k,
 )
+from frobgen.dp import rep_blocks
 from frobgen.errors import FrobgenError, ValidationError, WrongArity
 from frobgen.genfun import (
     _BIT_DIGITS,
@@ -57,7 +58,6 @@ from frobgen.oracle import (
     enumerate_by_count,
     enumerate_exact_k,
     oracle_report,
-    rep_table,
 )
 from frobgen.report import AT_MOST_STATS
 
@@ -76,46 +76,54 @@ def _emit_json(obj) -> None:
     print(json.dumps(obj, separators=(",", ":")))
 
 
-# A table's rows are written in runs of this many decades (ten times as many
-# rows), so its whole text never exists at once.
+# A table is written, and classify's counts computed, in runs of this many
+# decades (ten times as many rows), so no whole table or text exists at once.
 _RUN_DECADES = 4096
 
 
-def _decade_rows(
-    row: str, sep: str, values: Sequence, uses: int = 1, pad: int = 0
+def _count_rows(
+    blocks: Iterable[list[int]],
+    decade: str,
+    zero: str,
+    after_j: str,
+    after_counts: Sequence[str],
+    first: str | None = None,
 ) -> Iterator[str]:
-    """sep.join(row % (str(j).rjust(pad), *[v] * uses) for j, v in
-    enumerate(values)), in pieces whose concatenation is that text.
+    """The rows of a count table, one string per block of counts.
 
-    row's first %s takes j and each later one v.  Rows 10q..10q+9 all
-    start with str(q) and end in the digits 0-9, so one template per decade
-    writes ten rows in one % call: each row's last digit is in the template,
-    and the decade's prefix is str(q) right-justified to pad - 1 (pad - 1
-    spaces at q = 0).  The values are converted by %s itself.  The last
-    len(values) % 10 rows are written one per row.  A piece holds at most
-    _RUN_DECADES decades, and each piece after the first starts with sep.
+    Row j = 10q + d, with count c = r(j), is decade % q (zero for q = 0),
+    then str(d) + after_j, then str(c) + s for each s in after_counts;
+    row 0 starts with first in place of zero, when it is given.  Each block
+    starts at a multiple of 10 and its rows are one "".join over a list of
+    pieces: a repeated ten-row skeleton holds the constants, and one strided
+    slice copy per digit places the decade prefixes (one % per ten rows),
+    and one per column the counts, converted once by repr.
     """
-    head, tail = row.split("%s", 1)
-    decade = sep.join(f"{head}%s{d}{tail}" for d in range(10))
-    prefix = f"%{pad - 1}d".__mod__ if pad > 1 else str
-    full = len(values) // 10
-    lead = ""
-    for q0 in range(0, full, _RUN_DECADES):
-        q1 = min(q0 + _RUN_DECADES, full)
-        prefixes = list(map(prefix, range(q0, q1)))
+    step = 2 + 2 * len(after_counts)
+    skeleton = []
+    for d in range(10):
+        skeleton += [None, f"{d}{after_j}"]
+        for s in after_counts:
+            skeleton += [None, s]
+    lo = 0
+    for block in blocks:
+        n = len(block)
+        decades = -(-n // 10)
+        pieces = skeleton * decades
+        del pieces[step * n :]
+        q0 = lo // 10
+        prefixes = list(map(decade.__mod__, range(q0, q0 + decades)))
         if q0 == 0:
-            prefixes[0] = " " * (pad - 1)
-        # row d of each decade takes its prefix, then its value uses times
-        slots = []
+            prefixes[0] = zero
         for d in range(10):
-            slots += [prefixes, *[values[10 * q0 + d : 10 * q1 : 10]] * uses]
-        yield lead + sep.join(map(decade.__mod__, zip(*slots)))
-        lead = sep
-    rest = [
-        row % (str(j).rjust(pad), *[values[j]] * uses) for j in range(10 * full, len(values))
-    ]
-    if rest:
-        yield lead + sep.join(rest)
+            pieces[step * d :: 10 * step] = prefixes[: len(range(d, n, 10))]
+        texts = list(map(repr, block))
+        for col in range(2, step, 2):
+            pieces[col::step] = texts
+        if q0 == 0 and first is not None:
+            pieces[0] = first
+        yield "".join(pieces)
+        lo += n
 
 
 def _digit_column(lo: int, hi: int, v: int) -> bytes:
@@ -223,18 +231,21 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def cmd_classify(args: argparse.Namespace) -> int:
-    # Rows are formatted ten at a time straight into the output text.
+    # The table is computed and written block by block (_count_rows), so
+    # the ceiling is checked before the first row is written.
     params = Params(args.params)
-    counts = rep_table(params, args.bound)
+    _check_bound(args.bound)
+    blocks = rep_blocks(params.denominations, args.bound, 10 * _RUN_DECADES)
     if args.format == "json":
         denoms = ",".join(map(str, params.denominations))
-        rows = _decade_rows('{"j":%s,"count":"%s","k":"%s"}', ",", counts, uses=2)
+        rows = _count_rows(blocks, ',{"j":%d', ',{"j":', ',"count":"', ('","k":"', '"}'), '{"j":')
         _write_rows(f'{{"params":[{denoms}],"bound":{args.bound},"rows":[', rows, "]}\n")
     elif args.format == "csv":
-        _write_rows("j,count,k\n", _decade_rows("%s,%s,%s", "\n", counts, uses=2), "\n")
+        _write_rows("j,count,k\n", _count_rows(blocks, "%d", "", ",", (",", "\n")), "")
     else:
         width = max(len(str(args.bound)), 1)
-        _write_rows("", _decade_rows("%s  r=%s", "\n", counts, pad=width), "\n")
+        rows = _count_rows(blocks, f"%{width - 1}d", " " * (width - 1), "  r=", ("\n",))
+        _write_rows("", rows, "")
     return 0
 
 

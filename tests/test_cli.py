@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from frobgen import cli, oracle
+from frobgen import cli, dp, oracle
 from frobgen.cli import main
 
 from helpers import brute_counts
@@ -219,9 +219,14 @@ class TestExitCodes:
     def test_resource_guard(self, monkeypatch):
         # the child reads the ceiling from its environment at startup
         monkeypatch.setenv("FROBGEN_MAX_BOUND", "10")
-        code, _, err = run_cli("classify", "--params", "5,7", "--bound", "100")
-        assert code == 4
-        assert "BoundTooLarge" in err
+        # rows stream block by block: the guard refuses before the first
+        for fmt in ("plain", "csv", "json"):
+            code, out, err = run_cli(
+                "classify", "--params", "5,7", "--bound", "100", "--format", fmt
+            )
+            assert code == 4
+            assert "BoundTooLarge" in err
+            assert out == ""
 
     def test_enumerate_bound_guard(self, monkeypatch, capsys):
         monkeypatch.setenv("FROBGEN_MAX_BOUND", "10")
@@ -536,56 +541,129 @@ class TestClassify:
         assert json.dumps(json.loads(text), separators=(",", ":")) == text
 
 
-def decade_text(row, sep, values, uses=1, pad=0, run=None):
-    """cli._decade_rows's pieces joined, with its run length set to `run`."""
-    with patch.object(cli, "_RUN_DECADES", run or cli._RUN_DECADES):
-        return "".join(cli._decade_rows(row, sep, values, uses, pad))
+# The three row layouts cmd_classify passes to cli._count_rows, each with
+# the f-string that writes one of its rows.
+COUNT_LAYOUTS = {
+    "json": (
+        (',{"j":%d', ',{"j":', ',"count":"', ('","k":"', '"}'), '{"j":'),
+        lambda j, c, width: (',' if j else '') + f'{{"j":{j},"count":"{c}","k":"{c}"}}',
+    ),
+    "csv": (("%d", "", ",", (",", "\n")), lambda j, c, width: f"{j},{c},{c}\n"),
+    "plain": (None, lambda j, c, width: f"{str(j).rjust(width)}  r={c}\n"),
+}
+
+
+def count_pieces(fmt, counts, width, run=None):
+    """cli._count_rows's pieces for counts in one layout, in blocks of
+    10 * run rows (run None: the default)."""
+    size = 10 * (run or cli._RUN_DECADES)
+    blocks = [list(counts[lo : lo + size]) for lo in range(0, len(counts), size)]
+    args = COUNT_LAYOUTS[fmt][0] or (f"%{width - 1}d", " " * (width - 1), "  r=", ("\n",))
+    return list(cli._count_rows(blocks, *args))
+
+
+def count_rows_by_f_string(fmt, counts, width):
+    row = COUNT_LAYOUTS[fmt][1]
+    return "".join(row(j, c, width) for j, c in enumerate(counts))
 
 
 class TestDecadeRows:
+    """cli._count_rows: one decade prefix per ten rows, one join per block."""
+
     @settings(max_examples=300)
     @given(
-        values=st.one_of(
-            st.lists(st.integers(min_value=-(10**30), max_value=10**30), max_size=250),
-            st.text(alphabet="01", max_size=250),
-        ),
-        pad=st.integers(min_value=0, max_value=6),
-        uses=st.integers(min_value=1, max_value=2),
-        sep=st.sampled_from(["\n", ","]),
+        counts=st.lists(st.integers(min_value=-(10**30), max_value=10**30), max_size=250),
+        width=st.integers(min_value=1, max_value=6),
+        fmt=st.sampled_from(sorted(COUNT_LAYOUTS)),
         run=st.sampled_from([None, 1, 2, 3]),
     )
-    def test_equals_one_f_string_per_row(self, values, pad, uses, sep, run):
+    def test_equals_one_f_string_per_row(self, counts, width, fmt, run):
         # run None keeps the default length; 1-3 decades split 250 rows into
-        # up to 25 pieces, each after the first led by sep
-        expected = sep.join(
-            f"<{str(j).rjust(pad)}" + f"|{v}" * uses + ">" for j, v in enumerate(values)
-        )
-        row = "<%s" + "|%s" * uses + ">"
-        assert decade_text(row, sep, values, uses, pad, run) == expected
+        # up to 25 blocks
+        text = "".join(count_pieces(fmt, counts, width, run))
+        assert text == count_rows_by_f_string(fmt, counts, width)
 
-    @pytest.mark.parametrize("run", [None, 1, 7])
+    @pytest.mark.parametrize("run", [None, 1, 2, 7])
     @pytest.mark.parametrize("n", [1, 9, 10, 11, 99, 100, 101, 1234])
     def test_the_callers_rows(self, n, run):
-        # the three row shapes cmd_classify writes, and a two-column csv row
         counts = [(j * j) % 1001 for j in range(n)]
-        bits = "".join(str(j % 3 % 2) for j in range(n))
         width = len(str(n - 1))
-        cases = [
-            ('{"j":%s,"count":"%s","k":"%s"}', ",", counts, 2, 0,
-             [f'{{"j":{j},"count":"{c}","k":"{c}"}}' for j, c in enumerate(counts)]),
-            ("%s,%s,%s", "\n", counts, 2, 0, [f"{j},{c},{c}" for j, c in enumerate(counts)]),
-            ("%s  r=%s", "\n", counts, 1, width,
-             [f"{str(j).rjust(width)}  r={c}" for j, c in enumerate(counts)]),
-            ("%s,%s", "\n", bits, 1, 0, [f"{j},{b}" for j, b in enumerate(bits)]),
-        ]
-        for row, sep, values, uses, pad, rows in cases:
-            assert decade_text(row, sep, values, uses, pad, run) == sep.join(rows)
+        for fmt in COUNT_LAYOUTS:
+            pieces = count_pieces(fmt, counts, width, run)
+            assert len(pieces) == -(-n // (10 * (run or cli._RUN_DECADES)))
+            assert "".join(pieces) == count_rows_by_f_string(fmt, counts, width)
 
     def test_runs_of_whole_decades(self):
-        pieces = list(cli._decade_rows("%s,%s", "\n", range(10 * cli._RUN_DECADES * 2 + 3)))
-        assert len(pieces) == 3
-        assert pieces[1].startswith("\n") and pieces[2].startswith("\n")
-        assert pieces[0].count("\n") == 10 * cli._RUN_DECADES - 1
+        run = 10 * cli._RUN_DECADES
+        counts = range(2 * run + 3)
+        pieces = count_pieces("csv", counts, 0)
+        assert [piece.count("\n") for piece in pieces] == [run, run, 3]
+        assert pieces[1].startswith(f"{run},{run},{run}\n")
+
+
+def classify_by_f_string(denoms, bound, fmt):
+    """classify's whole stdout, one f-string per row."""
+    rows = count_rows_by_f_string(fmt, dp.rep_counts(denoms, bound), len(str(bound)))
+    if fmt == "json":
+        return f'{{"params":[{",".join(map(str, denoms))}],"bound":{bound},"rows":[{rows}]}}\n'
+    return "j,count,k\n" + rows if fmt == "csv" else rows
+
+
+def assert_same_text(out, expected):
+    # a thousand characters at a time, so a failure shows where the texts
+    # part without diffing two texts of up to 100,001 rows
+    for lo in range(0, max(len(out), len(expected)), 1000):
+        assert (lo, out[lo : lo + 1000]) == (lo, expected[lo : lo + 1000])
+
+
+def classify_out(denoms, bound, fmt, run=None):
+    with patch.object(cli, "_RUN_DECADES", run or cli._RUN_DECADES):
+        out = io.StringIO()
+        with redirect_stdout(out):
+            code = main(["classify", "--params", ",".join(map(str, denoms)),
+                         "--bound", str(bound), "--format", fmt])
+    assert code == 0
+    return out.getvalue()
+
+
+class TestClassifyStream:
+    """classify's table in blocks of 10 * _RUN_DECADES rows, each block's
+    rows written by one join."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        denoms=st.sampled_from([(1,), (3, 5, 7), (2, 9), (4, 6, 9, 25), (1, 1, 2)]),
+        bound=st.integers(min_value=0, max_value=250),
+        fmt=st.sampled_from(["plain", "csv", "json"]),
+        run=st.sampled_from([None, 1, 2]),
+    )
+    def test_equals_one_f_string_per_row(self, denoms, bound, fmt, run):
+        # run 1 and 2 break the table every 10 or 20 rows
+        expected = classify_by_f_string(denoms, bound, fmt)
+        assert_same_text(classify_out(denoms, bound, fmt, run), expected)
+
+    @pytest.mark.parametrize("run", [None, 1, 2])
+    @pytest.mark.parametrize(
+        "bound", [9, 10, 11, 99, 100, 101, 999, 1000, 1001, 9999, 10000, 10001, 99999, 100000, 100001]
+    )
+    def test_every_band_edge(self, bound, run):
+        for fmt in ("plain", "csv", "json"):
+            expected = classify_by_f_string((7, 11, 13), bound, fmt)
+            assert_same_text(classify_out((7, 11, 13), bound, fmt, run), expected)
+
+    @pytest.mark.parametrize("run", [None, 1, 2])
+    @pytest.mark.parametrize("bound", [0, 19, 20, 21, 100001])
+    def test_pieces_hold_at_most_one_run(self, bound, run):
+        rows = 10 * (run or cli._RUN_DECADES)
+        written = []
+        with patch.object(cli, "_write_rows", lambda head, pieces, end: written.append(list(pieces))):
+            for fmt in ("plain", "csv", "json"):
+                classify_out((3, 5, 7), bound, fmt, run)
+                pieces = written.pop()
+                assert len(pieces) == -(-(bound + 1) // rows)
+                sizes = [piece.count("{" if fmt == "json" else "\n") for piece in pieces]
+                assert sum(sizes) == bound + 1
+                assert max(sizes) <= rows
 
 
 def bit_pieces(bits, run=None):

@@ -38,6 +38,49 @@ class TestBackends:
             dp.rep_counts((2, 3), -1)
 
 
+class TestRepBlocks:
+    @given(
+        denoms=st.lists(st.integers(1, 40), min_size=1, max_size=5),
+        bound=st.integers(0, 300),
+    )
+    @example(denoms=[1], bound=300)  # a first coin of 1
+    @example(denoms=[3, 1, 1], bound=120)  # later coins of 1
+    @example(denoms=[7, 40, 33], bound=300)  # coins longer than most blocks
+    @example(denoms=[5, 35, 40], bound=30)  # coins past the bound
+    @example(denoms=[40, 3], bound=39)  # a first coin past the bound
+    @settings(max_examples=60, deadline=None)
+    def test_every_block_size_matches_bruteforce(self, denoms, bound):
+        # coins in any order, repeats allowed; a block shorter than a coin
+        # passes on a carry that still holds entries from blocks before it.
+        # The brute force walks every tuple, so it checks the prefix holding
+        # at most 50,000 of them.
+        table = dp.rep_counts(denoms, bound)
+        reach = bound
+        while sum(table[: reach + 1]) > 50_000:
+            reach //= 2
+        assert table[: reach + 1] == brute_counts(tuple(denoms), reach)
+        for size in range(1, bound + 2):
+            blocks = list(dp.rep_blocks(denoms, bound, size))
+            assert [len(b) for b in blocks[:-1]] == [size] * (len(blocks) - 1)
+            assert 1 <= len(blocks[-1]) <= size
+            assert [c for block in blocks for c in block] == table
+
+    @pytest.mark.parametrize("size", [1, 2, 6, 7, 8, 40, 91])
+    def test_blocks_shorter_and_longer_than_a_coin(self, size):
+        # 7 and 40 against blocks on both sides of them, with every count
+        # checked against the brute force
+        joined = [c for block in dp.rep_blocks((7, 40, 3), 90, size) for c in block]
+        assert joined == brute_counts((7, 40, 3), 90)
+
+    def test_a_block_past_the_bound_is_the_whole_table(self):
+        assert list(dp.rep_blocks((3, 5, 7), 500, 10**6)) == [dp.rep_counts((3, 5, 7), 500)]
+
+    @pytest.mark.parametrize("bound,size", [(-1, 5), (5, 0)])
+    def test_refused(self, bound, size):
+        with pytest.raises(ValueError):
+            next(dp.rep_blocks((2, 3), bound, size))
+
+
 class TestBinomialSteps:
     tables = st.lists(st.integers(-(10**6), 10**6), max_size=40)
     exponents = st.lists(st.integers(1, 50), max_size=6)  # some past the truncation
