@@ -27,23 +27,28 @@ import json
 import os
 import sys
 from functools import cache
-from itertools import repeat
+from itertools import compress, repeat
 from math import gcd
+from operator import add, sub
 from typing import Iterable, Iterator, Sequence
 
 from frobgen.closedform import (
     PairParams,
-    at_most_stats,
+    _at_most,
+    _count,
+    _frobenius,
+    _grid,
+    _rows,
+    _sum,
+    _zero_one,
     closed_report,
-    count_k,
-    frobenius_k,
     power_sums_k,
-    sum_k,
 )
 from frobgen.dp import rep_blocks
 from frobgen.errors import FrobgenError, ValidationError, WrongArity
 from frobgen.genfun import (
     _BIT_DIGITS,
+    _FLIP,
     denham_term_count,
     numerator_h,
     p_k_poly,
@@ -321,61 +326,92 @@ def verify_pair(a: int, b: int, kmax: int, mmax: int) -> tuple[int, list[dict]]:
     at-most-k set is the disjoint union of the exactly-j sets, j <= k, so
     its oracle values are running totals of theirs: the max (over nonempty
     sets) and two sums.  numerator_h works from that scan's gap set, and no
-    closed form scans, so nothing scans again, a = 1 included.  On the
-    closed-form side the one PairParams keeps what every k >= 1 shares (the
-    sumset's 0/1 bytes and power sums), so per k only the translate by
-    ab(k-1) is computed: p_k_poly shifts the bytes, and power_sums_k gives
-    every order of one k as one table.
+    closed form scans, so nothing scans again, a = 1 included.
+
+    The closed-form side is checked in the form it is computed in, with
+    nothing built in between.  g, c and s, of the exactly-k and of the
+    at-most-k set alike, are the integers of closedform's formulas.  p_k is
+    read off its 0/1 bytes: the complement of the representable n <= g_0
+    (_rows) for k = 0, and for k >= 1 the pair's product-form bytes (_grid),
+    since every exactly-k set with k >= 1 is the sumset {ia + jb} translated
+    by ab(k-1).  Those bytes, their 0/1 check (every byte 0 or 1 and ab of
+    them 1, which a collision of two sums lowers) and their support are read
+    once per pair; per k the oracle set, shifted down by ab(k-1), is
+    compared with that support.  A failed "p_k support" entry gives both
+    sets unshifted, and is built only then.  power_sums_k gives every
+    order of one k as one table.
     Returns (number of checks run, failures); each failure is a JSON-ready
     dict naming the check and both values.
     """
     checks = 0
     failures: list[dict] = []
 
+    def fail(name: str, k: int | None, m: int | None, expected, actual) -> None:
+        entry: dict = {"check": name, "a": a, "b": b}
+        if k is not None:
+            entry["k"] = k
+        if m is not None:
+            entry["m"] = m
+        entry["expected"] = str(expected)
+        entry["actual"] = str(actual)
+        failures.append(entry)
+
     def check(name: str, k: int | None, m: int | None, expected, actual) -> None:
         nonlocal checks
         checks += 1
         if expected != actual:
-            entry: dict = {"check": name, "a": a, "b": b}
-            if k is not None:
-                entry["k"] = k
-            if m is not None:
-                entry["m"] = m
-            entry["expected"] = str(expected)
-            entry["actual"] = str(actual)
-            failures.append(entry)
+            fail(name, k, m, expected, actual)
+
+    def check_row(names: Iterable[str], k: int, ms: Iterable, expected, actual) -> None:
+        # one check per entry of actual, all compared at once; entries are
+        # matched up only on a mismatch
+        nonlocal checks
+        checks += len(actual)
+        if expected != actual:
+            for name, m, e, v in zip(names, ms, expected, actual):
+                if e != v:
+                    fail(name, k, m, e, v)
 
     pair = PairParams(a, b)
     params = pair.as_params()
+    ab = a * b
 
     exact_sets = enumerate_by_count(params, kmax)
     h = numerator_h(params, exact_sets[0])
-    check("h == 1 - z^ab", None, None, IntPoly.one_minus_pow(a * b).to_text(), h.to_text())
+    check("h == 1 - z^ab", None, None, IntPoly.one_minus_pow(ab).to_text(), h.to_text())
 
     g_le, c_le, s_le = None, 0, 0
     for k in range(kmax + 1):
         exact = exact_sets[k]
         oracle_sums = exact.power_sums(max(mmax, 1) if k else 1)
         g, c, s = exact.maximum, oracle_sums[0], oracle_sums[1]
-        exact_forms = (frobenius_k(pair, k), count_k(pair, k), sum_k(pair, k))
-        for closed, oracle in zip(exact_forms, (g, c, s)):
-            check(closed.stat, k, None, oracle, closed.value)
+        closed = (_frobenius(pair, k), _count(pair, k), _sum(pair, k))
+        check_row(("g", "c", "s"), k, repeat(None), (g, c, s), closed)
 
-        pk = p_k_poly(pair, k)
-        check("p_k 0/1 coefficients", k, None, True, pk.is_zero_one())
-        check("p_k support", k, None, exact.elements, pk.support())
+        if k <= 1:  # the form's bytes: k = 0's own, then the pair's R_1
+            if k == 0:
+                form = _rows(pair, ab - a - b + 1).translate(_FLIP)
+                zero_one = _zero_one(form)
+            else:
+                form = _grid(pair, strict=False)
+                zero_one = _zero_one(form, ab)
+            support = tuple(compress(range(len(form)), form))
+        base = ab * (k - 1) if k else 0
+        check("p_k 0/1 coefficients", k, None, True, zero_one)
+        checks += 1
+        shifted = tuple(map(sub, exact.elements, repeat(base))) if base else exact.elements
+        if shifted != support:
+            fail("p_k support", k, None, exact.elements, tuple(map(add, support, repeat(base))))
 
         if g is not None:
             g_le = g if g_le is None else max(g_le, g)
         c_le += c
         s_le += s
-        for closed, oracle in zip(at_most_stats(pair, k), (g_le, c_le, s_le)):
-            check(closed.stat, k, None, oracle, closed.value)
+        check_row(AT_MOST_STATS, k, repeat(None), (g_le, c_le, s_le), _at_most(pair, k))
 
         if k >= 1:
-            sums = zip(oracle_sums, power_sums_k(pair, k, mmax))
-            for m, (oracle_sum, closed_sum) in enumerate(sums):
-                check("s^m", k, m, oracle_sum, closed_sum)
+            closed_sums = power_sums_k(pair, k, mmax)
+            check_row(repeat("s^m"), k, range(mmax + 1), oracle_sums[: mmax + 1], closed_sums)
 
     return checks, failures
 

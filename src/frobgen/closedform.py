@@ -18,7 +18,10 @@ with closed-form provenance; g, c and s (exactly-k and at-most-k alike)
 each come from one integer formula.  All arithmetic is in integers; each
 division is exact and checked by _exact_div.  Every two-coin set is read
 off one of the two product forms, laid out as 0/1 bytes by _grid and
-_rows.
+_rows.  The k >= 1 bytes are kept as laid out; _grid, their bound-checked
+accessor, asserts that they are 0/1 with ab ones (_zero_one), so builders
+refuse a collision, while verify reads them with strict=False and reports
+one as a failed check.
 
 Every exactly-k set with k >= 1 is also the one sumset {ia + jb} translated
 by ab(k-1), so a PairParams keeps what they share: the sumset's 0/1 bytes
@@ -74,8 +77,8 @@ class PairParams:
 
         Each term z^(ia) of (1 + z^a + ... + z^((b-1)a)) lays out the row
         z^(ia) * (1 + z^b + ... + z^((a-1)b)) as one strided slice.  A row
-        landing on a set byte (fewer than ab set) is a coefficient >= 2:
-        AssertionError.  Read through _grid, which guards the size.
+        landing on a set byte leaves fewer than ab set: the bytes are kept as
+        laid out, and _grid, which guards the size, refuses them.
         """
         a, b = self.a, self.b
         coeffs = bytearray(2 * a * b - a - b + 1)
@@ -83,8 +86,6 @@ class PairParams:
         row = b"\x01" * a
         for start in range(0, b * a, a):
             coeffs[start : start + width : b] = row
-        if coeffs.count(1) != a * b:
-            raise AssertionError("exactly-k polynomial has a coefficient outside {0,1}")
         return bytes(coeffs)
 
     def _sumset_power_sums(self, m: int) -> list[int]:
@@ -268,20 +269,27 @@ def power_sum_k(p: PairParams, k: int, m: int) -> StatReport:
     return StatReport("s^m", p.pair, k, total, m=m, provenance=CLOSED_FORM)
 
 
-def at_most_stats(p: PairParams, k: int) -> tuple[StatReport, StatReport, StatReport]:
-    """Exact (max, cardinality, sum) of the at-most-k set, read off the
-    exactly-k forms:
+def _at_most(p: PairParams, k: int) -> tuple[int | None, int, int]:
+    """(max, cardinality, sum) of the at-most-k set, read off the exactly-k
+    forms:
 
         g<= = g_k = (k+1)ab - a - b  (a two-denomination fact)
         c<= = c_0 + abk
         s<= = s_0 + k(s_1 + s_k)/2   (s_i is linear in i for i >= 1)
     """
-    if k < 0:
-        raise ValueError("k must be >= 0")
     c_le = _count(p, 0) + p.a * p.b * k
     s_le = _sum(p, 0) + _exact_div(k * (_sum(p, 1) + _sum(p, k)), 2)
+    return _frobenius(p, k), c_le, s_le
+
+
+def at_most_stats(p: PairParams, k: int) -> tuple[StatReport, StatReport, StatReport]:
+    """Exact (max, cardinality, sum) of the at-most-k set (_at_most), as
+    the StatReports g<=, c<= and s<=."""
+    if k < 0:
+        raise ValueError("k must be >= 0")
+    g_le, c_le, s_le = _at_most(p, k)
     return (
-        StatReport("g<=", p.pair, k, _frobenius(p, k), provenance=CLOSED_FORM),
+        StatReport("g<=", p.pair, k, g_le, provenance=CLOSED_FORM),
         StatReport("c<=", p.pair, k, c_le, provenance=CLOSED_FORM),
         StatReport("s<=", p.pair, k, s_le, provenance=CLOSED_FORM),
     )
@@ -309,15 +317,29 @@ def closed_report(p: PairParams, stat: str, k: int, m: int | None = None) -> Sta
     raise ValueError(f"unknown statistic {stat!r}")
 
 
-def _grid(p: PairParams) -> bytes:
+def _zero_one(coeffs: bytes, ones: int | None = None) -> bool:
+    """Whether every byte of coeffs is 0 or 1 and, when ones is given,
+    exactly ones of them are 1."""
+    set_bytes = coeffs.count(1)
+    if ones is not None and set_bytes != ones:
+        return False
+    return coeffs.count(0) + set_bytes == len(coeffs)
+
+
+def _grid(p: PairParams, strict: bool = True) -> bytes:
     """The pair's R_1 bytes (PairParams._grid_bytes), built on first use.
 
     The top position 2ab - a - b goes through _check_bound on every call,
     so the FROBGEN_MAX_BOUND ceiling in force applies, and before the first
-    call allocates anything.
+    call allocates anything.  With strict, bytes that are not the product
+    form's ab coefficients 1 (a byte outside {0, 1}, or two sums on one
+    exponent) raise AssertionError; strict=False hands them out as laid out.
     """
     _check_bound(2 * p.a * p.b - p.a - p.b)
-    return p._grid_bytes
+    coeffs = p._grid_bytes
+    if strict and not _zero_one(coeffs, p.a * p.b):
+        raise AssertionError("exactly-k polynomial has a coefficient outside {0,1}")
+    return coeffs
 
 
 def _rows(p: PairParams, length: int) -> bytearray:

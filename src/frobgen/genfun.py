@@ -48,10 +48,11 @@ def p_k_poly(p: PairParams, k: int) -> IntPoly:
         z^(ab(k-1)) * (1 + z^a + ... + z^((b-1)a)) * (1 + z^b + ... + z^((a-1)b))
 
     that is, the pair's _grid bytes (built once per PairParams and shared
-    by every k) shifted up by ab(k-1).  k = 0 is the complement of the
-    representable n <= g_0 = ab - a - b (_rows).  Past the FROBGEN_MAX_BOUND
-    ceiling (2ab - a - b, resp. g_0) it raises BoundTooLarge before
-    allocating.
+    by every k) shifted up by ab(k-1); _grid raises AssertionError, before
+    the polynomial is built, unless they are 0/1 with ab ones.  k = 0 is
+    the complement of the representable n <= g_0 = ab - a - b (_rows).
+    Past the FROBGEN_MAX_BOUND ceiling (2ab - a - b, resp. g_0) it raises
+    BoundTooLarge before allocating.
     """
     if k < 0:
         raise ValueError("k must be >= 0")

@@ -6,7 +6,6 @@ import subprocess
 import sys
 import tracemalloc
 from contextlib import redirect_stdout
-from dataclasses import replace
 from itertools import chain, combinations
 from math import gcd
 from pathlib import Path
@@ -16,8 +15,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from frobgen import cli, dp, oracle
+from frobgen import cli, closedform, dp, genfun, oracle
 from frobgen.cli import main
+from frobgen.intpoly import IntPoly
+from frobgen.report import StatReport
 
 from helpers import brute_counts
 
@@ -824,10 +825,8 @@ class TestVerify:
         assert proc.stdout == "False\n", proc.stderr
 
     def test_reports_every_failure(self, capsys, monkeypatch):
-        real = cli.count_k
-        monkeypatch.setattr(
-            cli, "count_k", lambda p, k: replace(real(p, k), value=real(p, k).value + 1)
-        )
+        real = cli._count
+        monkeypatch.setattr(cli, "_count", lambda p, k: real(p, k) + 1)
         code, out = run_main(
             capsys, "verify", "--params", "3,5", "--kmax", "2", "--mmax", "0"
         )
@@ -867,14 +866,14 @@ class TestVerify:
     def test_reports_a_wrong_at_most_stat(self, capsys, monkeypatch):
         # the closed form of one at-most statistic is off by one at each k: g<=
         # at k = 0, c<= at k = 1, s<= at k = 2
-        real = cli.at_most_stats
+        real = cli._at_most
 
         def off_by_one(p, k):
-            reports = list(real(p, k))
-            reports[k] = replace(reports[k], value=reports[k].value + 1)
-            return tuple(reports)
+            values = list(real(p, k))
+            values[k] += 1
+            return tuple(values)
 
-        monkeypatch.setattr(cli, "at_most_stats", off_by_one)
+        monkeypatch.setattr(cli, "_at_most", off_by_one)
         code, out = run_main(capsys, "verify", "--params", "3,5", "--kmax", "2")
         assert code == 1
         failures = [json.loads(line) for line in out.splitlines()]
@@ -912,6 +911,65 @@ class TestVerify:
         assert failures == []
         assert checks > 0
         assert len(scans) == 1
+
+    def test_builds_no_report_or_polynomial(self, monkeypatch):
+        # verify compares the closed forms' integers and bytes as computed
+        def refuse(what):
+            def refused(*args, **kwargs):
+                raise AssertionError(f"verify_pair built {what}")
+
+            return refused
+
+        monkeypatch.setattr(StatReport, "__init__", refuse("a StatReport"))
+        monkeypatch.setattr(IntPoly, "from_indicator", classmethod(refuse("a 0/1 IntPoly")))
+        monkeypatch.setattr(genfun, "p_k_poly", refuse("p_k_poly"))
+        monkeypatch.setattr(cli, "p_k_poly", refuse("p_k_poly"))
+        checks, failures = cli.verify_pair(29, 30, 5, 4)
+        assert failures == []
+        assert checks == 1 + 8 * 6 + 5 * 5
+
+    @pytest.mark.parametrize(
+        "fault,form",
+        [
+            # a coefficient 2 where the product form has a 1
+            ("coefficient 2", lambda real: real.replace(b"\x01", b"\x02", 1)),
+            # the top sum laid onto the bottom one: ab - 1 bytes set
+            ("collision", lambda real: real[:-1] + b"\x00"),
+        ],
+        ids=("coefficient-2", "collision"),
+    )
+    def test_reports_a_product_form_outside_zero_one(self, fault, form, capsys, monkeypatch):
+        real = closedform.PairParams._grid_bytes.func
+        monkeypatch.setattr(
+            closedform.PairParams, "_grid_bytes", property(lambda p: form(real(p)))
+        )
+        code = main(["verify", "--params", "3,5", "--kmax", "3", "--mmax", "1"])
+        captured = capsys.readouterr()
+        assert (code, captured.err) == (1, "")
+        failures = [json.loads(line) for line in captured.out.splitlines()]
+        zero_one = [f for f in failures if f["check"] == "p_k 0/1 coefficients"]
+        assert [f["k"] for f in zero_one] == [1, 2, 3]
+        assert all((f["expected"], f["actual"]) == ("True", "False") for f in zero_one)
+        # a coefficient 2 is still in the support; a lost sum is not
+        support = [f["k"] for f in failures if f["check"] == "p_k support"]
+        assert support == ([] if fault == "coefficient 2" else [1, 2, 3])
+        assert len(failures) == len(zero_one) + len(support)
+
+    def test_reports_a_shifted_product_form(self, capsys, monkeypatch):
+        # every row one place too high: 0/1 with ab ones, but the wrong set
+        real = closedform.PairParams._grid_bytes.func
+        monkeypatch.setattr(
+            closedform.PairParams, "_grid_bytes", property(lambda p: b"\x00" + real(p))
+        )
+        code, out = run_main(capsys, "verify", "--params", "3,5", "--kmax", "2", "--mmax", "1")
+        assert code == 1
+        failures = [json.loads(line) for line in out.splitlines()]
+        assert [(f["check"], f["k"]) for f in failures] == [("p_k support", 1), ("p_k support", 2)]
+        counts = brute_counts((3, 5), 40)  # R_2(3,5) ends at 37
+        for f in failures:
+            exact = tuple(j for j, c in enumerate(counts) if c == f["k"])
+            assert f["expected"] == str(exact)
+            assert f["actual"] == str(tuple(j + 1 for j in exact))
 
     @pytest.mark.parametrize("a,b", [(1, 1), (2, 3), (7, 10), (29, 30)])
     def test_one_params_per_pair(self, a, b, monkeypatch):

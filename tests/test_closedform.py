@@ -5,8 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from frobgen import closedform
 from frobgen.closedform import (
     PairParams,
+    _at_most,
+    _grid,
+    _zero_one,
     at_most_stats,
     closed_report,
     count_k,
@@ -253,6 +257,58 @@ class TestAtMost:
             g, c, s = at_most_stats(p, k)
             assert (g.value, c.value, s.value) == (g_le, c_le, s_le)
             assert (g.stat, c.stat, s.stat) == ("g<=", "c<=", "s<=")
+
+
+    @pytest.mark.parametrize("a,b", [(1, 1), (1, 4), (3, 5), (7, 10)])
+    def test_reports_wrap_the_integers(self, a, b):
+        p = PairParams(a, b)
+        for k in range(4):
+            assert tuple(r.value for r in at_most_stats(p, k)) == _at_most(p, k)
+
+
+class TestGridBytes:
+    @pytest.mark.parametrize(
+        "coeffs,ones,expected",
+        [
+            (b"", None, True),
+            (b"\x01\x00\x01", None, True),
+            (b"\x01\x00\x01", 2, True),
+            (b"\x01\x00\x01", 3, False),
+            (b"\x01\x02\x01", None, False),
+            (b"\x01\x02", 1, False),
+            (b"\x00\xff", 0, False),
+        ],
+    )
+    def test_zero_one(self, coeffs, ones, expected):
+        assert _zero_one(coeffs, ones) is expected
+
+    @pytest.mark.parametrize(
+        "fault",
+        [
+            lambda real: real.replace(b"\x01", b"\x02", 1),  # a coefficient 2
+            lambda real: real[:-1] + b"\x00",  # two sums on one exponent
+        ],
+        ids=("coefficient-2", "collision"),
+    )
+    def test_strict_accessor_refuses_what_verify_reads(self, fault, monkeypatch):
+        real = PairParams._grid_bytes.func
+        monkeypatch.setattr(PairParams, "_grid_bytes", property(lambda p: fault(real(p))))
+        p = PairParams(3, 5)
+        with pytest.raises(AssertionError, match="outside"):
+            _grid(p)
+        with pytest.raises(AssertionError, match="outside"):
+            structured_r_k(p, 2)
+        assert _grid(p, strict=False) == fault(real(p))
+
+    def test_laid_out_bytes_are_kept_as_laid_out(self):
+        # (2, 4) is not coprime: its 8 sums {2i + 4j} take 6 exponents, and
+        # the bytes mark those 6 with no check
+        p = PairParams(3, 5)
+        object.__setattr__(p, "a", 2)
+        object.__setattr__(p, "b", 4)
+        assert p._grid_bytes == b"\x01\x00" * 5 + b"\x01"
+        with pytest.raises(AssertionError, match="outside"):
+            _grid(p)
 
 
 class TestClosedReport:

@@ -5,6 +5,7 @@ from math import gcd
 import pytest
 
 from frobgen import dp, oracle
+from frobgen.cli import main
 from frobgen.closedform import PairParams, closed_report, count_k, frobenius_k, structured_r_k
 from frobgen.errors import BoundTooLarge, NotPrime, WrongArity
 from frobgen.genfun import (
@@ -76,6 +77,16 @@ class TestPkPoly:
         object.__setattr__(pair, "b", 4)
         with pytest.raises(AssertionError, match="outside"):
             p_k_poly(pair, 1)
+
+    def test_coefficient_two_refused_before_output(self, monkeypatch, capsys):
+        # genfun --k prints nothing from product-form bytes that are not 0/1
+        real = PairParams._grid_bytes.func
+        monkeypatch.setattr(
+            PairParams, "_grid_bytes", property(lambda p: real(p).replace(b"\x01", b"\x02", 1))
+        )
+        with pytest.raises(AssertionError, match="outside"):
+            main(["genfun", "--params", "3,5", "--k", "2"])
+        assert capsys.readouterr().out == ""
 
     def test_product_form_makes_no_sparse_product(self, monkeypatch):
         def no_mul(self, other):
