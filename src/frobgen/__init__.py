@@ -31,6 +31,7 @@ _EXPORTS = {
         "cyclotomic_identity_check",
         "denham_term_count",
         "numerator_h",
+        "p_k_exponents",
         "p_k_poly",
         "rational_series",
         "s_k_indicator",

@@ -9,6 +9,8 @@ Subcommands:
                to --sweep MAXB (exactly one); nonzero exit on any mismatch
 
 Output is plain, json or csv; verify and genfun --denham have no csv.
+Each call makes one argparse pass (_parse_args), and p_k and the indicator
+series are printed straight from their exponents and bits.
 
 Exit codes: 0 success, 1 mathematical mismatch, 2 input validation or a
 refused flag combination, 3 unsupported request, 4 resource guard, 141
@@ -27,6 +29,7 @@ import json
 import os
 import sys
 from functools import cache
+from gettext import gettext
 from itertools import compress, repeat
 from math import gcd
 from operator import add, sub
@@ -51,10 +54,10 @@ from frobgen.genfun import (
     _FLIP,
     denham_term_count,
     numerator_h,
-    p_k_poly,
+    p_k_exponents,
     s_k_indicator,
 )
-from frobgen.intpoly import IntPoly, cyclotomic
+from frobgen.intpoly import IntPoly, cyclotomic, zero_one_csv, zero_one_json, zero_one_text
 from frobgen.oracle import (
     GapSet,
     Params,
@@ -310,7 +313,14 @@ def cmd_genfun(args: argparse.Namespace) -> int:
         else:
             print(series.to_bitstring())
         return 0
-    _emit_poly(p_k_poly(pair, k), args.format)
+    # p_k is printed from its exponents, with no IntPoly built
+    exps = p_k_exponents(pair, k)
+    if args.format == "json":
+        print(zero_one_json(exps))
+    elif args.format == "csv":
+        sys.stdout.write(zero_one_csv(exps))
+    else:
+        print(zero_one_text(exps))
     return 0
 
 
@@ -472,13 +482,18 @@ def cmd_verify(args: argparse.Namespace) -> int:
 # -- parser ---------------------------------------------------------------
 
 
-@cache
 def build_parser() -> argparse.ArgumentParser:
     """The frobgen argument parser, built once per process.
 
     Reuse carries no state between calls: parse_args returns a fresh
     Namespace each time.
     """
+    return _parsers()[0]
+
+
+@cache
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The frobgen parser and its subcommand parsers by name."""
     parser = argparse.ArgumentParser(
         prog="frobgen",
         description="Exact Frobenius coin-problem statistics, sets, and generating functions.",
@@ -554,12 +569,33 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=cmd_verify)
 
-    return parser
+    return parser, sub.choices
+
+
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """build_parser().parse_args(argv), in one argparse pass when it can be.
+
+    The top-level pass only picks the subcommand and hands the rest of argv
+    to that subcommand's parser.  So when argv[0] names a subcommand, the
+    subcommand's parser reads argv[1:] directly, and leftover arguments are
+    refused by the top-level parser's own error, as the nested pass refuses
+    them.  Any other argv (empty, -h first, an unknown command, or one with
+    "--", whose handling varies across Python versions) takes the nested
+    pass.
+    """
+    parser, commands = _parsers()
+    command = commands.get(argv[0]) if argv and "--" not in argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    args, extra = command.parse_known_args(argv[1:])
+    if extra:
+        parser.error(gettext("unrecognized arguments: %s") % " ".join(extra))
+    args.command = argv[0]
+    return args
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parse_args(sys.argv[1:] if argv is None else list(argv))
     # Exact values print in full, however many digits they have; the limit
     # on int/str conversion stays on for argv parsing above.
     set_digits = getattr(sys, "set_int_max_str_digits", None)

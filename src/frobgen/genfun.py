@@ -10,6 +10,7 @@ are all materialized exactly and cross-checked against the oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 
 from frobgen.closedform import PairParams, _grid, _rows
 from frobgen.dp import divide_binomials, multiply_binomials
@@ -34,32 +35,44 @@ class IndicatorSeries:
         return self.bits.translate(_BIT_DIGITS).decode("ascii")
 
     def to_json(self) -> str:
-        # The bits array is the bitstring joined by commas, one C-level call.
+        # The bits array is a repeated "0," with each bit's digit written
+        # over its "0" by one strided copy, the last comma cut.
         params = ",".join(map(str, self.params))
-        bits = ",".join(self.to_bitstring())
+        digits = bytearray(b"0,") * len(self.bits)
+        digits[::2] = self.bits.translate(_BIT_DIGITS)
+        bits = digits[:-1].decode("ascii")
         return f'{{"params":[{params}],"k":{self.k},"bound":{self.bound},"bits":[{bits}]}}'
 
 
-def p_k_poly(p: PairParams, k: int) -> IntPoly:
-    """0/1 polynomial whose support is the exactly-k set, with no oracle call.
+def p_k_exponents(p: PairParams, k: int) -> tuple[int, ...]:
+    """The exactly-k set, p_k's support, as a sorted tuple, with no oracle
+    call: read off the product form's 0/1 bytes.
 
-    k >= 1 writes out the product form (no division involved):
+    k >= 1 is the product form (no division involved)
 
-        z^(ab(k-1)) * (1 + z^a + ... + z^((b-1)a)) * (1 + z^b + ... + z^((a-1)b))
+        z^(ab(k-1)) * (1 + z^a + ... + z^((b-1)a)) * (1 + z^b + ... + z^((a-1)b)),
 
     that is, the pair's _grid bytes (built once per PairParams and shared
     by every k) shifted up by ab(k-1); _grid raises AssertionError, before
-    the polynomial is built, unless they are 0/1 with ab ones.  k = 0 is
-    the complement of the representable n <= g_0 = ab - a - b (_rows).
-    Past the FROBGEN_MAX_BOUND ceiling (2ab - a - b, resp. g_0) it raises
+    any exponent is read, unless they are 0/1 with ab ones.  k = 0 is the
+    complement of the representable n <= g_0 = ab - a - b (_rows).  Past
+    the FROBGEN_MAX_BOUND ceiling (2ab - a - b, resp. g_0) it raises
     BoundTooLarge before allocating.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
     a, b = p.a, p.b
     if k == 0:
-        return IntPoly.from_indicator(_rows(p, a * b - a - b + 1).translate(_FLIP))
-    return IntPoly.from_indicator(_grid(p), a * b * (k - 1))
+        gaps = _rows(p, a * b - a - b + 1).translate(_FLIP)
+        return tuple(compress(range(len(gaps)), gaps))
+    coeffs = _grid(p)
+    base = a * b * (k - 1)
+    return tuple(compress(range(base, base + len(coeffs)), coeffs))
+
+
+def p_k_poly(p: PairParams, k: int) -> IntPoly:
+    """0/1 polynomial whose support is the exactly-k set (p_k_exponents)."""
+    return IntPoly._of(dict.fromkeys(p_k_exponents(p, k), 1))
 
 
 def s_k_indicator(p: PairParams, k: int, bound: int) -> IndicatorSeries:

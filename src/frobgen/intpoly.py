@@ -45,6 +45,37 @@ def _terms_text(terms: Iterable[tuple[int, object]], var: str, sep: str = "") ->
     return " ".join(parts) or "0"
 
 
+def zero_one_text(exps: tuple[int, ...]) -> str:
+    """IntPoly.to_text of the 0/1 polynomial with the sorted exponents exps:
+    one % call over a repeated "z^%s + " template, after "1 + " and "z + "
+    for exponents 0 and 1, and "0" for none.
+
+    >>> zero_one_text((0, 1, 4))
+    '1 + z + z^4'
+    """
+    if not exps:
+        return "0"
+    low = bisect_left(exps, 2)  # exponents 0 and 1 print as 1 and z
+    head = "".join([("1 + ", "z + ")[e] for e in exps[:low]])
+    return (head + ("z^%s + " * (len(exps) - low)) % exps[low:])[:-3]
+
+
+def zero_one_json(exps: tuple[int, ...]) -> str:
+    """IntPoly.to_json of the 0/1 polynomial with the sorted exponents exps,
+    by one % call over a repeated '[%s,"1"],' template.
+
+    >>> zero_one_json(())
+    '{"terms":[]}'
+    """
+    return '{"terms":[' + ('[%s,"1"],' * len(exps))[:-1] % exps + "]}"
+
+
+def zero_one_csv(exps: tuple[int, ...]) -> str:
+    """IntPoly.to_csv of the 0/1 polynomial with the sorted exponents exps,
+    by one % call over a repeated "%s,1" line."""
+    return "exp,coeff\n" + ("%s,1\n" * len(exps)) % exps
+
+
 class IntPoly:
     """Sparse integer polynomial in the variable z.
 
@@ -180,11 +211,9 @@ class IntPoly:
     # -- serialization -----------------------------------------------------
 
     def to_text(self) -> str:
-        """Canonical text form, terms in increasing exponent order.
-
-        A nonzero 0/1 polynomial is written by one % call over a repeated
-        "z^%s + " template, after "1 + " and "z + " for exponents 0 and 1;
-        any other goes term by term through _terms_text.
+        """Canonical text form, terms in increasing exponent order: a 0/1
+        polynomial by zero_one_text, any other term by term through
+        _terms_text.
 
         >>> IntPoly({1: 1, 2: 1, 4: 1, 7: 1}).to_text()
         'z + z^2 + z^4 + z^7'
@@ -193,42 +222,36 @@ class IntPoly:
         >>> IntPoly().to_text()
         '0'
         """
-        if self._terms and self.is_zero_one():
-            exps = self.support()
-            low = bisect_left(exps, 2)  # exponents 0 and 1 print as 1 and z
-            head = "".join([("1 + ", "z + ")[e] for e in exps[:low]])
-            return (head + ("z^%s + " * (len(exps) - low)) % exps[low:])[:-3]
+        if self.is_zero_one():
+            return zero_one_text(self.support())
         return _terms_text(sorted(self._terms.items()), "z")
 
     def to_json(self) -> str:
         """JSON form with coefficients as decimal strings (arbitrary precision
-        survives any JSON parser), written directly: a nonzero 0/1
-        polynomial by one % call over a repeated '[%s,"1"],' template, any
-        other by one % call per term.
+        survives any JSON parser), written directly: a 0/1 polynomial by
+        zero_one_json, any other by one % call per term.
 
         >>> IntPoly({0: 1, 3: -2}).to_json()
         '{"terms":[[0,"1"],[3,"-2"]]}'
         >>> IntPoly({0: 1, 3: 1}).to_json()
         '{"terms":[[0,"1"],[3,"1"]]}'
         """
-        if self._terms and self.is_zero_one():
-            exps = self.support()
-            return '{"terms":[' + ('[%s,"1"],' * len(exps))[:-1] % exps + "]}"
+        if self.is_zero_one():
+            return zero_one_json(self.support())
         return '{"terms":[' + ",".join(map('[%d,"%d"]'.__mod__, self.terms())) + "]}"
 
     def to_csv(self) -> str:
         """The line exp,coeff, then one line per term in increasing exponent
-        order: a nonzero 0/1 polynomial by one % call over a repeated "%s,1"
-        line, any other by one % call per term.
+        order: a 0/1 polynomial by zero_one_csv, any other by one % call per
+        term.
 
         >>> print(IntPoly({0: 1, 3: -2}).to_csv(), end="")
         exp,coeff
         0,1
         3,-2
         """
-        if self._terms and self.is_zero_one():
-            exps = self.support()
-            return "exp,coeff\n" + ("%s,1\n" * len(exps)) % exps
+        if self.is_zero_one():
+            return zero_one_csv(self.support())
         return "exp,coeff\n" + "".join(map("%d,%d\n".__mod__, self.terms()))
 
     @classmethod

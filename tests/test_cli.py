@@ -1,3 +1,4 @@
+import argparse
 import concurrent.futures
 import hashlib
 import io
@@ -5,7 +6,7 @@ import json
 import subprocess
 import sys
 import tracemalloc
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 from itertools import chain, combinations
 from math import gcd
 from pathlib import Path
@@ -923,7 +924,8 @@ class TestVerify:
         monkeypatch.setattr(StatReport, "__init__", refuse("a StatReport"))
         monkeypatch.setattr(IntPoly, "from_indicator", classmethod(refuse("a 0/1 IntPoly")))
         monkeypatch.setattr(genfun, "p_k_poly", refuse("p_k_poly"))
-        monkeypatch.setattr(cli, "p_k_poly", refuse("p_k_poly"))
+        monkeypatch.setattr(genfun, "p_k_exponents", refuse("p_k's exponents"))
+        monkeypatch.setattr(cli, "p_k_exponents", refuse("p_k's exponents"))
         checks, failures = cli.verify_pair(29, 30, 5, 4)
         assert failures == []
         assert checks == 1 + 8 * 6 + 5 * 5
@@ -1119,6 +1121,168 @@ class TestParserReuse:
         code, out = run_main(capsys, "classify", "--params", "3,5", "--bound", "0")
         assert code == 0
         assert out == "0  r=1\n"
+
+
+# Argv corpus of the one-pass parse: (argv split on spaces, exit code, first
+# 16 hex digits of the sha256 of stdout), as the nested parse of the parent
+# commit gave them.  None where stdout is argparse's help, whose wrapping
+# varies with the Python version and the terminal width: that output, and all
+# of stderr, is compared with the nested parse in the same interpreter.
+ARGV_CORPUS = [
+    # valid argv of every subcommand, in every format
+    ("compute --params 3,5 --k 1 --stat g", 0, "859ab3d445b70584"),
+    ("compute --params 3,5 --k 2 --stat sm --m 3 --format json", 0, "2deaec435e308632"),
+    ("compute --params 3,5,7 --k 1 --stat sle --format csv", 0, "224e6f9e522e8e5f"),
+    ("compute --params 3,5 --stat cle --oracle --format json", 0, "378bce9d69f34553"),
+    ("enumerate --params 3,5 --k 1", 0, "3c933796eb048bc5"),
+    ("enumerate --params 3,5,7 --k 2 --at-most --format json", 0, "a46ca02aa9f80db6"),
+    ("enumerate --params 5,7 --k 1 --bound 40 --format csv", 0, "1f70d3a82fb981e6"),
+    ("classify --params 3,5 --bound 30", 0, "9cbd332933911a65"),
+    ("classify --params 3,5,7 --bound 30 --format json", 0, "4f3694d3b173f13a"),
+    ("classify --params 2,9 --bound 30 --format csv", 0, "4e68e20c8b4f49f7"),
+    ("genfun --params 3,5 --k 2", 0, "a39c321980e651ab"),
+    ("genfun --params 3,5 --format json", 0, "4e4766101438ce78"),
+    ("genfun --params 4,7 --k 1 --format csv", 0, "5c6856a21f2d39dc"),
+    ("genfun --params 1,2 --k 0", 0, "9a271f2a916b0b6e"),
+    ("genfun --params 1,2 --k 0 --format json", 0, "636174ce0c979c93"),
+    ("genfun --params 1,2 --k 0 --format csv", 0, "9b4636e822f8b816"),
+    ("genfun --params 1,1 --k 1", 0, "4355a46b19d348dc"),
+    ("genfun --params 3,5,7 --numerator", 0, "fd3337eee213fcf4"),
+    ("genfun --params 3,5,7 --numerator --format json", 0, "07f315dc942c36be"),
+    ("genfun --params 3,5,7 --numerator --format csv", 0, "8ab5d08239543a5b"),
+    ("genfun --params 3,5,7 --denham", 0, "06e9d52c1720fca4"),
+    ("genfun --params 3,5,7 --denham --format json", 0, "fbfdd71b4ef805b5"),
+    ("genfun --cyclotomic 12", 0, "a7f681bc3d0fac0d"),
+    ("genfun --cyclotomic 12 --format json", 0, "ff6d2cd567116fcc"),
+    ("genfun --cyclotomic 1 --format csv", 0, "d2fa954c6a59fe3b"),
+    ("genfun --params 3,5 --indicator --bound 20", 0, "72690b5810f95b03"),
+    ("genfun --params 3,5 --indicator --k 1 --bound 40 --format json", 0, "b5543ea9f1a8761b"),
+    ("genfun --params 3,5 --indicator --k 9 --bound 0 --format json", 0, "ff8f82f478fa825e"),
+    ("genfun --params 3,5 --indicator --k 2 --bound 40 --format csv", 0, "bf105b4d9ebb9dde"),
+    ("verify --params 3,5 --kmax 2 --mmax 1", 0, "153b9b8ba6a3764b"),
+    ("verify --sweep 4 --kmax 1 --format json", 0, "4e71fa43e3969a8a"),
+    # validation errors raised after the parse
+    ("genfun --params 3,5 --denham --format csv", 2, "e3b0c44298fc1c14"),
+    ("genfun --params 3,5,7 --k 1", 2, "e3b0c44298fc1c14"),
+    ("genfun --params 3,5 --k -1", 2, "e3b0c44298fc1c14"),
+    ("genfun --params 3,5 --bound 9", 2, "e3b0c44298fc1c14"),
+    ("compute --params 3,5 --stat g --m 2", 2, "e3b0c44298fc1c14"),
+    ("verify --params 3,5 --workers 0", 2, "e3b0c44298fc1c14"),
+    # no args, and help before and after the command
+    ("", 2, "e3b0c44298fc1c14"),
+    ("-h", 0, None),
+    ("--help", 0, None),
+    ("-h genfun", 0, None),
+    ("--help verify", 0, None),
+    ("genfun -h", 0, None),
+    ("compute --help", 0, None),
+    ("classify --params 3,5 -h", 0, None),
+    ("--he genfun", 0, None),
+    # an unknown command
+    ("nosuch", 2, "e3b0c44298fc1c14"),
+    ("nosuch --params 3,5", 2, "e3b0c44298fc1c14"),
+    ("Genfun --params 3,5", 2, "e3b0c44298fc1c14"),
+    ("gen --params 3,5", 2, "e3b0c44298fc1c14"),
+    ("--params 3,5 genfun", 2, "e3b0c44298fc1c14"),
+    # unrecognized arguments after the command
+    ("genfun --params 3,5 --bogus", 2, "e3b0c44298fc1c14"),
+    ("genfun --params 3,5 extra", 2, "e3b0c44298fc1c14"),
+    ("compute --params 3,5 --stat g --bogus x y", 2, "e3b0c44298fc1c14"),
+    ("classify --params 3,5 --bound 9 -x", 2, "e3b0c44298fc1c14"),
+    ("enumerate --params 3,5 --k 1 --k2 3", 2, "e3b0c44298fc1c14"),
+    ("genfun --bogus --params 3,5 --unknown=1", 2, "e3b0c44298fc1c14"),
+    # abbreviated options
+    ("genfun --par 3,5 --k 1", 0, "ea3d5a21053526c4"),
+    ("enumerate --par 3,5 --at --bou 30", 0, "dc620bcf9c568a95"),
+    ("verify --par 3,5 --km 1 --mm 1 --form json", 0, "66e4d741de9c2d06"),
+    ("genfun --p 3,5 --num", 0, "6fc978735a4bc949"),
+    # --opt=value
+    ("genfun --params=3,5 --k=2 --format=csv", 0, "7b528f56a99e421c"),
+    ("classify --params=3,5 --bound=12 --format=json", 0, "088191456f0cac9d"),
+    ("genfun --params=3,5 --numerator=1", 2, "e3b0c44298fc1c14"),
+    ("compute --params=3,5 --stat=q", 2, "e3b0c44298fc1c14"),
+    # -- before and after the command
+    ("-- genfun --params 3,5", 2, "e3b0c44298fc1c14"),
+    ("genfun -- --params 3,5", 2, "e3b0c44298fc1c14"),
+    ("genfun --params 3,5 --", 2, "e3b0c44298fc1c14"),
+    ("genfun --params 3,5 -- --k 1", 2, "e3b0c44298fc1c14"),
+    ("--", 2, "e3b0c44298fc1c14"),
+    # a bad choice
+    ("genfun --params 3,5 --format xml", 2, "e3b0c44298fc1c14"),
+    ("compute --params 3,5 --stat q", 2, "e3b0c44298fc1c14"),
+    ("verify --params 3,5 --format csv", 2, "e3b0c44298fc1c14"),
+    # a mutually exclusive conflict
+    ("genfun --params 3,5 --numerator --denham", 2, "e3b0c44298fc1c14"),
+    ("genfun --params 3,5 --indicator --cyclotomic 5", 2, "e3b0c44298fc1c14"),
+    ("verify --params 3,5 --sweep 5", 2, "e3b0c44298fc1c14"),
+    # a missing required option or value
+    ("classify --params 3,5", 2, "e3b0c44298fc1c14"),
+    ("compute --params 3,5", 2, "e3b0c44298fc1c14"),
+    ("verify", 2, "e3b0c44298fc1c14"),
+    ("genfun --params", 2, "e3b0c44298fc1c14"),
+    ("genfun --params -3,5", 2, "e3b0c44298fc1c14"),
+    # a bad value
+    ("genfun --params 3,5 --k x", 2, "e3b0c44298fc1c14"),
+    ("genfun --params a,b", 2, "e3b0c44298fc1c14"),
+    ("classify --params 3,5 --bound 1.5", 2, "e3b0c44298fc1c14"),
+]
+
+
+def run_captured(argv: list[str]) -> tuple[int, str, str]:
+    """main(argv) in process: exit code (SystemExit's too), stdout, stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def nested_parse(argv):
+    return cli.build_parser().parse_args(argv)
+
+
+class TestOnePassParse:
+    @pytest.mark.parametrize(
+        "argv,code,digest", ARGV_CORPUS, ids=[a or "no-args" for a, _, _ in ARGV_CORPUS]
+    )
+    def test_same_as_nested_parse(self, monkeypatch, argv, code, digest):
+        if code == 0 and digest is not None:
+            assert vars(cli._parse_args(argv.split())) == vars(nested_parse(argv.split()))
+        got = run_captured(argv.split())
+        monkeypatch.setattr(cli, "_parse_args", nested_parse)
+        assert got == run_captured(argv.split())
+        assert got[0] == code
+        if digest is not None:
+            assert hashlib.sha256(got[1].encode()).hexdigest()[:16] == digest
+
+    def test_unrecognized_arguments_line(self):
+        code, out, err = run_captured(["genfun", "--params", "3,5", "--bogus", "x"])
+        assert (code, out) == (2, "")
+        assert err.splitlines()[-1] == "frobgen: error: unrecognized arguments: --bogus x"
+
+    def test_one_parse_per_command(self, monkeypatch):
+        # the top-level parser's pass is skipped: one parse_known_args call,
+        # the subcommand's; the nested parse makes two
+        calls = []
+        real = argparse.ArgumentParser.parse_known_args
+
+        def counted(self, *args, **kwargs):
+            calls.append(self.prog)
+            return real(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counted)
+        commands = [a.split() for a, code, digest in ARGV_CORPUS if code == 0 and digest]
+        assert {argv[0] for argv in commands} == set(cli._parsers()[1])  # every subcommand
+        for argv in commands:
+            calls.clear()
+            assert run_captured(argv)[0] == 0
+            assert calls == [f"frobgen {argv[0]}"]
+        monkeypatch.setattr(cli, "_parse_args", nested_parse)
+        calls.clear()
+        run_captured(commands[0])
+        assert calls == ["frobgen", f"frobgen {commands[0][0]}"]
 
 
 class TestGoldenOutput:

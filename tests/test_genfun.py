@@ -1,17 +1,24 @@
+import io
 import random
 import tracemalloc
+from contextlib import redirect_stdout
 from math import gcd
+from unittest.mock import patch
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from frobgen import dp, oracle
 from frobgen.cli import main
 from frobgen.closedform import PairParams, closed_report, count_k, frobenius_k, structured_r_k
 from frobgen.errors import BoundTooLarge, NotPrime, WrongArity
 from frobgen.genfun import (
+    IndicatorSeries,
     cyclotomic_identity_check,
     denham_term_count,
     numerator_h,
+    p_k_exponents,
     p_k_poly,
     rational_series,
     s_k_indicator,
@@ -20,6 +27,13 @@ from frobgen.intpoly import IntPoly
 from frobgen.oracle import GapSet, enumerate_exact_k, rep_table, validate_params
 
 from helpers import brute_counts, coprime_pairs
+
+
+@st.composite
+def coprime_pair(draw, max_b: int = 40) -> tuple[int, int]:
+    b = draw(st.integers(1, max_b))
+    a = draw(st.integers(1, b).filter(lambda a: gcd(a, b) == 1))
+    return (a, b) if draw(st.booleans()) else (b, a)
 
 
 class TestPkPoly:
@@ -78,15 +92,30 @@ class TestPkPoly:
         with pytest.raises(AssertionError, match="outside"):
             p_k_poly(pair, 1)
 
-    def test_coefficient_two_refused_before_output(self, monkeypatch, capsys):
-        # genfun --k prints nothing from product-form bytes that are not 0/1
+    @given(
+        coprime_pair(12),
+        st.integers(1, 4),
+        st.sampled_from(["plain", "json", "csv"]),
+        st.data(),
+    )
+    def test_coefficient_two_refused_before_output(self, ab, k, fmt, data):
+        # a 2 in place of any of the ab ones of the product form: genfun
+        # --k raises before writing a byte, in every format
+        a, b = ab
         real = PairParams._grid_bytes.func
-        monkeypatch.setattr(
-            PairParams, "_grid_bytes", property(lambda p: real(p).replace(b"\x01", b"\x02", 1))
-        )
-        with pytest.raises(AssertionError, match="outside"):
-            main(["genfun", "--params", "3,5", "--k", "2"])
-        assert capsys.readouterr().out == ""
+        at = data.draw(st.integers(0, a * b - 1))
+
+        def two_at(p):
+            coeffs = bytearray(real(p))
+            coeffs[[i for i, c in enumerate(coeffs) if c][at]] = 2
+            return bytes(coeffs)
+
+        out = io.StringIO()
+        argv = ["genfun", "--params", f"{a},{b}", "--k", str(k), "--format", fmt]
+        with patch.object(PairParams, "_grid_bytes", property(two_at)), redirect_stdout(out):
+            with pytest.raises(AssertionError, match="outside"):
+                main(argv)
+        assert out.getvalue() == ""
 
     def test_product_form_makes_no_sparse_product(self, monkeypatch):
         def no_mul(self, other):
@@ -137,6 +166,38 @@ class TestPkPoly:
         for j, c in enumerate(counts):
             if c <= kmax:
                 assert sum(j in s for s in supports) == 1
+
+
+class TestPkExponents:
+    @given(coprime_pair(), st.integers(0, 5))
+    @example((1, 1), 0)
+    @example((1, 2), 0)
+    @example((40, 39), 5)
+    def test_exactly_k_set(self, ab, k):
+        a, b = ab
+        exps = p_k_exponents(PairParams(a, b), k)
+        assert exps == p_k_poly(PairParams(a, b), k).support()
+        counts = brute_counts((a, b), (k + 1) * a * b)  # g_k = (k + 1)ab - a - b
+        assert exps == tuple(j for j, c in enumerate(counts) if c == k)
+
+    @pytest.mark.parametrize(
+        "fmt,text", [("plain", "0\n"), ("json", '{"terms":[]}\n'), ("csv", "exp,coeff\n")]
+    )
+    def test_empty_p_k_prints(self, capsys, fmt, text):
+        # (1, 2) represents every n >= 0: p_0 is the zero polynomial
+        assert p_k_exponents(PairParams(1, 2), 0) == ()
+        assert main(["genfun", "--params", "1,2", "--k", "0", "--format", fmt]) == 0
+        assert capsys.readouterr().out == text
+
+    @pytest.mark.parametrize("k", [0, 1, 3])
+    def test_ceiling(self, k, monkeypatch):
+        monkeypatch.setenv("FROBGEN_MAX_BOUND", "10")
+        with pytest.raises(BoundTooLarge):
+            p_k_exponents(PairParams(5, 7), k)
+
+    def test_negative_k(self):
+        with pytest.raises(ValueError, match="k must be >= 0"):
+            p_k_exponents(PairParams(5, 7), -1)
 
 
 class TestIndicator:
@@ -206,6 +267,19 @@ class TestIndicator:
         series = s_k_indicator(PairParams(2, 3), 0, 4)
         assert series.to_bitstring() == "10111"
         assert "\"bits\":[1,0,1,1,1]" in series.to_json()
+
+    @given(st.lists(st.integers(0, 1), max_size=300).map(bytes), st.integers(0, 3))
+    @example(b"", 0)
+    @example(b"\x00", 1)
+    @example(b"\x01", 2)
+    def test_json_is_the_joined_form(self, bits, k):
+        # the bits array written by one strided copy is the bitstring
+        # joined by commas
+        series = IndicatorSeries((3, 5), k, len(bits) - 1, bits)
+        joined = ",".join(series.to_bitstring())
+        assert series.to_json() == (
+            f'{{"params":[3,5],"k":{k},"bound":{len(bits) - 1},"bits":[{joined}]}}'
+        )
 
 
 class TestNoOracleInTwoCoinBuilders:

@@ -7,7 +7,15 @@ from hypothesis import strategies as st
 
 import frobgen
 from frobgen.errors import BoundTooLarge, NotDivisible
-from frobgen.intpoly import IntPoly, _terms_text, cyclotomic, poly_exact_div
+from frobgen.intpoly import (
+    IntPoly,
+    _terms_text,
+    cyclotomic,
+    poly_exact_div,
+    zero_one_csv,
+    zero_one_json,
+    zero_one_text,
+)
 
 from helpers import totient
 
@@ -245,6 +253,23 @@ class TestSerialization:
         assert p.to_text() == _terms_text(terms, "z")
         assert p.to_json() == '{"terms":[' + ",".join(map('[%d,"%d"]'.__mod__, terms)) + "]}"
         assert p.to_csv() == "\n".join(["exp,coeff", *[f"{e},{c}" for e, c in terms]]) + "\n"
+
+    @given(st.sets(st.integers(0, 10**6), max_size=40))
+    @example(set())
+    @example({0})
+    @example({1})
+    @example({0, 1, 2})
+    def test_zero_one_printers(self, exps):
+        # the printers over a sorted exponent tuple give the term-by-term
+        # forms, and IntPoly's own
+        p = IntPoly(dict.fromkeys(exps, 1))
+        exps = tuple(sorted(exps))
+        assert zero_one_text(exps) == _terms_text(p.terms(), "z") == p.to_text()
+        assert zero_one_json(exps) == (
+            '{"terms":[' + ",".join(f'[{e},"1"]' for e in exps) + "]}"
+        ) == p.to_json()
+        assert zero_one_csv(exps) == "exp,coeff\n" + "".join(f"{e},1\n" for e in exps)
+        assert zero_one_csv(exps) == p.to_csv()
 
 
 class TestInvariants:
