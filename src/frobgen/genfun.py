@@ -139,7 +139,7 @@ def numerator_h(params: Params, gaps: GapSet | None = None) -> IntPoly:
         j = next(j for j, (r, e) in enumerate(zip(counts, coeffs)) if bool(r) != e)
         raise AssertionError(f"gap indicator differs from the denumerant table at degree {j}")
     multiply_binomials(coeffs, denoms)
-    return IntPoly._of({e: c for e, c in enumerate(coeffs) if c})
+    return IntPoly._of(dict(compress(enumerate(coeffs), coeffs)))
 
 
 def denham_term_count(params: Params) -> int:

@@ -973,6 +973,73 @@ class TestVerify:
             assert f["expected"] == str(exact)
             assert f["actual"] == str(tuple(j + 1 for j in exact))
 
+    def test_oracle_step_is_not_the_closed_forms_translate(self, capsys, monkeypatch):
+        # the closed form's powers are those of x + 1 for x >= ab = 15, which
+        # only its translate base ab(k - 1), k >= 2, reaches: the powers of a
+        # and b behind R_1's sums stay right.  The oracle steps E_k from
+        # E_(k-1) by ab with its own rows, so it still gives the true sums.
+        real = closedform._powers
+        monkeypatch.setattr(closedform, "_powers", lambda x, m: real(x + (x >= 15), m))
+        code, out = run_main(
+            capsys, "verify", "--params", "3,5", "--kmax", "3", "--mmax", "3"
+        )
+        assert code == 1
+        failures = [json.loads(line) for line in out.splitlines()]
+        assert [(f["check"], f["k"], f["m"]) for f in failures] == [
+            ("s^m", k, m) for k in (2, 3) for m in (1, 2, 3)
+        ]
+        counts = brute_counts((3, 5), 60)  # R_3(3,5) ends at 52
+        for f in failures:
+            exact = [j for j, c in enumerate(counts) if c == f["k"]]
+            assert f["expected"] == str(sum(j ** f["m"] for j in exact))
+            assert f["actual"] == str(sum((j + 1) ** f["m"] for j in exact))
+
+    def test_a_failed_support_is_walked(self, capsys, monkeypatch):
+        # E_3 without its largest element: E_3 and E_4 are walked (E_4 matches,
+        # but E_3 does not), E_5 is stepped from E_4, and the failures are
+        # those of a walk of every set
+        real = cli.enumerate_by_count
+
+        def dropped(params, kmax):
+            sets = real(params, kmax)
+            e3 = sets[3]
+            sets[3] = oracle.GapSet(params, 3, e3.elements[:-1], e3.complete)
+            return sets
+
+        real_sums = oracle.GapSet.power_sums
+        walked = []
+
+        def counted(self, m):
+            walked.append(self.k)
+            return real_sums(self, m)
+
+        monkeypatch.setattr(cli, "enumerate_by_count", dropped)
+        monkeypatch.setattr(oracle.GapSet, "power_sums", counted)
+        code, out = run_main(
+            capsys, "verify", "--params", "3,5", "--kmax", "5", "--mmax", "3"
+        )
+        assert code == 1
+        assert walked == [0, 1, 3, 4]
+        assert out.splitlines() == [
+            '{"check":"g","a":3,"b":5,"k":3,"expected":"49","actual":"52"}',
+            '{"check":"c","a":3,"b":5,"k":3,"expected":"14","actual":"15"}',
+            '{"check":"s","a":3,"b":5,"k":3,"expected":"563","actual":"615"}',
+            '{"check":"p_k support","a":3,"b":5,"k":3,'
+            '"expected":"(30, 33, 35, 36, 38, 39, 40, 41, 42, 43, 44, 46, 47, 49)",'
+            '"actual":"(30, 33, 35, 36, 38, 39, 40, 41, 42, 43, 44, 46, 47, 49, 52)"}',
+            '{"check":"g<=","a":3,"b":5,"k":3,"expected":"49","actual":"52"}',
+            '{"check":"c<=","a":3,"b":5,"k":3,"expected":"48","actual":"49"}',
+            '{"check":"s<=","a":3,"b":5,"k":3,"expected":"1132","actual":"1184"}',
+            '{"check":"s^m","a":3,"b":5,"k":3,"m":0,"expected":"14","actual":"15"}',
+            '{"check":"s^m","a":3,"b":5,"k":3,"m":1,"expected":"563","actual":"615"}',
+            '{"check":"s^m","a":3,"b":5,"k":3,"m":2,"expected":"23031","actual":"25735"}',
+            '{"check":"s^m","a":3,"b":5,"k":3,"m":3,"expected":"957167","actual":"1097775"}',
+            '{"check":"c<=","a":3,"b":5,"k":4,"expected":"63","actual":"64"}',
+            '{"check":"s<=","a":3,"b":5,"k":4,"expected":"1972","actual":"2024"}',
+            '{"check":"c<=","a":3,"b":5,"k":5,"expected":"78","actual":"79"}',
+            '{"check":"s<=","a":3,"b":5,"k":5,"expected":"3037","actual":"3089"}',
+        ]
+
     @pytest.mark.parametrize("a,b", [(1, 1), (2, 3), (7, 10), (29, 30)])
     def test_one_params_per_pair(self, a, b, monkeypatch):
         real = oracle.Params.__post_init__
@@ -990,6 +1057,59 @@ class TestVerify:
     def test_needs_params_or_sweep(self):
         code, _, err = run_cli("verify")
         assert code == 2
+
+
+class TestOracleStep:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        elements=st.sets(st.integers(min_value=0, max_value=10**6), max_size=30),
+        shift=st.integers(min_value=0, max_value=10**6),
+        m=st.integers(min_value=0, max_value=12),
+    )
+    @example(elements={0, 3, 5}, shift=0, m=12)
+    @example(elements=set(), shift=7, m=3)
+    def test_step_is_the_translate_s_sums(self, elements, shift, m):
+        params = oracle.Params([3, 5])
+        base = oracle.GapSet(params, 1, sorted(elements), True)
+        moved = oracle.GapSet(params, 1, sorted(e + shift for e in elements), True)
+        rows = cli._shift_rows(shift, m)
+        assert cli._shift_sums(rows, base.power_sums(m)) == moved.power_sums(m)
+
+    @pytest.mark.parametrize(
+        "a,b,kmax,mmax,walked",
+        [
+            (29, 30, 5, 4, [0, 1]),  # E_2..E_5 stepped
+            (3, 5, 5, 200, [0, 1, 2, 3, 4, 5]),  # 200 orders >= ab = 15: walked
+            (2, 3, 5, 6, [0, 1, 2, 3, 4, 5]),  # 6 orders, ab = 6: walked
+            (2, 3, 5, 5, [0, 1]),  # 5 orders < ab = 6: stepped
+            (1, 2, 5, 0, [0, 1]),  # mmax 0 still reads order 1 < ab = 2
+            (1, 1, 5, 0, [0, 1, 2, 3, 4, 5]),  # ab = 1: walked
+        ],
+    )
+    def test_walks_per_pair(self, a, b, kmax, mmax, walked, monkeypatch):
+        real = oracle.GapSet.power_sums
+        calls = []
+
+        def counted(self, m):
+            calls.append(self.k)
+            return real(self, m)
+
+        monkeypatch.setattr(oracle.GapSet, "power_sums", counted)
+        checks, failures = cli.verify_pair(a, b, kmax, mmax)
+        assert failures == []
+        assert calls == walked
+
+    def test_step_uses_no_closed_form_helper(self, monkeypatch):
+        def refused(*args, **kwargs):
+            raise AssertionError("the oracle side called a closed-form helper")
+
+        monkeypatch.setattr(cli, "power_sums_k", lambda p, k, m: [None] * (m + 1))
+        for name in ("_binomial_convolution", "_powers", "power_sums_k"):
+            monkeypatch.setattr(closedform, name, refused)
+        monkeypatch.setattr(closedform.PairParams, "_sumset_power_sums", refused)
+        checks, failures = cli.verify_pair(29, 30, 5, 4)
+        assert {f["check"] for f in failures} == {"s^m"}
+        assert len(failures) == 5 * 5
 
 
 class TestFlagCombinations:
