@@ -32,7 +32,7 @@ from functools import cache
 from gettext import gettext
 from itertools import compress, repeat
 from math import gcd
-from operator import add, mul, sub
+from operator import add, mul
 from typing import Iterable, Iterator, Sequence
 
 from frobgen.closedform import (
@@ -61,9 +61,10 @@ from frobgen.intpoly import IntPoly, cyclotomic, zero_one_csv, zero_one_json, ze
 from frobgen.oracle import (
     GapSet,
     Params,
+    _by_count_bytes,
     _check_bound,
+    _run_set,
     enumerate_at_most_k,
-    enumerate_by_count,
     enumerate_exact_k,
     oracle_report,
 )
@@ -327,6 +328,10 @@ def cmd_genfun(args: argparse.Namespace) -> int:
 # -- verify ---------------------------------------------------------------
 
 
+# maps every nonzero byte to 1: a coefficient's bytes to its support
+_SUPPORT = b"\0" + b"\1" * 255
+
+
 def _shift_rows(shift: int, m: int) -> list[list[int]]:
     """rows[n][t] = C(n, t) shift^(n-t) for 0 <= t <= n <= m (0^0 = 1).
 
@@ -354,12 +359,15 @@ def _shift_sums(rows: list[list[int]], sums: list[int]) -> list[int]:
 def verify_pair(a: int, b: int, kmax: int, mmax: int) -> tuple[int, list[dict]]:
     """All closed-form vs oracle checks for one coprime pair.
 
-    The oracle side is one certified scan per pair (enumerate_by_count up to
-    the kmax window), which yields every exactly-k set E_k.  Each set's sum
-    and s^m values are its power sums, walked (GapSet.power_sums) for E_0
-    and E_1.  For k >= 2, when both E_(k-1) and E_k passed the "p_k support"
-    comparison, E_k is E_(k-1) translated by ab, so its sums are stepped
-    from E_(k-1)'s by the binomial theorem (_shift_sums), in about
+    The oracle side is one certified scan per pair (_by_count_bytes up to
+    the kmax window), which yields every exactly-k set E_k as a 0/1 run:
+    its bytes from its first element to its last, so g is the run's last
+    position.  A set is expanded into a GapSet (by one compress) only when
+    it is walked.  Each set's sum and s^m values are its power sums, walked
+    (GapSet.power_sums) for E_0 and E_1.  For k >= 2, when both E_(k-1) and
+    E_k passed the "p_k support" comparison, E_k is E_(k-1) translated by
+    ab, so its sums are stepped from E_(k-1)'s by the binomial theorem
+    (_shift_sums), with no GapSet built, in about
     (m + 1)^2 / 2 products for m = max(mmax, 1) orders against about ab * m
     for a walk: the step is taken only when m < ab.  Any other set is
     walked, and the next k steps from that walked set.  The step reads the
@@ -377,11 +385,14 @@ def verify_pair(a: int, b: int, kmax: int, mmax: int) -> tuple[int, list[dict]]:
     (_rows) for k = 0, and for k >= 1 the pair's product-form bytes (_grid),
     since every exactly-k set with k >= 1 is the sumset {ia + jb} translated
     by ab(k-1).  Those bytes, their 0/1 check (every byte 0 or 1 and ab of
-    them 1, which a collision of two sums lowers) and their support are read
-    once per pair; per k the oracle set, shifted down by ab(k-1), is
-    compared with that support.  A failed "p_k support" entry gives both
-    sets unshifted, and is built only then.  power_sums_k gives every
-    order of one k as one table.
+    them 1, which a collision of two sums lowers) and their support (every
+    nonzero byte made 1, then cut to its first 1 through its last) are read
+    once per pair; per k, E_k matches iff its run starts at ab(k-1) plus
+    the support's first 1 and equals the support's bytes, one compare of
+    bytes.  A coefficient 2 thus fails the 0/1 check alone.  A failed
+    "p_k support" entry gives both sets as elements, and is built only
+    then, from the walked GapSet and the form's bytes.  power_sums_k gives
+    every order of one k as one table.
     Returns (number of checks run, failures); each failure is a JSON-ready
     dict naming the check and both values.
     """
@@ -421,14 +432,15 @@ def verify_pair(a: int, b: int, kmax: int, mmax: int) -> tuple[int, list[dict]]:
     # a step costs about (orders + 1)^2 / 2 products, a walk about ab * orders
     step = _shift_rows(ab, orders) if orders < ab else None
 
-    exact_sets = enumerate_by_count(params, kmax)
-    h = numerator_h(params, exact_sets[0])
+    runs, complete = _by_count_bytes(params, kmax)
+    gaps = _run_set(params, 0, *runs[0], complete)
+    h = numerator_h(params, gaps)
     check("h == 1 - z^ab", None, None, IntPoly.one_minus_pow(ab).to_text(), h.to_text())
 
     g_le, c_le, s_le = None, 0, 0
     matched = False  # the support comparison of k - 1
     for k in range(kmax + 1):
-        exact = exact_sets[k]
+        start, run = runs[k]
         if k <= 1:  # the form's bytes: k = 0's own, then the pair's R_1
             if k == 0:
                 form = _rows(pair, ab - a - b + 1).translate(_FLIP)
@@ -436,24 +448,27 @@ def verify_pair(a: int, b: int, kmax: int, mmax: int) -> tuple[int, list[dict]]:
             else:
                 form = _grid(pair, strict=False)
                 zero_one = _zero_one(form, ab)
-            support = tuple(compress(range(len(form)), form))
+            support = form.translate(_SUPPORT)
+            first = support.find(1)
+            support = support[first : support.rfind(1) + 1]  # empty when no 1
         base = ab * (k - 1) if k else 0
-        shifted = tuple(map(sub, exact.elements, repeat(base))) if base else exact.elements
         # E_k is E_(k-1) translated by ab when both match the form's support
         stepped = step is not None and k >= 2 and matched
-        matched = shifted == support
+        matched = run == support and (not run or start == base + first)
         if stepped and matched:
             oracle_sums = _shift_sums(step, oracle_sums)
         else:
+            exact = _run_set(params, k, start, run, complete) if k else gaps
             oracle_sums = exact.power_sums(orders if k else 1)
-        g, c, s = exact.maximum, oracle_sums[0], oracle_sums[1]
+        g, c, s = (start + len(run) - 1 if run else None), oracle_sums[0], oracle_sums[1]
         closed = (_frobenius(pair, k), _count(pair, k), _sum(pair, k))
         check_row(("g", "c", "s"), k, repeat(None), (g, c, s), closed)
 
         check("p_k 0/1 coefficients", k, None, True, zero_one)
         checks += 1
-        if not matched:
-            fail("p_k support", k, None, exact.elements, tuple(map(add, support, repeat(base))))
+        if not matched:  # so E_k was walked, and exact is E_k
+            form_set = tuple(compress(range(base, base + len(form)), form))
+            fail("p_k support", k, None, exact.elements, form_set)
 
         if g is not None:
             g_le = g if g_le is None else max(g_le, g)

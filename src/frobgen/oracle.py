@@ -9,10 +9,11 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 from dataclasses import dataclass
 from itertools import chain, compress, islice, repeat
 from math import factorial, gcd, prod
-from operator import add, lshift, lt, mul
+from operator import lt, mul
 from typing import Iterable, Iterator
 
 from frobgen import dp
@@ -247,7 +248,7 @@ def _scan(
             raise InfiniteSet(
                 f"every j >= 0 has exactly 1 representation; the requested set is infinite (k={k})"
             )
-        return ([[] for _ in range(k + 1)] if split else ()), True
+        return ([(0, b"")] * (k + 1) if split else ()), True
     else:
         cap = max_bound_ceiling()
     # a_1, whose window certifies, and every other coin that reaches j <= cap
@@ -292,6 +293,10 @@ def _window_floor(coins: list[int], k: int) -> int | None:
 BLOCK = 1 << 10  # counts per block after the first
 FIRST_MAX = 1 << 13  # the first block's most counts
 FLIP = bytes.maketrans(b"\0\x80", b"\x80\0")
+# _ONE_AT[c] maps byte c to 1 and every other byte to 0
+_ONE_AT = tuple(bytes(c) + b"\1" + bytes(255 - c) for c in range(256))
+# where a native 16-bit value keeps its low and its high byte
+_LOW, _HIGH = (0, 1) if sys.byteorder == "little" else (1, 0)
 
 
 def _stream(
@@ -336,9 +341,26 @@ def _stream(
     sets the top bit of those >= K and carries into none; the clamp runs
     only when some top bit is set, since it is the identity otherwise.  The
     test of each count against k reaches Python as one byte per j, the top
-    byte of each field.  `split` reads each kept count, which is <= k, from
-    the same little-endian bytes of the clamped block: its field's low byte,
-    plus one byte plane more for each further byte that k needs (k >= 256).
+    byte of each field.
+
+    `split` reads the kept counts from one byte plane of the clamped block,
+    over the span from the block's first kept j to its last.  When K < 256
+    that is the plane of the fields' low bytes, where every count past k
+    reads K, and each count 0..k is probed there: a find that misses costs
+    less than a pass for the plane's min and max.  Otherwise the block is
+    rebased in chunks of 255 counts from cb = the least count of the span,
+    each chunk one plane.  y = (x | top) - cb ones, its top bits cleared,
+    holds c - cb for a count c >= cb and 2^(w-1) + c - cb for one below,
+    without a borrow as cb <= k < 2^(w-1).  Since 2^(w-1) > 2K, that is
+    >= 255 for every c outside the chunk cb..cb + 254, and one more SWAR
+    add sets the low byte of those fields to 255, so the low byte plane of
+    y reads c - cb for a count in the chunk and 255 for any other.  The
+    span's least and largest counts, which bound the chunks, come to a unit
+    of 256^(p-1) from the min and max of the two byte planes below and at
+    K's top bit (byte p), read as 16-bit values.  Each count found in a
+    plane is bounded by one find and one rfind, the bytes between are
+    mapped to 0/1 by one translate, and that is appended to the count's
+    run, after zero bytes for the j since its run last ended.
 
     The first block reaches Sum a_i past `floor`, where most windows
     close, but holds at most FIRST_MAX counts: a longer block needs more
@@ -348,9 +370,10 @@ def _stream(
 
     Returns (found, complete): complete is True iff the window closes by
     cap; found is a tuple of every collected j up to there, in increasing
-    order, which GapSet._of wraps without a copy.  With `split`, found is one
-    list per count 0..k instead, and each j goes to found[r(j)] alone, so
-    each list is sorted too.
+    order, which GapSet._of wraps without a copy.  With `split`, found is
+    one (start, run) per count c = 0..k instead: run holds, from j = start,
+    one byte per j, 1 iff r(j) = c, and starts and ends with a 1; an empty
+    set has start 0 and an empty run.
     """
     width = coins[0]
     steps = [min(a, cap + 1) for a in coins]
@@ -360,7 +383,10 @@ def _stream(
     spread = K * (-(-longest // steps[0]) + 1)
     wb = (spread.bit_length() + 8) // 8  # the fewest bytes with spread < 2^(8 wb - 1)
     w = 8 * wb
-    found: list = [[] for _ in range(K)] if split else []
+    found: list = []
+    if split:
+        starts, runs = [0] * K, [bytearray() for _ in range(K)]
+        p = (K.bit_length() - 1) // 8  # the byte that holds K's top bit
     tails = [bytearray(a * wb) for a in steps]
     x = 1  # t_0(0) in the first block's first field
     last = -1  # the last j so far whose count is <= k
@@ -372,6 +398,9 @@ def _stream(
             top = int.from_bytes((bytes(wb - 1) + b"\x80") * length, "little")
             full = (top >> (w - 1)) * K
             over_k = top - full  # + a field >= K sets its top bit
+            if split and p:  # w >= 16 here, as 2^(w-1) > 2K >= 512
+                ones = top >> (w - 1)
+                below_255 = ones * ((1 << (w - 1)) - 255)  # + a field >= 255 sets its top bit
         xs = []  # t_i over the block, for the tails of the next one
         for a, tail in zip(steps, tails):
             if j0:  # every tail is zero before the first block
@@ -396,18 +425,43 @@ def _stream(
             lo = len(kept) - len(kept.lstrip(b"\0"))
             js = range(j0 + lo, j0 + len(kept))
             if split:
-                fields = x.to_bytes(bits // 8, "little")[lo * wb :]
-                counts = fields[::wb]
-                for p in range(1, -(-k.bit_length() // 8)):
-                    counts = map(add, counts, map(lshift, fields[p::wb], repeat(8 * p)))
-                for j, c in compress(zip(js, counts), kept[lo:]):
-                    found[c].append(j)
+                span = slice(lo * wb, len(kept) * wb, wb)  # a field's low byte
+                if not p:
+                    most = k
+                    planes = [(0, x.to_bytes(bits // 8, "little")[span])]
+                else:
+                    buf = x.to_bytes(bits // 8, "little")
+                    key = bytearray(2 * (len(kept) - lo))  # bytes p - 1 and p of each count
+                    key[_LOW::2] = buf[lo * wb + p - 1 : len(kept) * wb : wb]
+                    key[_HIGH::2] = buf[lo * wb + p : len(kept) * wb : wb]
+                    key = memoryview(key).cast("H")
+                    unit = 1 << 8 * (p - 1)
+                    least, most = min(key) * unit, min(max(key) * unit + unit - 1, k)
+                    planes = []
+                    for cb in range(least, most + 1, 255):
+                        y = (x | top) - cb * ones
+                        y ^= y & top
+                        y |= (((y + below_255) & top) >> (w - 1)) * 255
+                        planes.append((cb, y.to_bytes(bits // 8, "little")[span]))
+                for cb, plane in planes:
+                    for c in range(min(255, most + 1 - cb)):
+                        s = plane.find(c)
+                        if s < 0:
+                            continue
+                        run, at = runs[cb + c], js[s]
+                        if run:
+                            run += bytes(at - starts[cb + c] - len(run))
+                        else:
+                            starts[cb + c] = at
+                        run += plane[s : plane.rfind(c) + 1].translate(_ONE_AT[c])
             else:  # read once, into the tuple returned
                 found.append(compress(js, kept[lo:]))
         j0 += length
         closed = j0 - 1 - last >= width
         if closed or j0 > cap:
-            return (found if split else tuple(chain.from_iterable(found))), closed
+            if split:
+                return list(zip(starts, runs)), closed
+            return tuple(chain.from_iterable(found)), closed
         for a, tail, x in zip(steps, tails, xs):
             n = min(a, length) * wb  # the bytes this block read, now stale
             del tail[:n]
@@ -435,21 +489,33 @@ def enumerate_at_most_k(params: Params, k: int, bound: int | None = None) -> Gap
     return GapSet._of(params, k, *_scan(params, k, True, bound))
 
 
+def _by_count_bytes(params: Params, kmax: int) -> tuple[list[tuple[int, bytearray]], bool]:
+    """(runs, complete) of the scan behind enumerate_at_most_k(params, kmax),
+    split by count: runs[k] is (start, run), the exactly-k set as 0/1 bytes
+    from its first element, start, to its last (_stream's `split`).
+
+    The same _scan plan and refusals as enumerate_at_most_k: the
+    FROBGEN_MAX_BOUND cap and its refusal before the scan apply at kmax, and
+    the scan's window of a_1 counts > kmax also certifies every smaller k.
+    """
+    return _scan(params, kmax, True, None, split=True)
+
+
+def _run_set(params: Params, k: int, start: int, run: bytes, complete: bool) -> GapSet:
+    """The GapSet of one (start, run) of _by_count_bytes, its elements
+    expanded by one compress."""
+    return GapSet._of(params, k, tuple(compress(range(start, start + len(run)), run)), complete)
+
+
 def enumerate_by_count(params: Params, kmax: int) -> list[GapSet]:
     """The exactly-k sets for every k <= kmax, from one scan, indexed by k.
 
-    The scan is the one behind enumerate_at_most_k(params, kmax), split by
-    count: it files every element it collects under its count alone, and
-    those lists are the exactly-k sets.  Each count is read from the scan's
-    own fields, one byte plane per byte of kmax.  The at-most-k set is the
-    disjoint union of exact[0..k], so none is built: kmax + 1 GapSets in
-    all.  The scan's window of a_1 counts > kmax also certifies every
-    smaller k, so every set is complete.  The FROBGEN_MAX_BOUND cap and its refusal before
-    the scan apply at kmax; the kmax + 1 per-count lists are allocated only
-    after that refusal check.
+    Each set is expanded from its 0/1 run (_by_count_bytes, _run_set).  The
+    at-most-k set is the disjoint union of exact[0..k], so none is built:
+    kmax + 1 GapSets in all, every one complete.
     """
-    by_count, complete = _scan(params, kmax, True, None, split=True)
-    return [GapSet._of(params, k, tuple(js), complete) for k, js in enumerate(by_count)]
+    runs, complete = _by_count_bytes(params, kmax)
+    return [_run_set(params, k, *run, complete) for k, run in enumerate(runs)]
 
 
 def oracle_report(gap_set: GapSet, stat: str, m: int | None = None) -> StatReport:

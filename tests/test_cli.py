@@ -998,13 +998,14 @@ class TestVerify:
         # E_3 without its largest element: E_3 and E_4 are walked (E_4 matches,
         # but E_3 does not), E_5 is stepped from E_4, and the failures are
         # those of a walk of every set
-        real = cli.enumerate_by_count
+        real = cli._by_count_bytes
 
         def dropped(params, kmax):
-            sets = real(params, kmax)
-            e3 = sets[3]
-            sets[3] = oracle.GapSet(params, 3, e3.elements[:-1], e3.complete)
-            return sets
+            # E_3's run without its last 1, and the 0s before it
+            runs, complete = real(params, kmax)
+            start, run = runs[3]
+            runs[3] = (start, run[:-1].rstrip(b"\0"))
+            return runs, complete
 
         real_sums = oracle.GapSet.power_sums
         walked = []
@@ -1013,7 +1014,7 @@ class TestVerify:
             walked.append(self.k)
             return real_sums(self, m)
 
-        monkeypatch.setattr(cli, "enumerate_by_count", dropped)
+        monkeypatch.setattr(cli, "_by_count_bytes", dropped)
         monkeypatch.setattr(oracle.GapSet, "power_sums", counted)
         code, out = run_main(
             capsys, "verify", "--params", "3,5", "--kmax", "5", "--mmax", "3"
@@ -1039,6 +1040,77 @@ class TestVerify:
             '{"check":"c<=","a":3,"b":5,"k":5,"expected":"78","actual":"79"}',
             '{"check":"s<=","a":3,"b":5,"k":5,"expected":"3037","actual":"3089"}',
         ]
+
+    @pytest.mark.parametrize("fault", ["past the end", "before the start"])
+    def test_an_extra_element_fails_the_support(self, fault, capsys, monkeypatch):
+        # E_2's run with one more 1: one byte past its end, or one byte
+        # before its start.  E_2 and E_3 are walked, E_4 is stepped.
+        real = cli._by_count_bytes
+
+        def extra(params, kmax):
+            runs, complete = real(params, kmax)
+            start, run = runs[2]
+            runs[2] = (start, run + b"\1") if fault == "past the end" else (start - 1, b"\1" + run)
+            return runs, complete
+
+        real_sums = oracle.GapSet.power_sums
+        walked = []
+
+        def counted(self, m):
+            walked.append(self.k)
+            return real_sums(self, m)
+
+        monkeypatch.setattr(cli, "_by_count_bytes", extra)
+        monkeypatch.setattr(oracle.GapSet, "power_sums", counted)
+        code = main(["verify", "--params", "3,5", "--kmax", "4", "--mmax", "2"])
+        captured = capsys.readouterr()
+        assert (code, captured.err) == (1, "")
+        assert walked == [0, 1, 2, 3]
+
+        counts = brute_counts((3, 5), 80)  # R_4(3,5) ends at 67
+        exact = [[j for j, c in enumerate(counts) if c == k] for k in range(5)]
+        added = exact[2][-1] + 1 if fault == "past the end" else exact[2][0] - 1
+        seen = sorted(exact[2] + [added])  # the oracle's E_2
+
+        def entry(check, k, expected, actual, m=None):
+            d = {"check": check, "a": 3, "b": 5, "k": k}
+            if m is not None:
+                d["m"] = m
+            d.update(expected=str(expected), actual=str(actual))
+            return json.dumps(d, separators=(",", ":"))
+
+        lines = []
+        if seen[-1] != exact[2][-1]:
+            lines.append(entry("g", 2, seen[-1], exact[2][-1]))
+        lines.append(entry("c", 2, len(seen), len(exact[2])))
+        lines.append(entry("s", 2, sum(seen), sum(exact[2])))
+        lines.append(entry("p_k support", 2, tuple(seen), tuple(exact[2])))
+        for k in (2, 3, 4):
+            at_most = [j for j, c in enumerate(counts) if c <= k]
+            if k == 2 and seen[-1] > at_most[-1]:
+                lines.append(entry("g<=", 2, seen[-1], at_most[-1]))
+            lines.append(entry("c<=", k, len(at_most) + 1, len(at_most)))
+            lines.append(entry("s<=", k, sum(at_most) + added, sum(at_most)))
+            if k == 2:
+                for m in range(3):
+                    sums = [sum(j**m for j in s) for s in (seen, exact[2])]
+                    lines.append(entry("s^m", 2, *sums, m=m))
+        assert captured.out.splitlines() == lines
+
+    def test_stepped_sets_build_no_gapset(self, monkeypatch):
+        # E_2..E_5 are stepped from their runs alone: only E_0 and E_1 are
+        # expanded into GapSets
+        real = oracle.GapSet._of
+        built = []
+
+        def counted(params, k, elements, complete):
+            built.append(k)
+            return real(params, k, elements, complete)
+
+        monkeypatch.setattr(oracle.GapSet, "_of", staticmethod(counted))
+        checks, failures = cli.verify_pair(29, 30, 5, 4)
+        assert failures == []
+        assert built == [0, 1]
 
     @pytest.mark.parametrize("a,b", [(1, 1), (2, 3), (7, 10), (29, 30)])
     def test_one_params_per_pair(self, a, b, monkeypatch):

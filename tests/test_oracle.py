@@ -795,6 +795,91 @@ class TestEnumerateByCount:
             enumerate_by_count(validate_params([3, 5]), -1)
 
 
+_BRUTE: dict = {}
+
+
+def _brute_to_window(denoms, k):
+    """Brute counts up to the end of the first window of a_1 counts > k,
+    computed at doubling bounds and kept per denoms for the next call."""
+    counts = _BRUTE.get(denoms, [])
+    while (start := _first_window(counts, denoms[0], k)) is None:
+        counts = _BRUTE[denoms] = brute_counts(denoms, max(2 * len(counts), 16))
+    return counts[: start + denoms[0]]
+
+
+@st.composite
+def coins_to_30(draw):
+    n = draw(st.integers(1, 5))
+    if n == 1:
+        return (1,)
+    denoms = draw(
+        st.lists(st.integers(1, 30), min_size=n, max_size=n).filter(
+            lambda d: reduce(gcd, d) == 1
+        )
+    )
+    return tuple(sorted(denoms))
+
+
+def _assert_runs_are_sets(runs, counts):
+    """Each (start, run) starts and ends with 1, holds only 0/1 bytes and
+    expands to the exactly-k set of counts (which reach past every one)."""
+    by_count = [[] for _ in runs]
+    for j, c in enumerate(counts):
+        if c < len(runs):
+            by_count[c].append(j)
+    for (start, run), expected in zip(runs, by_count):
+        if run:
+            assert run[0] == run[-1] == 1
+            assert run.count(0) + run.count(1) == len(run)
+        assert [start + i for i, bit in enumerate(run) if bit] == expected
+
+
+class TestByCountBytes:
+    """_by_count_bytes: one 0/1 run per count, from the split scan."""
+
+    @given(coins_to_30(), st.integers(0, 12))
+    @settings(max_examples=80, deadline=None)
+    @example((2, 3), 254)
+    @example((2, 3), 255)
+    @example((2, 3), 256)
+    @example((2, 3), 509)
+    @example((2, 3), 510)
+    @example((2, 3), 511)
+    @example((3, 5), 254)
+    @example((3, 5), 255)
+    @example((3, 5), 256)
+    @example((3, 5), 509)
+    @example((3, 5), 510)
+    @example((3, 5), 511)
+    def test_runs_against_brute_counts(self, denoms, kmax):
+        params = validate_params(list(denoms))
+        if len(denoms) == 1 and kmax >= 1:
+            with pytest.raises(InfiniteSet):
+                oracle._by_count_bytes(params, kmax)
+            return
+        runs, complete = oracle._by_count_bytes(params, kmax)
+        assert complete
+        assert len(runs) == kmax + 1
+        _assert_runs_are_sets(runs, _brute_to_window(denoms, kmax))
+
+    @pytest.mark.parametrize(
+        "denoms, kmax",
+        [
+            ((2, 3), 70000),  # 4-byte fields; counts span three byte planes
+            ((1, 1), 2000),  # r(j) = j + 1: one element per count
+            ((7, 11), 1000),  # 3-byte fields over about 70 blocks
+            ((200, 201), 1),  # 1-byte fields over about 70 blocks
+            ((1,), 0),
+        ],
+    )
+    def test_runs_across_blocks(self, denoms, kmax):
+        runs, complete = oracle._by_count_bytes(validate_params(list(denoms)), kmax)
+        at_most = _rep_reference(denoms, kmax, True)[0]
+        assert complete
+        assert len(runs) == kmax + 1
+        _assert_runs_are_sets(runs, dp.rep_counts(denoms, at_most[-1]) if at_most else [])
+
+
 class TestScannedSets:
     """The enumerators wrap the scan's sets without GapSet's checks."""
 
@@ -817,7 +902,7 @@ class TestScannedSets:
             assert gs == GapSet(gs.params, gs.k, gs.elements, gs.complete)
 
     # A field is the fewest whole bytes that keep a block's largest sum
-    # below its top bit; a split scan rounds it up to 1, 2, 4 or 8 bytes.
+    # below its top bit, split scan or not.
     @pytest.mark.parametrize(
         "denoms, k, bound",
         [
