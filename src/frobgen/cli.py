@@ -30,7 +30,7 @@ import os
 import sys
 from functools import cache
 from gettext import gettext
-from itertools import compress, repeat
+from itertools import repeat
 from math import gcd
 from operator import add, mul
 from typing import Iterable, Iterator, Sequence
@@ -40,8 +40,7 @@ from frobgen.closedform import (
     _at_most,
     _count,
     _frobenius,
-    _grid,
-    _rows,
+    _p_k_bytes,
     _sum,
     _zero_one,
     closed_report,
@@ -51,7 +50,6 @@ from frobgen.dp import rep_blocks
 from frobgen.errors import FrobgenError, ValidationError, WrongArity
 from frobgen.genfun import (
     _BIT_DIGITS,
-    _FLIP,
     denham_term_count,
     numerator_h,
     p_k_exponents,
@@ -362,14 +360,14 @@ def verify_pair(a: int, b: int, kmax: int, mmax: int) -> tuple[int, list[dict]]:
     The oracle side is one certified scan per pair (_by_count_bytes up to
     the kmax window), which yields every exactly-k set E_k as a 0/1 run:
     its bytes from its first element to its last, so g is the run's last
-    position.  A set is expanded into a GapSet (by one compress) only when
-    it is walked.  Each set's sum and s^m values are its power sums, walked
-    (GapSet.power_sums) for E_0 and E_1.  For k >= 2, when both E_(k-1) and
-    E_k passed the "p_k support" comparison, E_k is E_(k-1) translated by
-    ab, so its sums are stepped from E_(k-1)'s by the binomial theorem
-    (_shift_sums), with no GapSet built, in about
-    (m + 1)^2 / 2 products for m = max(mmax, 1) orders against about ab * m
-    for a walk: the step is taken only when m < ab.  Any other set is
+    position.  A set is expanded into a GapSet (by oracle._run_set) only
+    when it is walked.  Each set's sum and s^m values are its power sums,
+    walked (GapSet.power_sums) for E_0 and E_1.  For k >= 2, when both
+    E_(k-1) and E_k passed the "p_k support" comparison, E_k is E_(k-1)
+    translated by ab, so its sums are stepped from E_(k-1)'s by the binomial
+    theorem (_shift_sums), with no GapSet built, in about (m + 1)^2 / 2
+    products for m = max(mmax, 1) orders against about ab * m for a walk:
+    the step is taken only when m < ab.  Any other set is
     walked, and the next k steps from that walked set.  The step reads the
     oracle's own sets and none of closedform's helpers, so a fault in the
     closed form's translate by ab(k-1) still fails at every k >= 2.  The
@@ -381,18 +379,19 @@ def verify_pair(a: int, b: int, kmax: int, mmax: int) -> tuple[int, list[dict]]:
     The closed-form side is checked in the form it is computed in, with
     nothing built in between.  g, c and s, of the exactly-k and of the
     at-most-k set alike, are the integers of closedform's formulas.  p_k is
-    read off its 0/1 bytes: the complement of the representable n <= g_0
-    (_rows) for k = 0, and for k >= 1 the pair's product-form bytes (_grid),
-    since every exactly-k set with k >= 1 is the sumset {ia + jb} translated
-    by ab(k-1).  Those bytes, their 0/1 check (every byte 0 or 1 and ab of
-    them 1, which a collision of two sums lowers) and their support (every
-    nonzero byte made 1, then cut to its first 1 through its last) are read
-    once per pair; per k, E_k matches iff its run starts at ab(k-1) plus
-    the support's first 1 and equals the support's bytes, one compare of
-    bytes.  A coefficient 2 thus fails the 0/1 check alone.  A failed
-    "p_k support" entry gives both sets as elements, and is built only
-    then, from the walked GapSet and the form's bytes.  power_sums_k gives
-    every order of one k as one table.
+    read off its 0/1 bytes from closedform's one builder, _p_k_bytes, with
+    strict=False: the complement of the representable n <= g_0 for k = 0,
+    and for k >= 1 the pair's product-form bytes, since every exactly-k set
+    with k >= 1 is the sumset {ia + jb} translated by ab(k-1).  Those bytes,
+    their 0/1 check (every byte 0 or 1 and ab of them 1, which a collision
+    of two sums lowers) and their support (every nonzero byte made 1, then
+    cut to its first 1 through its last) are read once per pair; per k, E_k
+    matches iff its run starts at ab(k-1) plus the support's first 1 and
+    equals the support's bytes, one compare of bytes.  A coefficient 2 thus
+    fails the 0/1 check alone.  A failed "p_k support" entry gives both sets
+    as elements, and is built only then, from the walked GapSet and the
+    form's bytes (by _run_set).  power_sums_k gives every order of one k as
+    one table.
     Returns (number of checks run, failures); each failure is a JSON-ready
     dict naming the check and both values.
     """
@@ -442,12 +441,8 @@ def verify_pair(a: int, b: int, kmax: int, mmax: int) -> tuple[int, list[dict]]:
     for k in range(kmax + 1):
         start, run = runs[k]
         if k <= 1:  # the form's bytes: k = 0's own, then the pair's R_1
-            if k == 0:
-                form = _rows(pair, ab - a - b + 1).translate(_FLIP)
-                zero_one = _zero_one(form)
-            else:
-                form = _grid(pair, strict=False)
-                zero_one = _zero_one(form, ab)
+            _, form = _p_k_bytes(pair, k, strict=False)
+            zero_one = _zero_one(form, ab if k else None)
             support = form.translate(_SUPPORT)
             first = support.find(1)
             support = support[first : support.rfind(1) + 1]  # empty when no 1
@@ -467,7 +462,7 @@ def verify_pair(a: int, b: int, kmax: int, mmax: int) -> tuple[int, list[dict]]:
         check("p_k 0/1 coefficients", k, None, True, zero_one)
         checks += 1
         if not matched:  # so E_k was walked, and exact is E_k
-            form_set = tuple(compress(range(base, base + len(form)), form))
+            form_set = _run_set(params, k, base, form, True).elements
             fail("p_k support", k, None, exact.elements, form_set)
 
         if g is not None:

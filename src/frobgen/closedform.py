@@ -16,12 +16,14 @@ which power_sums_below gets by Pascal's identity; power_sums_k gives every
 order up to m as one list.  Every other statistic comes as a StatReport
 with closed-form provenance; g, c and s (exactly-k and at-most-k alike)
 each come from one integer formula.  All arithmetic is in integers; each
-division is exact and checked by _exact_div.  Every two-coin set is read
-off one of the two product forms, laid out as 0/1 bytes by _grid and
-_rows.  The k >= 1 bytes are kept as laid out; _grid, their bound-checked
-accessor, asserts that they are 0/1 with ab ones (_zero_one), so builders
-refuse a collision, while verify reads them with strict=False and reports
-one as a failed check.
+division is exact and checked by _exact_div.  Every exactly-k set of a pair
+is read off one builder, _p_k_bytes, which lays out p_k's coefficients as
+0/1 bytes from a base: for k = 0 the complement of the representable
+n <= g_0 (_rows), for k >= 1 the pair's sumset bytes (_grid).  Those are
+kept as laid out; _grid, their bound-checked accessor, asserts that they
+are 0/1 with ab ones (_zero_one), so builders refuse a collision, while
+verify reads them with strict=False and reports one as a failed check.
+Bytes become a set only through oracle._run_set.
 
 Every exactly-k set with k >= 1 is also the one sumset {ia + jb} translated
 by ab(k-1), so a PairParams keeps what they share: the sumset's 0/1 bytes
@@ -32,13 +34,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import accumulate, compress, repeat
+from itertools import accumulate, repeat
 from math import comb
 from operator import add, mul, sub
 
 from frobgen.errors import UnsupportedK
-from frobgen.oracle import GapSet, Params, _check_bound
+from frobgen.oracle import GapSet, Params, _check_bound, _run_set
 from frobgen.report import AT_MOST_STATS, CLOSED_FORM, StatReport
+
+# swaps 0 and 1: the representable n's bytes become the gaps'
+_FLIP = bytes.maketrans(b"\x00\x01", b"\x01\x00")
 
 
 @dataclass(frozen=True)
@@ -358,17 +363,30 @@ def _rows(p: PairParams, length: int) -> bytearray:
     return bits
 
 
+def _p_k_bytes(p: PairParams, k: int, strict: bool = True) -> tuple[int, bytes]:
+    """(base, bytes): p_k's coefficients, the exactly-k set, as 0/1 bytes
+    from position base, read off the product form with no oracle call.
+
+    k = 0 is the complement of the representable n <= g_0 = ab - a - b
+    (_rows) at base 0.  k >= 1 is the pair's _grid bytes (built once per
+    PairParams and shared by every k) at base ab(k - 1); strict is _grid's.
+    Past the FROBGEN_MAX_BOUND ceiling (g_0, resp. 2ab - a - b) it raises
+    BoundTooLarge before allocating.
+    """
+    a, b = p.a, p.b
+    if k == 0:
+        return 0, _rows(p, a * b - a - b + 1).translate(_FLIP)
+    return a * b * (k - 1), _grid(p, strict)
+
+
 def structured_r_k(p: PairParams, k: int) -> GapSet:
     """The exactly-k set for k >= 1, written down directly:
 
         ab(k-1) + {0, a, ..., (b-1)a} + {0, b, ..., (a-1)b}
 
-    read off the pair's _grid, which asserts that all ab sums are distinct;
+    read off _p_k_bytes, whose _grid asserts that all ab sums are distinct;
     the result is complete by construction.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    coeffs = _grid(p)
-    base = p.a * p.b * (k - 1)
-    elements = compress(range(base, base + len(coeffs)), coeffs)
-    return GapSet(p.as_params(), k, elements, complete=True)
+    return _run_set(p.as_params(), k, *_p_k_bytes(p, k), True)

@@ -12,14 +12,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import compress
 
-from frobgen.closedform import PairParams, _grid, _rows
+from frobgen.closedform import PairParams, _p_k_bytes, _rows
 from frobgen.dp import divide_binomials, multiply_binomials
 from frobgen.errors import NotPrime, WrongArity
 from frobgen.intpoly import IntPoly, _prime_factors, cyclotomic
-from frobgen.oracle import GapSet, Params, _check_bound, enumerate_exact_k, rep_table
+from frobgen.oracle import GapSet, Params, _check_bound, _run_set, enumerate_exact_k, rep_table
 
 _BIT_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
-_FLIP = bytes.maketrans(b"\x00\x01", b"\x01\x00")
 
 
 @dataclass(frozen=True)
@@ -46,28 +45,21 @@ class IndicatorSeries:
 
 def p_k_exponents(p: PairParams, k: int) -> tuple[int, ...]:
     """The exactly-k set, p_k's support, as a sorted tuple, with no oracle
-    call: read off the product form's 0/1 bytes.
+    call: the set of p_k's 0/1 bytes (_p_k_bytes), expanded by _run_set.
 
     k >= 1 is the product form (no division involved)
 
         z^(ab(k-1)) * (1 + z^a + ... + z^((b-1)a)) * (1 + z^b + ... + z^((a-1)b)),
 
-    that is, the pair's _grid bytes (built once per PairParams and shared
-    by every k) shifted up by ab(k-1); _grid raises AssertionError, before
-    any exponent is read, unless they are 0/1 with ab ones.  k = 0 is the
-    complement of the representable n <= g_0 = ab - a - b (_rows).  Past
-    the FROBGEN_MAX_BOUND ceiling (2ab - a - b, resp. g_0) it raises
-    BoundTooLarge before allocating.
+    and k = 0 the complement of the representable n <= g_0 = ab - a - b.
+    For k >= 1, AssertionError is raised before any exponent is read
+    unless the bytes are 0/1 with ab ones.  Past the FROBGEN_MAX_BOUND
+    ceiling (2ab - a - b, resp. g_0) it raises BoundTooLarge before
+    allocating.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
-    a, b = p.a, p.b
-    if k == 0:
-        gaps = _rows(p, a * b - a - b + 1).translate(_FLIP)
-        return tuple(compress(range(len(gaps)), gaps))
-    coeffs = _grid(p)
-    base = a * b * (k - 1)
-    return tuple(compress(range(base, base + len(coeffs)), coeffs))
+    return _run_set(p.as_params(), k, *_p_k_bytes(p, k), True).elements
 
 
 def p_k_poly(p: PairParams, k: int) -> IntPoly:

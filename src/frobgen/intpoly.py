@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_left
-from itertools import compress
 from typing import Iterable, Mapping
 
 from frobgen.dp import divide_binomials, multiply_binomials
@@ -121,20 +120,6 @@ class IntPoly:
     def one_minus_pow(cls, n: int) -> IntPoly:
         """1 - z^n."""
         return cls([(0, 1), (n, -1)])
-
-    @classmethod
-    def from_indicator(cls, bits: bytes | bytearray, base: int = 0) -> IntPoly:
-        """0/1 polynomial with a 1 at base + i for each nonzero bits[i].
-
-        The terms are built in one dict.fromkeys call over the set positions.
-        Every exponent is an int >= base, so only base needs checking.
-
-        >>> IntPoly.from_indicator(b"\\x01\\x00\\x01", 3).to_text()
-        'z^3 + z^5'
-        """
-        if not isinstance(base, int) or base < 0:
-            raise ValueError(f"exponent must be a nonnegative integer, got {base!r}")
-        return cls._of(dict.fromkeys(compress(range(base, base + len(bits)), bits), 1))
 
     # -- inspection --------------------------------------------------------
 

@@ -117,9 +117,10 @@ class GapSet:
     elements come from any iterable of strictly increasing ints >= 0 and
     are stored as a tuple; a bool, any other non-int, a negative element or
     elements that do not strictly increase raise ValueError.  The sets the
-    enumerators return are built so by the scan and wrapped by _of without
-    this re-check; the tests hold each equal to the set this constructor
-    builds from its fields.
+    enumerators and the pair's closed forms return are built so, by the
+    scan or from 0/1 bytes (_run_set), and wrapped by _of without this
+    re-check; the tests hold each equal to the set this constructor builds
+    from its fields.
     """
 
     params: Params
@@ -502,8 +503,10 @@ def _by_count_bytes(params: Params, kmax: int) -> tuple[list[tuple[int, bytearra
 
 
 def _run_set(params: Params, k: int, start: int, run: bytes, complete: bool) -> GapSet:
-    """The GapSet of one (start, run) of _by_count_bytes, its elements
-    expanded by one compress."""
+    """The GapSet of the 0/1 bytes run from position start, a nonzero byte
+    a member, expanded by one compress and wrapped by _of unchecked: the
+    package's one expansion of bytes into a set, for the scan's runs
+    (_by_count_bytes) and the pair's product forms (closedform._p_k_bytes)."""
     return GapSet._of(params, k, tuple(compress(range(start, start + len(run)), run)), complete)
 
 

@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 
 from frobgen import cli, closedform, dp, genfun, oracle
 from frobgen.cli import main
-from frobgen.intpoly import IntPoly
 from frobgen.report import StatReport
 
 from helpers import brute_counts
@@ -922,7 +921,6 @@ class TestVerify:
             return refused
 
         monkeypatch.setattr(StatReport, "__init__", refuse("a StatReport"))
-        monkeypatch.setattr(IntPoly, "from_indicator", classmethod(refuse("a 0/1 IntPoly")))
         monkeypatch.setattr(genfun, "p_k_poly", refuse("p_k_poly"))
         monkeypatch.setattr(genfun, "p_k_exponents", refuse("p_k's exponents"))
         monkeypatch.setattr(cli, "p_k_exponents", refuse("p_k's exponents"))
@@ -972,6 +970,24 @@ class TestVerify:
             exact = tuple(j for j, c in enumerate(counts) if c == f["k"])
             assert f["expected"] == str(exact)
             assert f["actual"] == str(tuple(j + 1 for j in exact))
+
+    def test_reports_a_wrong_k0_form(self, capsys, monkeypatch):
+        # n = 1 marked representable: k = 0's form, which verify reads through
+        # closedform's one builder, loses the gap 1 and fails its support alone
+        real = closedform._rows
+
+        def marked(p, length):
+            bits = real(p, length)
+            bits[1] = 1
+            return bits
+
+        monkeypatch.setattr(closedform, "_rows", marked)
+        code, out = run_main(capsys, "verify", "--params", "3,5", "--kmax", "2", "--mmax", "1")
+        assert code == 1
+        assert [json.loads(line) for line in out.splitlines()] == [
+            {"check": "p_k support", "a": 3, "b": 5, "k": 0,
+             "expected": "(1, 2, 4, 7)", "actual": "(2, 4, 7)"}
+        ]
 
     def test_oracle_step_is_not_the_closed_forms_translate(self, capsys, monkeypatch):
         # the closed form's powers are those of x + 1 for x >= ab = 15, which

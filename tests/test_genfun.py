@@ -306,7 +306,7 @@ def _reference_h(params):
     """h by the identity the package used before the dense product:
     (1 + z + ... + z^(a_1 - 1)) prod_{i>=2} (1 - z^(a_i)) - p_0 prod_i (1 - z^(a_i))."""
     denoms = params.denominations
-    h = IntPoly.from_indicator(b"\x01" * denoms[0])
+    h = IntPoly(dict.fromkeys(range(denoms[0]), 1))
     for a in denoms[1:]:
         h *= IntPoly.one_minus_pow(a)
     full = IntPoly(dict.fromkeys(enumerate_exact_k(params, 0).elements, 1))

@@ -6,7 +6,9 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import frobgen
+from frobgen.closedform import PairParams
 from frobgen.errors import BoundTooLarge, NotDivisible
+from frobgen.genfun import p_k_poly
 from frobgen.intpoly import (
     IntPoly,
     _terms_text,
@@ -88,18 +90,6 @@ class TestMul:
     @given(nonzero_polys, nonzero_polys)
     def test_degree_adds(self, p, q):
         assert (p * q).degree == p.degree + q.degree
-
-
-class TestFromIndicator:
-    @given(st.binary(max_size=40), st.integers(min_value=0, max_value=100))
-    def test_matches_support(self, bits, base):
-        expected = IntPoly({base + i: 1 for i, bit in enumerate(bits) if bit})
-        assert IntPoly.from_indicator(bits, base) == expected
-
-    @pytest.mark.parametrize("base", [-1, 2.0])
-    def test_rejects_bad_base(self, base):
-        with pytest.raises(ValueError, match="nonnegative integer"):
-            IntPoly.from_indicator(b"\x01", base)
 
 
 class TestOneMinusPow:
@@ -302,7 +292,7 @@ class TestInvariants:
 
     def test_builders_keep_the_schema(self):
         # the unchecked path serves only maps the package built itself
-        p = IntPoly.from_indicator(b"\x01\x00\x01", 2)
+        p = p_k_poly(PairParams(3, 5), 1)
         for q in (p, -p, p + p, p * p, p * 3, p * 0, cyclotomic(6)):
             for e, c in q.terms():
                 assert type(e) is int and e >= 0

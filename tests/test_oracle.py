@@ -11,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from frobgen import dp, oracle
+from frobgen.closedform import PairParams, _p_k_bytes, structured_r_k
 from frobgen.errors import (
     BoundTooLarge,
     EmptyList,
@@ -25,6 +26,7 @@ from frobgen.oracle import (
     MAX_BOUND_ENV,
     GapSet,
     Params,
+    _run_set,
     enumerate_at_most_k,
     enumerate_by_count,
     enumerate_exact_k,
@@ -881,19 +883,27 @@ class TestByCountBytes:
 
 
 class TestScannedSets:
-    """The enumerators wrap the scan's sets without GapSet's checks."""
+    """The enumerators and the pair's product forms wrap their sets without
+    GapSet's checks."""
 
     @given(
         st.one_of(st.tuples(coin_sets(), st.integers(0, 300)), st.sampled_from(BLOCK_CASES)),
-        st.sampled_from(["exact", "at_most", "by_count"]),
+        st.sampled_from(["exact", "at_most", "by_count", "pair_forms"]),
         st.one_of(st.none(), st.integers(0, 3 * FIRST)),
+        st.tuples(st.sampled_from(coprime_pairs(40)), st.integers(1, 6)),
     )
-    @settings(max_examples=80, deadline=None)
-    def test_each_set_is_one_the_constructor_accepts(self, query, kind, bound):
-        # certified and bounded scans, one block or many; by_count takes no bound
+    @settings(max_examples=110, deadline=None)
+    def test_each_set_is_one_the_constructor_accepts(self, query, kind, bound, pair_query):
+        # certified and bounded scans, one block or many; by_count takes no
+        # bound; pair_forms reads a pair's k >= 1 and k = 0 sets off its bytes
         denoms, k = query
         params = validate_params(list(denoms))
-        if kind == "by_count":
+        if kind == "pair_forms":
+            (a, b), k = pair_query
+            pair = PairParams(a, b)
+            gaps = _run_set(pair.as_params(), 0, *_p_k_bytes(pair, 0), True)
+            sets = [structured_r_k(pair, k), gaps]
+        elif kind == "by_count":
             sets = enumerate_by_count(params, k)
         else:
             fn = enumerate_at_most_k if kind == "at_most" else enumerate_exact_k
