@@ -41,10 +41,10 @@ from frobgen.closedform import (
     _count,
     _frobenius,
     _p_k_bytes,
+    _power_sums_by_k,
     _sum,
     _zero_one,
     closed_report,
-    power_sums_k,
 )
 from frobgen.dp import rep_blocks
 from frobgen.errors import FrobgenError, ValidationError, WrongArity
@@ -354,6 +354,10 @@ def _shift_sums(rows: list[list[int]], sums: list[int]) -> list[int]:
     return [sum(map(mul, row, sums)) for row in rows]
 
 
+# one verify row per k: these checks in this order, then s^m for m = 0..mmax
+_ROW = ("g", "c", "s", "p_k 0/1 coefficients", "p_k support", *AT_MOST_STATS)
+
+
 def verify_pair(a: int, b: int, kmax: int, mmax: int) -> tuple[int, list[dict]]:
     """All closed-form vs oracle checks for one coprime pair.
 
@@ -370,7 +374,7 @@ def verify_pair(a: int, b: int, kmax: int, mmax: int) -> tuple[int, list[dict]]:
     the step is taken only when m < ab.  Any other set is
     walked, and the next k steps from that walked set.  The step reads the
     oracle's own sets and none of closedform's helpers, so a fault in the
-    closed form's translate by ab(k-1) still fails at every k >= 2.  The
+    closed form's step by ab still fails at every k it reaches.  The
     at-most-k set is the disjoint union of the exactly-j sets, j <= k, so
     its oracle values are running totals of theirs: the max (over nonempty
     sets) and two sums.  numerator_h works from that scan's gap set, and no
@@ -388,14 +392,20 @@ def verify_pair(a: int, b: int, kmax: int, mmax: int) -> tuple[int, list[dict]]:
     cut to its first 1 through its last) are read once per pair; per k, E_k
     matches iff its run starts at ab(k-1) plus the support's first 1 and
     equals the support's bytes, one compare of bytes.  A coefficient 2 thus
-    fails the 0/1 check alone.  A failed "p_k support" entry gives both sets
-    as elements, and is built only then, from the walked GapSet and the
-    form's bytes (by _run_set).  power_sums_k gives every order of one k as
-    one table.
+    fails the 0/1 check alone.  The s^m values of every k come from one
+    table, closedform._power_sums_by_k, which steps each k's sums from the
+    last k's by ab.
+
+    Each k gives one oracle row and one closed row, entry for entry the
+    checks of _ROW and then s^m for m = 0..mmax (k >= 1): the 0/1 and
+    support entries are the form's flags against True.  The two tables are
+    compared once per pair.  Only on a mismatch are the rows walked, in k
+    order and then row order, each differing entry giving one failure; a
+    failed "p_k support" entry gives both sets as elements, built only then
+    from the run and the form's bytes (by _run_set).
     Returns (number of checks run, failures); each failure is a JSON-ready
     dict naming the check and both values.
     """
-    checks = 0
     failures: list[dict] = []
 
     def fail(name: str, k: int | None, m: int | None, expected, actual) -> None:
@@ -408,22 +418,6 @@ def verify_pair(a: int, b: int, kmax: int, mmax: int) -> tuple[int, list[dict]]:
         entry["actual"] = str(actual)
         failures.append(entry)
 
-    def check(name: str, k: int | None, m: int | None, expected, actual) -> None:
-        nonlocal checks
-        checks += 1
-        if expected != actual:
-            fail(name, k, m, expected, actual)
-
-    def check_row(names: Iterable[str], k: int, ms: Iterable, expected, actual) -> None:
-        # one check per entry of actual, all compared at once; entries are
-        # matched up only on a mismatch
-        nonlocal checks
-        checks += len(actual)
-        if expected != actual:
-            for name, m, e, v in zip(names, ms, expected, actual):
-                if e != v:
-                    fail(name, k, m, e, v)
-
     pair = PairParams(a, b)
     params = pair.as_params()
     ab = a * b
@@ -433,9 +427,12 @@ def verify_pair(a: int, b: int, kmax: int, mmax: int) -> tuple[int, list[dict]]:
 
     runs, complete = _by_count_bytes(params, kmax)
     gaps = _run_set(params, 0, *runs[0], complete)
-    h = numerator_h(params, gaps)
-    check("h == 1 - z^ab", None, None, IntPoly.one_minus_pow(ab).to_text(), h.to_text())
+    h, unit = numerator_h(params, gaps).to_text(), IntPoly.one_minus_pow(ab).to_text()
+    if h != unit:
+        fail("h == 1 - z^ab", None, None, unit, h)
 
+    closed_sums = [(), *_power_sums_by_k(pair, kmax, mmax)]
+    oracle_rows, closed_rows = [], []
     g_le, c_le, s_le = None, 0, 0
     matched = False  # the support comparison of k - 1
     for k in range(kmax + 1):
@@ -456,26 +453,33 @@ def verify_pair(a: int, b: int, kmax: int, mmax: int) -> tuple[int, list[dict]]:
             exact = _run_set(params, k, start, run, complete) if k else gaps
             oracle_sums = exact.power_sums(orders if k else 1)
         g, c, s = (start + len(run) - 1 if run else None), oracle_sums[0], oracle_sums[1]
-        closed = (_frobenius(pair, k), _count(pair, k), _sum(pair, k))
-        check_row(("g", "c", "s"), k, repeat(None), (g, c, s), closed)
-
-        check("p_k 0/1 coefficients", k, None, True, zero_one)
-        checks += 1
-        if not matched:  # so E_k was walked, and exact is E_k
-            form_set = _run_set(params, k, base, form, True).elements
-            fail("p_k support", k, None, exact.elements, form_set)
-
         if g is not None:
             g_le = g if g_le is None else max(g_le, g)
         c_le += c
         s_le += s
-        check_row(AT_MOST_STATS, k, repeat(None), (g_le, c_le, s_le), _at_most(pair, k))
+        oracle_rows.append(
+            (g, c, s, True, True, g_le, c_le, s_le, *(oracle_sums[: mmax + 1] if k else ()))
+        )
+        closed_rows.append((
+            _frobenius(pair, k), _count(pair, k), _sum(pair, k), zero_one, matched,
+            *_at_most(pair, k), *closed_sums[k],
+        ))
 
-        if k >= 1:
-            closed_sums = power_sums_k(pair, k, mmax)
-            check_row(repeat("s^m"), k, range(mmax + 1), oracle_sums[: mmax + 1], closed_sums)
+    if oracle_rows != closed_rows:
+        for k, (expected, actual) in enumerate(zip(oracle_rows, closed_rows)):
+            for i, (e, v) in enumerate(zip(expected, actual)):
+                if e == v:
+                    continue
+                if i < len(_ROW):
+                    name, m = _ROW[i], None
+                else:
+                    name, m = "s^m", i - len(_ROW)
+                if name == "p_k support":
+                    e = _run_set(params, k, *runs[k], complete).elements
+                    v = _run_set(params, k, *_p_k_bytes(pair, k, strict=False), True).elements
+                fail(name, k, m, e, v)
 
-    return checks, failures
+    return 1 + sum(map(len, closed_rows)), failures
 
 
 def cmd_verify(args: argparse.Namespace) -> int:

@@ -28,7 +28,11 @@ Bytes become a set only through oracle._run_set.
 Every exactly-k set with k >= 1 is also the one sumset {ia + jb} translated
 by ab(k-1), so a PairParams keeps what they share: the sumset's 0/1 bytes
 and its power sums, each computed on first use and reused for every k by
-_grid and power_sums_k.  Only the translate is computed per k.
+_grid and power_sums_k.  Only the translate is computed per k, by the one
+translate path _translate_rows/_translate: power_sums_k translates the
+sumset's sums by ab(k-1) at once, and _power_sums_by_k, verify's table of
+every k, steps each k from the last by ab (E_k = E_(k-1) + ab), with one
+table of rows per call.
 """
 from __future__ import annotations
 
@@ -37,6 +41,7 @@ from functools import cached_property
 from itertools import accumulate, repeat
 from math import comb
 from operator import add, mul, sub
+from typing import Iterable, Iterator
 
 from frobgen.errors import UnsupportedK
 from frobgen.oracle import GapSet, Params, _check_bound, _run_set
@@ -130,6 +135,8 @@ def power_sums_below(x: int, m: int) -> list[int]:
     """
     if m < 0:
         raise ValueError("m must be >= 0")
+    if not x:  # the empty range, as below b(k - 1) = 0 at k = 1 (_grid_power_sums)
+        return [0] * (m + 1)
     sums: list[int] = []
     row = [1]  # C(i, 0..i), advanced to C(i+1, ...) at the top of order i
     power = 1
@@ -224,17 +231,42 @@ def _binomial_term(x: list[int], y: list[int], n: int) -> int:
     return sum(comb(n, t) * x[t] * y[n - t] for t in range(n + 1))
 
 
+def _translate_rows(shift: int, m: int) -> Iterator[list[int]]:
+    """Yields row n = [C(n, t) shift^(n-t) for 0 <= t <= n] for n = 0..m
+    (0^0 = 1), holding one row at a time: a caller that reuses them keeps
+    the list.
+
+    Entry t of row n + 1 is shift times entry t of row n plus entry t - 1:
+    Pascal's rule, each step down a column carrying one more factor of shift.
+    """
+    row = [1]
+    yield row
+    for _ in range(m):
+        row = [*map(add, map(mul, row, repeat(shift)), [0, *row]), 1]
+        yield row
+
+
+def _translate(rows: Iterable[list[int]], sums: list[int]) -> list[int]:
+    """The power sums of X + shift from those of X, orders 0..m, with rows
+    those of _translate_rows(shift, m): P_n(X + shift) = sum_t C(n, t)
+    shift^(n-t) P_t(X), by the binomial theorem.
+
+    >>> _translate(_translate_rows(10, 2), [2, 3, 5])  # {1, 2} -> {11, 12}
+    [2, 23, 265]
+    """
+    return [sum(map(mul, row, sums)) for row in rows]
+
+
 def power_sums_k(p: PairParams, k: int, m: int) -> list[int]:
     """[P_0, ..., P_m], P_n the power sum of order n over the exactly-k set,
     for k >= 1.
 
     The set is the translate ab(k-1) + {ia + jb : 0 <= i < b, 0 <= j < a},
-    all ab sums distinct, so its power sums are two binomial convolutions:
-    the sumset's from those of {ia} and {jb} (_grid_power_sums), then the
-    translate's from the sumset's and the powers of ab(k-1).  That is
-    O(m^2) integer operations for all m + 1 orders together.  The sumset's
-    sums are the pair's, computed once per PairParams; only the translate
-    is computed per k.
+    all ab sums distinct, so its power sums are the sumset's, one binomial
+    convolution of those of {ia} and {jb} (_grid_power_sums), translated by
+    ab(k-1) (_translate).  That is O(m^2) integer operations for all m + 1
+    orders together.  The sumset's sums are the pair's, computed once per
+    PairParams; only the translate is computed per k.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -243,8 +275,25 @@ def power_sums_k(p: PairParams, k: int, m: int) -> list[int]:
     sums = p._sumset_power_sums(m)
     base = p.a * p.b * (k - 1)
     if base:
-        sums = _binomial_convolution(sums, _powers(base, m))
+        sums = _translate(_translate_rows(base, m), sums)
     return sums
+
+
+def _power_sums_by_k(p: PairParams, kmax: int, m: int) -> list[list[int]]:
+    """[power_sums_k(p, k, m) for k in 1..kmax], each k stepped from the last.
+
+    E_k = E_(k-1) + ab for k >= 2, so one table of rows C(n, t) ab^(n-t)
+    (_translate_rows) per call takes each k's sums from the last k's in
+    about (m + 1)^2 / 2 products, with no power of ab(k-1) built.  That
+    table holds about (m + 1)^2 / 2 integers, where power_sums_k holds one
+    row at a time.
+    """
+    table = [p._sumset_power_sums(m)] if kmax >= 1 else []
+    if kmax > 1:
+        rows = list(_translate_rows(p.a * p.b, m))
+        for _ in range(kmax - 1):
+            table.append(_translate(rows, table[-1]))
+    return table
 
 
 def power_sum_k(p: PairParams, k: int, m: int) -> StatReport:

@@ -840,14 +840,15 @@ class TestVerify:
         assert lines[0] == '{"check":"c","a":3,"b":5,"k":0,"expected":"4","actual":"5"}'
 
     def test_reports_a_wrong_power_sum(self, capsys, monkeypatch):
-        real = cli.power_sums_k
+        real = cli._power_sums_by_k
 
-        def off_at_cube(p, k, m):
-            sums = real(p, k, m)
-            sums[3] += 1
-            return sums
+        def off_at_cube(p, kmax, m):
+            table = real(p, kmax, m)
+            for sums in table:
+                sums[3] += 1
+            return table
 
-        monkeypatch.setattr(cli, "power_sums_k", off_at_cube)
+        monkeypatch.setattr(cli, "_power_sums_by_k", off_at_cube)
         code, out = run_main(
             capsys, "verify", "--params", "3,5", "--kmax", "2", "--mmax", "3"
         )
@@ -883,6 +884,36 @@ class TestVerify:
             at_most = [j for j, c in enumerate(counts) if c <= f["k"]]
             assert f["expected"] == str(stat(at_most))
             assert int(f["actual"]) == stat(at_most) + 1
+
+    @pytest.mark.parametrize(
+        "name,fault,line",
+        [
+            (
+                "_frobenius",
+                lambda real: lambda p, k: real(p, k) + (k == 4),
+                '{"check":"g","a":3,"b":5,"k":4,"expected":"67","actual":"68"}',
+            ),
+            (
+                "_power_sums_by_k",
+                # the closed squares of E_3 alone one too high
+                lambda real: lambda p, kmax, m: [
+                    [v + (k == 3 and i == 2) for i, v in enumerate(sums)]
+                    for k, sums in enumerate(real(p, kmax, m), 1)
+                ],
+                '{"check":"s^m","a":3,"b":5,"k":3,"m":2,"expected":"25735","actual":"25736"}',
+            ),
+        ],
+        ids=("g-at-k4", "squares-at-k3"),
+    )
+    def test_a_fault_at_one_k_fails_one_check(self, name, fault, line, monkeypatch):
+        # the two tables differ in one entry: the walk after the one compare
+        # reports that entry alone, and the check count does not move
+        passed = cli.verify_pair(3, 5, 5, 4)
+        monkeypatch.setattr(cli, name, fault(getattr(cli, name)))
+        checks, failures = cli.verify_pair(3, 5, 5, 4)
+        assert passed == (1 + 8 * 6 + 5 * 5, [])
+        assert checks == passed[0]
+        assert [json.dumps(f, separators=(",", ":")) for f in failures] == [line]
 
     def test_memory_linear_in_kmax(self):
         # the oracle side holds the exactly-k sets, |at-most-300| entries in
@@ -990,16 +1021,26 @@ class TestVerify:
         ]
 
     def test_oracle_step_is_not_the_closed_forms_translate(self, capsys, monkeypatch):
-        # the closed form's powers are those of x + 1 for x >= ab = 15, which
-        # only its translate base ab(k - 1), k >= 2, reaches: the powers of a
-        # and b behind R_1's sums stay right.  The oracle steps E_k from
+        # the closed form's step into k = 2 translates by ab + 1, and k = 3
+        # steps from that, so its sums of E_2 and E_3 are those of the sets
+        # one higher; R_1's sums stay right.  The oracle steps E_k from
         # E_(k-1) by ab with its own rows, so it still gives the true sums.
-        real = closedform._powers
-        monkeypatch.setattr(closedform, "_powers", lambda x, m: real(x + (x >= 15), m))
+        real = closedform._translate
+        steps = []
+
+        def one_more_once(rows, sums):
+            steps.append(len(rows))
+            sums = real(rows, sums)
+            if len(steps) == 1:
+                sums = real(closedform._translate_rows(1, len(rows) - 1), sums)
+            return sums
+
+        monkeypatch.setattr(closedform, "_translate", one_more_once)
         code, out = run_main(
             capsys, "verify", "--params", "3,5", "--kmax", "3", "--mmax", "3"
         )
         assert code == 1
+        assert steps == [4, 4]  # one step into each of k = 2, 3, on 4 orders
         failures = [json.loads(line) for line in out.splitlines()]
         assert [(f["check"], f["k"], f["m"]) for f in failures] == [
             ("s^m", k, m) for k in (2, 3) for m in (1, 2, 3)
@@ -1191,8 +1232,11 @@ class TestOracleStep:
         def refused(*args, **kwargs):
             raise AssertionError("the oracle side called a closed-form helper")
 
-        monkeypatch.setattr(cli, "power_sums_k", lambda p, k, m: [None] * (m + 1))
-        for name in ("_binomial_convolution", "_powers", "power_sums_k"):
+        monkeypatch.setattr(cli, "_power_sums_by_k", lambda p, kmax, m: [[None] * (m + 1)] * kmax)
+        for name in (
+            "_binomial_convolution", "_powers", "_translate", "_translate_rows",
+            "power_sums_k", "_power_sums_by_k",
+        ):
             monkeypatch.setattr(closedform, name, refused)
         monkeypatch.setattr(closedform.PairParams, "_sumset_power_sums", refused)
         checks, failures = cli.verify_pair(29, 30, 5, 4)

@@ -10,6 +10,7 @@ from frobgen.closedform import (
     PairParams,
     _at_most,
     _grid,
+    _power_sums_by_k,
     _zero_one,
     at_most_stats,
     closed_report,
@@ -122,11 +123,13 @@ class TestPairState:
             assert p_k_poly(reused, k) == p_k_poly(PairParams(*pair), k)
             assert power_sums_k(reused, k, m) == power_sums_k(PairParams(*pair), k, m)
             assert power_sum_k(reused, k, m) == power_sum_k(PairParams(*pair), k, m)
+            assert _power_sums_by_k(reused, k, m) == _power_sums_by_k(PairParams(*pair), k, m)
 
     def test_returned_sums_are_the_callers(self):
         pair = PairParams(3, 5)
         power_sums_k(pair, 1, 4)[2] += 1
         power_sums_k(pair, 2, 4)[0] = 0
+        _power_sums_by_k(pair, 2, 4)[0][1] += 1
         assert power_sums_k(pair, 1, 4) == power_sums_k(PairParams(3, 5), 1, 4)
         assert power_sum_k(pair, 1, 2).value == 2335
 
@@ -215,6 +218,27 @@ class TestPowerSumsTable:
     def test_refused(self, k, m):
         with pytest.raises(ValueError):
             power_sums_k(PairParams(3, 5), k, m)
+
+
+class TestPowerSumsByK:
+    """The table of every k's power sums, each k stepped from the last by ab."""
+
+    @given(st.sampled_from(coprime_pairs(40)), st.integers(0, 8), st.integers(0, 9))
+    @settings(max_examples=80, deadline=None)
+    def test_is_power_sums_k_at_every_k(self, pair, kmax, m):
+        table = _power_sums_by_k(PairParams(*pair), kmax, m)
+        fresh = PairParams(*pair)
+        assert table == [power_sums_k(fresh, k, m) for k in range(1, kmax + 1)]
+
+    @given(st.sampled_from(coprime_pairs(8)), st.integers(1, 5), st.integers(0, 6))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_brute_force(self, pair, kmax, m):
+        a, b = pair
+        counts = brute_counts(pair, (kmax + 1) * a * b)  # past g_kmax
+        assert _power_sums_by_k(PairParams(a, b), kmax, m) == [
+            [sum(j**i for j, c in enumerate(counts) if c == k) for i in range(m + 1)]
+            for k in range(1, kmax + 1)
+        ]
 
 
 class TestAtMost:
