@@ -19,25 +19,17 @@ each come from one integer formula.  All arithmetic is in integers; each
 division is exact and checked by _exact_div.  Every exactly-k set of a pair
 is read off one builder, _p_k_bytes, which lays out p_k's coefficients as
 0/1 bytes from a base: for k = 0 the complement of the representable
-n <= g_0 (_rows), for k >= 1 the pair's sumset bytes (_grid).  Those are
-kept as laid out; _grid, their bound-checked accessor, asserts that they
-are 0/1 with ab ones (_zero_one), so builders refuse a collision, while
-verify reads them with strict=False and reports one as a failed check.
-Bytes become a set only through oracle._run_set.
-
-Every exactly-k set with k >= 1 is also the one sumset {ia + jb} translated
-by ab(k-1), so a PairParams keeps what they share: the sumset's 0/1 bytes
-and its power sums, each computed on first use and reused for every k by
-_grid and power_sums_k.  Only the translate is computed per k, by the one
-translate path _translate_rows/_translate: power_sums_k translates the
-sumset's sums by ab(k-1) at once, and _power_sums_by_k, verify's table of
-every k, steps each k from the last by ab (E_k = E_(k-1) + ab), with one
-table of rows per call.
+n <= g_0 (_rows), for k >= 1 the sumset bytes of R_1 (_grid_bytes) at base
+ab(k-1).  Those are handed out as laid out; with strict, _p_k_bytes asserts
+that they are 0/1 with ab ones (_zero_one), so builders refuse a collision,
+while verify reads them with strict=False and reports one as a failed check.
+Bytes become a set only through oracle._run_set.  The power sums of every
+exactly-k set with k >= 1 are the sumset's (_sumset_power_sums) translated
+by ab(k-1), through the one translate path _translate_rows/_translate.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import accumulate, repeat
 from math import comb
 from operator import add, mul, sub
@@ -54,14 +46,7 @@ _FLIP = bytes.maketrans(b"\x00\x01", b"\x01\x00")
 @dataclass(frozen=True)
 class PairParams:
     """Two coprime positive denominations (order immaterial), checked by
-    Params: NonPositive for a (then b), else NotCoprime.
-
-    An instance also holds, privately, the pieces of the k >= 1 closed forms
-    that do not depend on k (_grid_bytes, _sumset_power_sums), each computed
-    from a and b on first use.  They are values of a and b alone, take no part
-    in ==, hash, repr or pickling, and no public function hands them out
-    mutably.
-    """
+    Params: NonPositive for a (then b), else NotCoprime."""
 
     a: int
     b: int
@@ -76,40 +61,6 @@ class PairParams:
     @property
     def pair(self) -> tuple[int, int]:
         return (self.a, self.b)
-
-    def __reduce__(self) -> tuple:
-        # a and b alone: a copy rebuilds the private state when it is used
-        return (PairParams, (self.a, self.b))
-
-    @cached_property
-    def _grid_bytes(self) -> bytes:
-        """R_1 = {ia + jb : 0 <= i < b, 0 <= j < a} as 0/1 bytes over 0..2ab - a - b.
-
-        Each term z^(ia) of (1 + z^a + ... + z^((b-1)a)) lays out the row
-        z^(ia) * (1 + z^b + ... + z^((a-1)b)) as one strided slice.  A row
-        landing on a set byte leaves fewer than ab set: the bytes are kept as
-        laid out, and _grid, which guards the size, refuses them.
-        """
-        a, b = self.a, self.b
-        coeffs = bytearray(2 * a * b - a - b + 1)
-        width = (a - 1) * b + 1  # one row: exponents 0, b, ..., (a-1)b
-        row = b"\x01" * a
-        for start in range(0, b * a, a):
-            coeffs[start : start + width : b] = row
-        return bytes(coeffs)
-
-    def _sumset_power_sums(self, m: int) -> list[int]:
-        """A new list of the power sums of orders 0..m of R_1, the sumset of
-        {ia : 0 <= i < b} and {jb : 0 <= j < a}.
-
-        The row kept is that of the largest m asked so far: a smaller m
-        reads its prefix (order n needs orders <= n of both factors only).
-        """
-        sums = self.__dict__.get("_sumset_sums", ())
-        if len(sums) <= m:
-            sums = _binomial_convolution(*_grid_power_sums(self, m))
-            self.__dict__["_sumset_sums"] = sums
-        return sums[: m + 1]
 
 
 def _exact_div(num: int, den: int) -> int:
@@ -226,6 +177,12 @@ def _binomial_convolution(x: list[int], y: list[int]) -> list[int]:
     return out
 
 
+def _sumset_power_sums(p: PairParams, m: int) -> list[int]:
+    """The power sums of orders 0..m of R_1, the sumset of {ia : 0 <= i < b}
+    and {jb : 0 <= j < a}: one binomial convolution of theirs."""
+    return _binomial_convolution(*_grid_power_sums(p, m))
+
+
 def _binomial_term(x: list[int], y: list[int], n: int) -> int:
     """z_n of _binomial_convolution(x, y) alone, in n + 1 terms."""
     return sum(comb(n, t) * x[t] * y[n - t] for t in range(n + 1))
@@ -265,14 +222,13 @@ def power_sums_k(p: PairParams, k: int, m: int) -> list[int]:
     all ab sums distinct, so its power sums are the sumset's, one binomial
     convolution of those of {ia} and {jb} (_grid_power_sums), translated by
     ab(k-1) (_translate).  That is O(m^2) integer operations for all m + 1
-    orders together.  The sumset's sums are the pair's, computed once per
-    PairParams; only the translate is computed per k.
+    orders together; _power_sums_by_k gives every k up to kmax.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     if m < 0:
         raise ValueError("m must be >= 0")
-    sums = p._sumset_power_sums(m)
+    sums = _sumset_power_sums(p, m)
     base = p.a * p.b * (k - 1)
     if base:
         sums = _translate(_translate_rows(base, m), sums)
@@ -282,13 +238,14 @@ def power_sums_k(p: PairParams, k: int, m: int) -> list[int]:
 def _power_sums_by_k(p: PairParams, kmax: int, m: int) -> list[list[int]]:
     """[power_sums_k(p, k, m) for k in 1..kmax], each k stepped from the last.
 
-    E_k = E_(k-1) + ab for k >= 2, so one table of rows C(n, t) ab^(n-t)
+    E_1 is the sumset (_sumset_power_sums), and E_k = E_(k-1) + ab for
+    k >= 2, so one table of rows C(n, t) ab^(n-t)
     (_translate_rows) per call takes each k's sums from the last k's in
     about (m + 1)^2 / 2 products, with no power of ab(k-1) built.  That
     table holds about (m + 1)^2 / 2 integers, where power_sums_k holds one
     row at a time.
     """
-    table = [p._sumset_power_sums(m)] if kmax >= 1 else []
+    table = [_sumset_power_sums(p, m)] if kmax >= 1 else []
     if kmax > 1:
         rows = list(_translate_rows(p.a * p.b, m))
         for _ in range(kmax - 1):
@@ -327,12 +284,19 @@ def _at_most(p: PairParams, k: int) -> tuple[int | None, int, int]:
     """(max, cardinality, sum) of the at-most-k set, read off the exactly-k
     forms:
 
-        g<= = g_k = (k+1)ab - a - b  (a two-denomination fact)
+        g<= = g_k = (k+1)ab - a - b         (a two-denomination fact)
         c<= = c_0 + abk
-        s<= = s_0 + k(s_1 + s_k)/2   (s_i is linear in i for i >= 1)
+        s<= = s_0 + k ab (ab(k+1) - a - b)/2
+
+    The last is s_0 + k(s_1 + s_k)/2 (s_i is linear in i for i >= 1) with
+    s_1 + s_k = ab(ab(k+1) - a - b) written out, so no s_i with i >= 1 is
+    computed.  It is an integer: ab is even unless a and b are both odd,
+    and then ab(k+1) - a - b has the parity of k + 1.
     """
-    c_le = _count(p, 0) + p.a * p.b * k
-    s_le = _sum(p, 0) + _exact_div(k * (_sum(p, 1) + _sum(p, k)), 2)
+    a, b = p.a, p.b
+    ab = a * b
+    c_le = _count(p, 0) + ab * k
+    s_le = _sum(p, 0) + _exact_div(k * ab * (ab * (k + 1) - a - b), 2)
     return _frobenius(p, k), c_le, s_le
 
 
@@ -380,22 +344,6 @@ def _zero_one(coeffs: bytes, ones: int | None = None) -> bool:
     return coeffs.count(0) + set_bytes == len(coeffs)
 
 
-def _grid(p: PairParams, strict: bool = True) -> bytes:
-    """The pair's R_1 bytes (PairParams._grid_bytes), built on first use.
-
-    The top position 2ab - a - b goes through _check_bound on every call,
-    so the FROBGEN_MAX_BOUND ceiling in force applies, and before the first
-    call allocates anything.  With strict, bytes that are not the product
-    form's ab coefficients 1 (a byte outside {0, 1}, or two sums on one
-    exponent) raise AssertionError; strict=False hands them out as laid out.
-    """
-    _check_bound(2 * p.a * p.b - p.a - p.b)
-    coeffs = p._grid_bytes
-    if strict and not _zero_one(coeffs, p.a * p.b):
-        raise AssertionError("exactly-k polynomial has a coefficient outside {0,1}")
-    return coeffs
-
-
 def _rows(p: PairParams, length: int) -> bytearray:
     """The representable n < length as 0/1 bytes, in O(length) work.
 
@@ -412,20 +360,43 @@ def _rows(p: PairParams, length: int) -> bytearray:
     return bits
 
 
+def _grid_bytes(p: PairParams) -> bytes:
+    """R_1 = {ia + jb : 0 <= i < b, 0 <= j < a} as 0/1 bytes over 0..2ab - a - b.
+
+    Each term z^(ia) of (1 + z^a + ... + z^((b-1)a)) lays out the row
+    z^(ia) * (1 + z^b + ... + z^((a-1)b)) as one strided slice.  A row
+    landing on a set byte leaves fewer than ab set: the bytes are returned
+    as laid out, and _p_k_bytes with strict refuses them.
+    """
+    a, b = p.a, p.b
+    coeffs = bytearray(2 * a * b - a - b + 1)
+    width = (a - 1) * b + 1  # one row: exponents 0, b, ..., (a-1)b
+    row = b"\x01" * a
+    for start in range(0, b * a, a):
+        coeffs[start : start + width : b] = row
+    return bytes(coeffs)
+
+
 def _p_k_bytes(p: PairParams, k: int, strict: bool = True) -> tuple[int, bytes]:
     """(base, bytes): p_k's coefficients, the exactly-k set, as 0/1 bytes
     from position base, read off the product form with no oracle call.
 
     k = 0 is the complement of the representable n <= g_0 = ab - a - b
-    (_rows) at base 0.  k >= 1 is the pair's _grid bytes (built once per
-    PairParams and shared by every k) at base ab(k - 1); strict is _grid's.
-    Past the FROBGEN_MAX_BOUND ceiling (g_0, resp. 2ab - a - b) it raises
-    BoundTooLarge before allocating.
+    (_rows) at base 0.  k >= 1 is R_1's bytes (_grid_bytes) at base
+    ab(k - 1).  Past the FROBGEN_MAX_BOUND ceiling in force (g_0, resp.
+    2ab - a - b) it raises BoundTooLarge before allocating.  For k >= 1 with
+    strict, bytes that are not the product form's ab coefficients 1 (a byte
+    outside {0, 1}, or two sums on one exponent) raise AssertionError;
+    strict=False hands them out as laid out.
     """
     a, b = p.a, p.b
     if k == 0:
         return 0, _rows(p, a * b - a - b + 1).translate(_FLIP)
-    return a * b * (k - 1), _grid(p, strict)
+    _check_bound(2 * a * b - a - b)
+    coeffs = _grid_bytes(p)
+    if strict and not _zero_one(coeffs, a * b):
+        raise AssertionError("exactly-k polynomial has a coefficient outside {0,1}")
+    return a * b * (k - 1), coeffs
 
 
 def structured_r_k(p: PairParams, k: int) -> GapSet:
@@ -433,7 +404,7 @@ def structured_r_k(p: PairParams, k: int) -> GapSet:
 
         ab(k-1) + {0, a, ..., (b-1)a} + {0, b, ..., (a-1)b}
 
-    read off _p_k_bytes, whose _grid asserts that all ab sums are distinct;
+    read off _p_k_bytes, which asserts that all ab sums are distinct;
     the result is complete by construction.
     """
     if k < 1:

@@ -970,10 +970,8 @@ class TestVerify:
         ids=("coefficient-2", "collision"),
     )
     def test_reports_a_product_form_outside_zero_one(self, fault, form, capsys, monkeypatch):
-        real = closedform.PairParams._grid_bytes.func
-        monkeypatch.setattr(
-            closedform.PairParams, "_grid_bytes", property(lambda p: form(real(p)))
-        )
+        real = closedform._grid_bytes
+        monkeypatch.setattr(closedform, "_grid_bytes", lambda p: form(real(p)))
         code = main(["verify", "--params", "3,5", "--kmax", "3", "--mmax", "1"])
         captured = capsys.readouterr()
         assert (code, captured.err) == (1, "")
@@ -988,10 +986,8 @@ class TestVerify:
 
     def test_reports_a_shifted_product_form(self, capsys, monkeypatch):
         # every row one place too high: 0/1 with ab ones, but the wrong set
-        real = closedform.PairParams._grid_bytes.func
-        monkeypatch.setattr(
-            closedform.PairParams, "_grid_bytes", property(lambda p: b"\x00" + real(p))
-        )
+        real = closedform._grid_bytes
+        monkeypatch.setattr(closedform, "_grid_bytes", lambda p: b"\x00" + real(p))
         code, out = run_main(capsys, "verify", "--params", "3,5", "--kmax", "2", "--mmax", "1")
         assert code == 1
         failures = [json.loads(line) for line in out.splitlines()]
@@ -1235,10 +1231,9 @@ class TestOracleStep:
         monkeypatch.setattr(cli, "_power_sums_by_k", lambda p, kmax, m: [[None] * (m + 1)] * kmax)
         for name in (
             "_binomial_convolution", "_powers", "_translate", "_translate_rows",
-            "power_sums_k", "_power_sums_by_k",
+            "power_sums_k", "_power_sums_by_k", "_sumset_power_sums",
         ):
             monkeypatch.setattr(closedform, name, refused)
-        monkeypatch.setattr(closedform.PairParams, "_sumset_power_sums", refused)
         checks, failures = cli.verify_pair(29, 30, 5, 4)
         assert {f["check"] for f in failures} == {"s^m"}
         assert len(failures) == 5 * 5

@@ -9,7 +9,8 @@ from frobgen import closedform
 from frobgen.closedform import (
     PairParams,
     _at_most,
-    _grid,
+    _grid_bytes,
+    _p_k_bytes,
     _power_sums_by_k,
     _zero_one,
     at_most_stats,
@@ -22,7 +23,7 @@ from frobgen.closedform import (
     sum_k,
 )
 from frobgen.errors import NonPositive, NotCoprime, UnsupportedK
-from frobgen.genfun import p_k_poly
+from frobgen.genfun import p_k_exponents, p_k_poly
 from frobgen.oracle import enumerate_at_most_k, enumerate_exact_k, validate_params
 
 from helpers import brute_counts, coprime_pairs
@@ -108,8 +109,8 @@ class TestCount:
 
 
 class TestPairState:
-    """The pieces a PairParams keeps for every k >= 1 (the sumset's bytes
-    and power sums) give what fresh instances give, and cannot be seen."""
+    """A PairParams is its two checked coins: a used instance gives what
+    fresh ones give, and keeps nothing beyond a, b and their Params."""
 
     @given(
         pair=st.sampled_from(coprime_pairs(20)),
@@ -117,7 +118,7 @@ class TestPairState:
     )
     @settings(max_examples=60, deadline=None)
     def test_reused_instance_matches_fresh_ones(self, pair, steps):
-        # the fixed tail takes m both up and down past the row already kept
+        # the fixed tail takes m both up and down on one instance
         reused = PairParams(*pair)
         for k, m in [*steps, (2, 3), (1, 7), (3, 0), (5, 9), (4, 2), (1, 4)]:
             assert p_k_poly(reused, k) == p_k_poly(PairParams(*pair), k)
@@ -144,6 +145,17 @@ class TestPairState:
         assert back == used and hash(back) == hash(used) and repr(back) == repr(used)
         assert pickle.dumps(used) == pickle.dumps(fresh)
         assert power_sums_k(back, 2, 6) == power_sums_k(used, 2, 6)
+        assert vars(back) == vars(fresh) and back.as_params() == fresh.as_params()
+
+    def test_use_keeps_nothing(self):
+        p = PairParams(7, 5)
+        for k in range(4):
+            _p_k_bytes(p, k)
+        power_sums_k(p, 2, 6)
+        _power_sums_by_k(p, 3, 6)
+        p_k_exponents(p, 3)
+        structured_r_k(p, 2)
+        assert set(vars(p)) == {"a", "b", "_params"}
 
 
 class TestSum:
@@ -315,14 +327,13 @@ class TestGridBytes:
         ids=("coefficient-2", "collision"),
     )
     def test_strict_accessor_refuses_what_verify_reads(self, fault, monkeypatch):
-        real = PairParams._grid_bytes.func
-        monkeypatch.setattr(PairParams, "_grid_bytes", property(lambda p: fault(real(p))))
+        monkeypatch.setattr(closedform, "_grid_bytes", lambda p: fault(_grid_bytes(p)))
         p = PairParams(3, 5)
         with pytest.raises(AssertionError, match="outside"):
-            _grid(p)
+            _p_k_bytes(p, 1)
         with pytest.raises(AssertionError, match="outside"):
             structured_r_k(p, 2)
-        assert _grid(p, strict=False) == fault(real(p))
+        assert _p_k_bytes(p, 1, strict=False) == (0, fault(_grid_bytes(p)))
 
     def test_laid_out_bytes_are_kept_as_laid_out(self):
         # (2, 4) is not coprime: its 8 sums {2i + 4j} take 6 exponents, and
@@ -330,9 +341,9 @@ class TestGridBytes:
         p = PairParams(3, 5)
         object.__setattr__(p, "a", 2)
         object.__setattr__(p, "b", 4)
-        assert p._grid_bytes == b"\x01\x00" * 5 + b"\x01"
+        assert _p_k_bytes(p, 1, strict=False) == (0, b"\x01\x00" * 5 + b"\x01")
         with pytest.raises(AssertionError, match="outside"):
-            _grid(p)
+            _p_k_bytes(p, 1)
 
 
 class TestClosedReport:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from frobgen import dp, oracle
+from frobgen import closedform, dp, oracle
 from frobgen.cli import main
 from frobgen.closedform import PairParams, closed_report, count_k, frobenius_k, structured_r_k
 from frobgen.errors import BoundTooLarge, NotPrime, WrongArity
@@ -102,7 +102,7 @@ class TestPkPoly:
         # a 2 in place of any of the ab ones of the product form: genfun
         # --k raises before writing a byte, in every format
         a, b = ab
-        real = PairParams._grid_bytes.func
+        real = closedform._grid_bytes
         at = data.draw(st.integers(0, a * b - 1))
 
         def two_at(p):
@@ -112,7 +112,7 @@ class TestPkPoly:
 
         out = io.StringIO()
         argv = ["genfun", "--params", f"{a},{b}", "--k", str(k), "--format", fmt]
-        with patch.object(PairParams, "_grid_bytes", property(two_at)), redirect_stdout(out):
+        with patch.object(closedform, "_grid_bytes", two_at), redirect_stdout(out):
             with pytest.raises(AssertionError, match="outside"):
                 main(argv)
         assert out.getvalue() == ""
