@@ -364,9 +364,9 @@ def verify_pair(a: int, b: int, kmax: int, mmax: int) -> tuple[int, list[dict]]:
     The oracle side is one certified scan per pair (_by_count_bytes up to
     the kmax window), which yields every exactly-k set E_k as a 0/1 run:
     its bytes from its first element to its last, so g is the run's last
-    position.  A set is expanded into a GapSet (by oracle._run_set) only
-    when it is walked.  Each set's sum and s^m values are its power sums,
-    walked (GapSet.power_sums) for E_0 and E_1.  For k >= 2, when both
+    position.  A set is expanded into a complete GapSet (by oracle._run_set)
+    only when it is walked.  Each set's sum and s^m values are its power
+    sums, walked (GapSet.power_sums) for E_0 and E_1.  For k >= 2, when both
     E_(k-1) and E_k passed the "p_k support" comparison, E_k is E_(k-1)
     translated by ab, so its sums are stepped from E_(k-1)'s by the binomial
     theorem (_shift_sums), with no GapSet built, in about (m + 1)^2 / 2
@@ -378,7 +378,9 @@ def verify_pair(a: int, b: int, kmax: int, mmax: int) -> tuple[int, list[dict]]:
     at-most-k set is the disjoint union of the exactly-j sets, j <= k, so
     its oracle values are running totals of theirs: the max (over nonempty
     sets) and two sums.  numerator_h works from that scan's gap set, and no
-    closed form scans, so nothing scans again, a = 1 included.
+    closed form scans, so nothing scans again, a = 1 included.  h is
+    compared with 1 - z^ab as a polynomial, and both are rendered as text
+    only for a failure entry.
 
     The closed-form side is checked in the form it is computed in, with
     nothing built in between.  g, c and s, of the exactly-k and of the
@@ -425,11 +427,11 @@ def verify_pair(a: int, b: int, kmax: int, mmax: int) -> tuple[int, list[dict]]:
     # a step costs about (orders + 1)^2 / 2 products, a walk about ab * orders
     step = _shift_rows(ab, orders) if orders < ab else None
 
-    runs, complete = _by_count_bytes(params, kmax)
-    gaps = _run_set(params, 0, *runs[0], complete)
-    h, unit = numerator_h(params, gaps).to_text(), IntPoly.one_minus_pow(ab).to_text()
+    runs = _by_count_bytes(params, kmax)
+    gaps = _run_set(params, 0, *runs[0])
+    h, unit = numerator_h(params, gaps), IntPoly.one_minus_pow(ab)
     if h != unit:
-        fail("h == 1 - z^ab", None, None, unit, h)
+        fail("h == 1 - z^ab", None, None, unit.to_text(), h.to_text())
 
     closed_sums = [(), *_power_sums_by_k(pair, kmax, mmax)]
     oracle_rows, closed_rows = [], []
@@ -450,7 +452,7 @@ def verify_pair(a: int, b: int, kmax: int, mmax: int) -> tuple[int, list[dict]]:
         if stepped and matched:
             oracle_sums = _shift_sums(step, oracle_sums)
         else:
-            exact = _run_set(params, k, start, run, complete) if k else gaps
+            exact = _run_set(params, k, start, run) if k else gaps
             oracle_sums = exact.power_sums(orders if k else 1)
         g, c, s = (start + len(run) - 1 if run else None), oracle_sums[0], oracle_sums[1]
         if g is not None:
@@ -475,8 +477,8 @@ def verify_pair(a: int, b: int, kmax: int, mmax: int) -> tuple[int, list[dict]]:
                 else:
                     name, m = "s^m", i - len(_ROW)
                 if name == "p_k support":
-                    e = _run_set(params, k, *runs[k], complete).elements
-                    v = _run_set(params, k, *_p_k_bytes(pair, k, strict=False), True).elements
+                    e = _run_set(params, k, *runs[k]).elements
+                    v = _run_set(params, k, *_p_k_bytes(pair, k, strict=False)).elements
                 fail(name, k, m, e, v)
 
     return 1 + sum(map(len, closed_rows)), failures

@@ -9,11 +9,11 @@ sums all have closed forms:
     s_0 = (a-1)(b-1)(2ab-a-b-1)/12        (Brown--Shiue)
     s_k = ab(2abk - a - b)/2              for k >= 1
 
-and for k >= 1 the exactly-k set is the sumset of {ia : b(k-1) <= i < bk}
-and {jb : 0 <= j < a}, so its power sum of order m is one binomial sum of
-theirs (see power_sum_k).  Both come from the sums S_i(x) = sum_{j<x} j^i,
-which power_sums_below gets by Pascal's identity; power_sums_k gives every
-order up to m as one list.  Every other statistic comes as a StatReport
+and for k >= 1 the exactly-k set is the sumset of {ia : 0 <= i < b} and
+{jb : 0 <= j < a} translated by ab(k-1), so its power sums are one binomial
+convolution of theirs, translated (power_sums_k; power_sum_k reads order m).
+Both come from the sums S_i(x) = sum_{j<x} j^i, which power_sums_below gets
+by Pascal's identity.  Every other statistic comes as a StatReport
 with closed-form provenance; g, c and s (exactly-k and at-most-k alike)
 each come from one integer formula.  All arithmetic is in integers; each
 division is exact and checked by _exact_div.  Every exactly-k set of a pair
@@ -31,8 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import accumulate, repeat
-from math import comb
-from operator import add, mul, sub
+from operator import add, mul
 from typing import Iterable, Iterator
 
 from frobgen.errors import UnsupportedK
@@ -86,8 +85,6 @@ def power_sums_below(x: int, m: int) -> list[int]:
     """
     if m < 0:
         raise ValueError("m must be >= 0")
-    if not x:  # the empty range, as below b(k - 1) = 0 at k = 1 (_grid_power_sums)
-        return [0] * (m + 1)
     sums: list[int] = []
     row = [1]  # C(i, 0..i), advanced to C(i+1, ...) at the top of order i
     power = 1
@@ -146,17 +143,15 @@ def _powers(x: int, m: int) -> list[int]:
     return list(accumulate(repeat(x, m), mul, initial=1))
 
 
-def _grid_power_sums(p: PairParams, m: int, k: int = 1) -> tuple[list[int], list[int]]:
-    """Power sums of orders 0..m of {ia : b(k-1) <= i < bk} and of
-    {jb : 0 <= j < a}, whose sumset is the exactly-k set for k >= 1.
+def _grid_power_sums(p: PairParams, m: int) -> tuple[list[int], list[int]]:
+    """Power sums of orders 0..m of {ia : 0 <= i < b} and of
+    {jb : 0 <= j < a}, whose sumset is R_1.
 
-    The order-t sum of the first is a^t (S_t(bk) - S_t(b(k-1))), of the
-    second b^t S_t(a).
+    The order-t sum of the first is a^t S_t(b), of the second b^t S_t(a).
     """
     a, b = p.a, p.b
-    s_i = map(sub, power_sums_below(b * k, m), power_sums_below(b * (k - 1), m))
     return (
-        list(map(mul, _powers(a, m), s_i)),
+        list(map(mul, _powers(a, m), power_sums_below(b, m))),
         list(map(mul, _powers(b, m), power_sums_below(a, m))),
     )
 
@@ -181,11 +176,6 @@ def _sumset_power_sums(p: PairParams, m: int) -> list[int]:
     """The power sums of orders 0..m of R_1, the sumset of {ia : 0 <= i < b}
     and {jb : 0 <= j < a}: one binomial convolution of theirs."""
     return _binomial_convolution(*_grid_power_sums(p, m))
-
-
-def _binomial_term(x: list[int], y: list[int], n: int) -> int:
-    """z_n of _binomial_convolution(x, y) alone, in n + 1 terms."""
-    return sum(comb(n, t) * x[t] * y[n - t] for t in range(n + 1))
 
 
 def _translate_rows(shift: int, m: int) -> Iterator[list[int]]:
@@ -254,17 +244,13 @@ def _power_sums_by_k(p: PairParams, kmax: int, m: int) -> list[list[int]]:
 
 
 def power_sum_k(p: PairParams, k: int, m: int) -> StatReport:
-    """Power sum of order m over the exactly-k set, for k >= 1:
+    """Power sum of order m over the exactly-k set.
 
-        sum_t C(m, t) a^t (S_t(bk) - S_t(b(k-1))) b^(m-t) S_(m-t)(a)
-
-    The set is the sumset {ia : b(k-1) <= i < bk} + {jb : 0 <= j < a}, all
-    ab sums distinct, and this is the binomial theorem over it: the order-t
-    sums of the two sets are a^t (S_t(bk) - S_t(b(k-1))) and b^t S_t(a).
-    Only order m is summed, in m + 1 products; power_sums_k gives every
-    order at once.  k = 0 with m <= 1 is the count or the sum; k = 0 with
-    m >= 2 is refused: a closed form exists (Rodseth 1994; Tuenter 2006)
-    but is not implemented.
+    For k >= 1 it is entry m of power_sums_k(p, k, m): the sumset's power
+    sums translated by ab(k-1), the derivation verify checks against the
+    oracle (_power_sums_by_k steps the same translate by ab).  k = 0 with
+    m <= 1 is the count or the sum; k = 0 with m >= 2 is refused: a closed
+    form exists (Rodseth 1994; Tuenter 2006) but is not implemented.
     """
     if k < 0 or m < 0:
         raise ValueError("k and m must be >= 0")
@@ -276,7 +262,7 @@ def power_sum_k(p: PairParams, k: int, m: int) -> StatReport:
         else:
             raise UnsupportedK(k, m)
         return StatReport("s^m", p.pair, k, value, m=m, provenance=CLOSED_FORM)
-    total = _binomial_term(*_grid_power_sums(p, m, k), m)
+    total = power_sums_k(p, k, m)[m]
     return StatReport("s^m", p.pair, k, total, m=m, provenance=CLOSED_FORM)
 
 
@@ -405,8 +391,8 @@ def structured_r_k(p: PairParams, k: int) -> GapSet:
         ab(k-1) + {0, a, ..., (b-1)a} + {0, b, ..., (a-1)b}
 
     read off _p_k_bytes, which asserts that all ab sums are distinct;
-    the result is complete by construction.
+    the result is complete by construction, as every _run_set set is.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    return _run_set(p.as_params(), k, *_p_k_bytes(p, k), True)
+    return _run_set(p.as_params(), k, *_p_k_bytes(p, k))

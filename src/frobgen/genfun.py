@@ -59,7 +59,7 @@ def p_k_exponents(p: PairParams, k: int) -> tuple[int, ...]:
     """
     if k < 0:
         raise ValueError("k must be >= 0")
-    return _run_set(p.as_params(), k, *_p_k_bytes(p, k), True).elements
+    return _run_set(p.as_params(), k, *_p_k_bytes(p, k)).elements
 
 
 def p_k_poly(p: PairParams, k: int) -> IntPoly:

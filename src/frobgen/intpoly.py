@@ -196,9 +196,8 @@ class IntPoly:
     # -- serialization -----------------------------------------------------
 
     def to_text(self) -> str:
-        """Canonical text form, terms in increasing exponent order: a 0/1
-        polynomial by zero_one_text, any other term by term through
-        _terms_text.
+        """Canonical text form, term by term in increasing exponent order
+        through _terms_text.
 
         >>> IntPoly({1: 1, 2: 1, 4: 1, 7: 1}).to_text()
         'z + z^2 + z^4 + z^7'
@@ -207,36 +206,28 @@ class IntPoly:
         >>> IntPoly().to_text()
         '0'
         """
-        if self.is_zero_one():
-            return zero_one_text(self.support())
         return _terms_text(sorted(self._terms.items()), "z")
 
     def to_json(self) -> str:
         """JSON form with coefficients as decimal strings (arbitrary precision
-        survives any JSON parser), written directly: a 0/1 polynomial by
-        zero_one_json, any other by one % call per term.
+        survives any JSON parser), written directly by one % call per term.
 
         >>> IntPoly({0: 1, 3: -2}).to_json()
         '{"terms":[[0,"1"],[3,"-2"]]}'
         >>> IntPoly({0: 1, 3: 1}).to_json()
         '{"terms":[[0,"1"],[3,"1"]]}'
         """
-        if self.is_zero_one():
-            return zero_one_json(self.support())
         return '{"terms":[' + ",".join(map('[%d,"%d"]'.__mod__, self.terms())) + "]}"
 
     def to_csv(self) -> str:
         """The line exp,coeff, then one line per term in increasing exponent
-        order: a 0/1 polynomial by zero_one_csv, any other by one % call per
-        term.
+        order, by one % call per term.
 
         >>> print(IntPoly({0: 1, 3: -2}).to_csv(), end="")
         exp,coeff
         0,1
         3,-2
         """
-        if self.is_zero_one():
-            return zero_one_csv(self.support())
         return "exp,coeff\n" + "".join(map("%d,%d\n".__mod__, self.terms()))
 
     @classmethod

@@ -490,35 +490,38 @@ def enumerate_at_most_k(params: Params, k: int, bound: int | None = None) -> Gap
     return GapSet._of(params, k, *_scan(params, k, True, bound))
 
 
-def _by_count_bytes(params: Params, kmax: int) -> tuple[list[tuple[int, bytearray]], bool]:
-    """(runs, complete) of the scan behind enumerate_at_most_k(params, kmax),
-    split by count: runs[k] is (start, run), the exactly-k set as 0/1 bytes
-    from its first element, start, to its last (_stream's `split`).
+def _by_count_bytes(params: Params, kmax: int) -> list[tuple[int, bytearray]]:
+    """The runs of the certified scan behind enumerate_at_most_k(params,
+    kmax), split by count: runs[k] is (start, run), the exactly-k set as 0/1
+    bytes from its first element, start, to its last (_stream's `split`).
 
     The same _scan plan and refusals as enumerate_at_most_k: the
     FROBGEN_MAX_BOUND cap and its refusal before the scan apply at kmax, and
     the scan's window of a_1 counts > kmax also certifies every smaller k.
+    An unbounded scan that does not close raises Indeterminate, so every
+    run it returns is a complete set.
     """
-    return _scan(params, kmax, True, None, split=True)
+    return _scan(params, kmax, True, None, split=True)[0]
 
 
-def _run_set(params: Params, k: int, start: int, run: bytes, complete: bool) -> GapSet:
-    """The GapSet of the 0/1 bytes run from position start, a nonzero byte
-    a member, expanded by one compress and wrapped by _of unchecked: the
-    package's one expansion of bytes into a set, for the scan's runs
-    (_by_count_bytes) and the pair's product forms (closedform._p_k_bytes)."""
-    return GapSet._of(params, k, tuple(compress(range(start, start + len(run)), run)), complete)
+def _run_set(params: Params, k: int, start: int, run: bytes) -> GapSet:
+    """The complete GapSet of the 0/1 bytes run from position start, a
+    nonzero byte a member, expanded by one compress and wrapped by _of
+    unchecked: the package's one expansion of bytes into a set, for the
+    certified scan's runs (_by_count_bytes) and the pair's product forms
+    (closedform._p_k_bytes), both complete."""
+    return GapSet._of(params, k, tuple(compress(range(start, start + len(run)), run)), True)
 
 
 def enumerate_by_count(params: Params, kmax: int) -> list[GapSet]:
-    """The exactly-k sets for every k <= kmax, from one scan, indexed by k.
+    """The exactly-k sets for every k <= kmax, from one certified scan,
+    indexed by k.
 
     Each set is expanded from its 0/1 run (_by_count_bytes, _run_set).  The
     at-most-k set is the disjoint union of exact[0..k], so none is built:
     kmax + 1 GapSets in all, every one complete.
     """
-    runs, complete = _by_count_bytes(params, kmax)
-    return [_run_set(params, k, *run, complete) for k, run in enumerate(runs)]
+    return [_run_set(params, k, *run) for k, run in enumerate(_by_count_bytes(params, kmax))]
 
 
 def oracle_report(gap_set: GapSet, stat: str, m: int | None = None) -> StatReport:

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from frobgen import cli, closedform, dp, genfun, oracle
 from frobgen.cli import main
+from frobgen.intpoly import IntPoly
 from frobgen.report import StatReport
 
 from helpers import brute_counts
@@ -839,6 +840,21 @@ class TestVerify:
         # the first line is the one a single-failure report always printed
         assert lines[0] == '{"check":"c","a":3,"b":5,"k":0,"expected":"4","actual":"5"}'
 
+    def test_reports_a_wrong_numerator(self, capsys, monkeypatch):
+        # h is compared with 1 - z^ab as a polynomial; the failure entry
+        # gives both as text, and the check count does not move
+        checks, _ = cli.verify_pair(3, 5, 2, 1)
+        wrong = IntPoly({0: 1, 1: 1, 15: -1})
+        monkeypatch.setattr(cli, "numerator_h", lambda params, gaps=None: wrong)
+        code, out = run_main(
+            capsys, "verify", "--params", "3,5", "--kmax", "2", "--mmax", "1"
+        )
+        assert code == 1
+        assert out.splitlines() == [
+            '{"check":"h == 1 - z^ab","a":3,"b":5,"expected":"1 - z^15","actual":"1 + z - z^15"}'
+        ]
+        assert cli.verify_pair(3, 5, 2, 1)[0] == checks
+
     def test_reports_a_wrong_power_sum(self, capsys, monkeypatch):
         real = cli._power_sums_by_k
 
@@ -1055,10 +1071,10 @@ class TestVerify:
 
         def dropped(params, kmax):
             # E_3's run without its last 1, and the 0s before it
-            runs, complete = real(params, kmax)
+            runs = real(params, kmax)
             start, run = runs[3]
             runs[3] = (start, run[:-1].rstrip(b"\0"))
-            return runs, complete
+            return runs
 
         real_sums = oracle.GapSet.power_sums
         walked = []
@@ -1101,10 +1117,10 @@ class TestVerify:
         real = cli._by_count_bytes
 
         def extra(params, kmax):
-            runs, complete = real(params, kmax)
+            runs = real(params, kmax)
             start, run = runs[2]
             runs[2] = (start, run + b"\1") if fault == "past the end" else (start - 1, b"\1" + run)
-            return runs, complete
+            return runs
 
         real_sums = oracle.GapSet.power_sums
         walked = []

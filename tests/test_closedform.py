@@ -172,7 +172,7 @@ class TestPowerSum:
         assert power_sum_k(PairParams(3, 5), 1, m).value == expected
 
     def test_hand_checked_terms(self):
-        # the binomial terms t = 2, 1, 0 of power_sum_k at k = 1:
+        # the binomial terms t = 2, 1, 0 of R_1's order-2 sum:
         # a^2 S_2(b) S_0(a), 2 a S_1(b) b S_1(a), S_0(b) b^2 S_2(a) = 810 + 900 + 625
         assert power_sum_k(PairParams(3, 5), 1, 2).value == 810 + 900 + 625
 
@@ -219,9 +219,9 @@ class TestPowerSumsTable:
     @given(st.sampled_from(coprime_pairs(40)), st.integers(1, 8), st.integers(0, 12))
     @settings(max_examples=80, deadline=None)
     def test_single_order_is_the_tables(self, pair, k, m):
-        # power_sum_k's one binomial sum against power_sums_k's convolutions
+        # compute's s^m against the table verify checks, stepped by ab
         p = PairParams(*pair)
-        assert power_sum_k(p, k, m).value == power_sums_k(p, k, m)[m]
+        assert power_sum_k(p, k, m).value == _power_sums_by_k(p, k, m)[k - 1][m]
 
     def test_order_is_immaterial(self):
         assert power_sums_k(PairParams(5, 3), 2, 6) == power_sums_k(PairParams(3, 5), 2, 6)

@@ -859,8 +859,10 @@ class TestByCountBytes:
             with pytest.raises(InfiniteSet):
                 oracle._by_count_bytes(params, kmax)
             return
-        runs, complete = oracle._by_count_bytes(params, kmax)
-        assert complete
+        runs = oracle._by_count_bytes(params, kmax)
+        sets = [_run_set(params, k, *run) for k, run in enumerate(runs)]
+        assert all(gs.complete for gs in sets)
+        assert enumerate_by_count(params, kmax) == sets
         assert len(runs) == kmax + 1
         _assert_runs_are_sets(runs, _brute_to_window(denoms, kmax))
 
@@ -875,9 +877,10 @@ class TestByCountBytes:
         ],
     )
     def test_runs_across_blocks(self, denoms, kmax):
-        runs, complete = oracle._by_count_bytes(validate_params(list(denoms)), kmax)
+        params = validate_params(list(denoms))
+        runs = oracle._by_count_bytes(params, kmax)
         at_most = _rep_reference(denoms, kmax, True)[0]
-        assert complete
+        assert all(_run_set(params, k, *run).complete for k, run in enumerate(runs))
         assert len(runs) == kmax + 1
         _assert_runs_are_sets(runs, dp.rep_counts(denoms, at_most[-1]) if at_most else [])
 
@@ -901,7 +904,7 @@ class TestScannedSets:
         if kind == "pair_forms":
             (a, b), k = pair_query
             pair = PairParams(a, b)
-            gaps = _run_set(pair.as_params(), 0, *_p_k_bytes(pair, 0), True)
+            gaps = _run_set(pair.as_params(), 0, *_p_k_bytes(pair, 0))
             sets = [structured_r_k(pair, k), gaps]
         elif kind == "by_count":
             sets = enumerate_by_count(params, k)
