@@ -9,8 +9,10 @@ mod a.  Entries are Python ints, so tables are exact at any size.
 
 The two binomial steps work in place on a list of coefficients truncated
 at degree len(table) - 1: divide_binomials is the running sum above, and
-multiply_binomials its inverse, t(j) - t(j - a).  Denumerant tables, the
-numerator h(z) and cyclotomic polynomials are all built from these two.
+multiply_binomials its inverse, t(j) - t(j - a).  Denumerant tables and
+cyclotomic polynomials are built from these two; the numerator h(z) is
+read off the Apery set of a denumerant table (genfun.numerator_h), with
+no dense product.
 rep_blocks gives a denumerant table a block at a time, each coin carrying
 its last a values from block to block; rep_counts is its one-block case.
 """

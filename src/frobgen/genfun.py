@@ -10,10 +10,9 @@ are all materialized exactly and cross-checked against the oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress
 
 from frobgen.closedform import PairParams, _p_k_bytes, _rows
-from frobgen.dp import divide_binomials, multiply_binomials
+from frobgen.dp import divide_binomials
 from frobgen.errors import NotPrime, WrongArity
 from frobgen.intpoly import IntPoly, _prime_factors, cyclotomic
 from frobgen.oracle import GapSet, Params, _check_bound, _run_set, enumerate_exact_k, rep_table
@@ -98,19 +97,24 @@ def rational_series(numer: IntPoly, params: Params, bound: int) -> list[int]:
 def numerator_h(params: Params, gaps: GapSet | None = None) -> IntPoly:
     """The numerator h(z) of the representable-set generating function.
 
-    h is the representable-set indicator times prod_i (1 - z^(a_i)), and
-    deg h <= g_0 + sum(a_i), so the indicator truncated there gives h
-    exactly (dp.multiply_binomials on the dense indicator).  The gaps
-    come from the oracle's certified scan: `gaps` when the caller already
-    holds that set (it must be for params, k = 0 and complete, else
-    ValueError), otherwise enumerate_exact_k(params, 0).
+    The gaps come from the oracle's certified scan: `gaps` when the caller
+    already holds that set (it must be for params, k = 0 and complete, else
+    ValueError), otherwise enumerate_exact_k(params, 0).  They are checked
+    against the zero entries of the denumerant table up to g_0 + sum(a_i)
+    (rep_table, so the FROBGEN_MAX_BOUND ceiling applies): the zero count
+    must equal the gap count and every gap must count 0, else AssertionError
+    names the first degree where the two differ.  Agreement there includes
+    a_1 consecutive representable integers past g_0, which certifies that no
+    gap lies beyond, so the set is the gap set of params.
 
-    Before the product, the gap indicator up to g_0 + sum(a_i) is compared
-    with the zero entries of the denumerant table (rep_table, so the
-    FROBGEN_MAX_BOUND ceiling applies): any wrong gap raises AssertionError.
-    Agreement there includes a_1 consecutive representable integers past
-    g_0, which certifies that no gap lies beyond, so the set is the gap set
-    of params and h is exact.
+    h is then read off the Apery set of the checked table, with no dense
+    product: the representable n = r (mod a_1) are w_r + a_1 N, where w_r is
+    r plus a_1 times the number of zeros in class r (adding a_1 never lowers
+    a count, so those zeros are a prefix of the class), and
+
+        h(z) = sum_r z^(w_r) * prod_{i >= 2} (1 - z^(a_i)),
+
+    the product taken once as a term map and shifted by each w_r.
     """
     if gaps is None:
         gaps = enumerate_exact_k(params, 0)
@@ -121,17 +125,30 @@ def numerator_h(params: Params, gaps: GapSet | None = None) -> IntPoly:
     elif gaps.k != 0 or not gaps.complete:
         raise ValueError("numerator_h needs the certified gap set: k = 0 and complete")
     denoms = params.denominations
-    g0 = gaps.elements[-1] if gaps.elements else -1
-    check_to = g0 + sum(denoms)
-    counts = rep_table(params, check_to)
-    coeffs = [1] * (check_to + 1)
-    for g in gaps.elements:
-        coeffs[g] = 0
-    if list(map(bool, counts)) != coeffs:
+    elements = gaps.elements
+    g0 = elements[-1] if elements else -1
+    counts = rep_table(params, g0 + sum(denoms))
+    # the elements strictly increase, so equal sizes make this set equality
+    if counts.count(0) != len(elements) or any(map(counts.__getitem__, elements)):
+        coeffs = [1] * len(counts)
+        for g in elements:
+            coeffs[g] = 0
         j = next(j for j, (r, e) in enumerate(zip(counts, coeffs)) if bool(r) != e)
         raise AssertionError(f"gap indicator differs from the denumerant table at degree {j}")
-    multiply_binomials(coeffs, denoms)
-    return IntPoly._of(dict(compress(enumerate(coeffs), coeffs)))
+    binomials = {0: 1}
+    for a in denoms[1:]:
+        step = dict(binomials)
+        for e, c in binomials.items():
+            step[e + a] = step.get(e + a, 0) - c
+        binomials = step
+    a1 = params.smallest
+    terms: dict[int, int] = {}
+    for r in range(a1):
+        w = r + a1 * counts[r::a1].count(0)
+        for e, c in binomials.items():
+            e += w
+            terms[e] = terms.get(e, 0) + c
+    return IntPoly._of({e: c for e, c in sorted(terms.items()) if c})
 
 
 def denham_term_count(params: Params) -> int:

@@ -6,9 +6,9 @@ deliberate: the polynomials that show up here (gap polynomials, rational
 numerators, cyclotomics) have few terms but large degree gaps.
 
 cyclotomic builds Phi_n on a dense coefficient list with the two binomial
-steps of `dp`, the same ones that build denumerant tables and the numerator
-h(z): a product of factors (1 - z^a)^(+-1) truncated at phi(n), with no
-recursion over divisors and no memo.  poly_exact_div, long division on
+steps of `dp`, the same ones that build denumerant tables: a product of
+factors (1 - z^a)^(+-1) truncated at phi(n), with no recursion over
+divisors and no memo.  poly_exact_div, long division on
 the sparse maps, is not used by the package itself.
 
 All arithmetic is exact; there is no floating-point path anywhere.

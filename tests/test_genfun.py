@@ -36,6 +36,15 @@ def coprime_pair(draw, max_b: int = 40) -> tuple[int, int]:
     return (a, b) if draw(st.booleans()) else (b, a)
 
 
+@st.composite
+def coin_set(draw, max_coin: int = 40) -> tuple[int, ...]:
+    """1 to 5 coins in 1..max_coin with gcd 1, repeats and a coin of 1 allowed:
+    drawn coins divided by their gcd."""
+    coins = draw(st.lists(st.integers(1, max_coin), min_size=1, max_size=5))
+    g = gcd(*coins)
+    return tuple(c // g for c in coins)
+
+
 class TestPkPoly:
     def test_gap_polynomial(self):
         assert p_k_poly(PairParams(3, 5), 0) == IntPoly({1: 1, 2: 1, 4: 1, 7: 1})
@@ -349,6 +358,38 @@ class TestNumerator:
         assert numerator_h(validate_params([12, 21, 28])) == IntPoly({0: 1, 84: -2, 168: 1})
         assert len(numerator_h(validate_params([3, 5, 7]))) in (4, 6)
 
+    def test_makes_no_dense_product(self, monkeypatch):
+        def no_product(table, exponents):
+            raise AssertionError("numerator_h multiplied a dense table by binomials")
+
+        monkeypatch.setattr(dp, "multiply_binomials", no_product)
+        monkeypatch.setattr("frobgen.genfun.multiply_binomials", no_product, raising=False)
+        assert numerator_h(validate_params([3, 5])) == IntPoly.one_minus_pow(15)
+        assert numerator_h(validate_params([12, 21, 28])) == IntPoly({0: 1, 84: -2, 168: 1})
+        assert numerator_h(validate_params([3, 3, 5])) == IntPoly({0: 1, 3: -1, 15: -1, 18: 1})
+        params = validate_params([4, 4, 6, 9])
+        assert numerator_h(params) == _reference_h(params)
+
+    @given(coin_set())
+    @example((1,))
+    @example((3, 3, 5))
+    @example((12, 21, 28))
+    @example((1, 5, 9))
+    @example((4, 4, 6, 9))
+    def test_apery_numerator_matches_the_reference(self, denoms):
+        # repeated coins and a coin of 1 included: h against the identity,
+        # with and without a given gap set, and h / prod_i (1 - z^(a_i))
+        # re-expanded to the gap indicator up to g_0 + sum(a_i)
+        params = validate_params(list(denoms))
+        gaps = enumerate_exact_k(params, 0)
+        h = numerator_h(params)
+        assert h == _reference_h(params)
+        assert numerator_h(params, gaps) == h
+        bound = (gaps.elements[-1] if gaps.elements else -1) + sum(denoms)
+        gap_set = set(gaps.elements)
+        expected = [0 if j in gap_set else 1 for j in range(bound + 1)]
+        assert rational_series(h, params, bound) == expected
+
     def test_series_bound_refused_before_allocating(self, monkeypatch):
         monkeypatch.setenv("FROBGEN_MAX_BOUND", "100")
         h = IntPoly.one_minus_pow(15)
@@ -408,12 +449,14 @@ class TestNumerator:
 
     @pytest.mark.parametrize(
         "gaps,degree",
-        [((1, 2, 4, 9), 9), ((1, 2), 4), ((1, 4), 2), ((), 1)],
-        ids=["extra-gap", "missing-last", "missing-middle", "empty"],
+        [((1, 2, 4, 9), 9), ((1, 2), 4), ((1, 4), 2), ((), 1), ((1, 3, 4), 2)],
+        ids=["extra-gap", "missing-last", "missing-middle", "empty", "swapped"],
     )
     def test_wrong_gap_set_raises(self, gaps, degree):
         # certified-looking sets that are not the gaps (1, 2, 4) of (3, 5, 7):
-        # the table of denumerants disagrees with each at the given degree
+        # the table of denumerants disagrees with each at the given degree.
+        # "swapped" has as many elements as the table has zeros, so only the
+        # check that each element counts 0 catches it
         params = validate_params([3, 5, 7])
         with pytest.raises(AssertionError, match=f"at degree {degree}$"):
             numerator_h(params, GapSet(params, 0, gaps, complete=True))
