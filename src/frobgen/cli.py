@@ -378,10 +378,11 @@ def verify_pair(a: int, b: int, kmax: int, mmax: int) -> tuple[int, list[dict]]:
     at-most-k set is the disjoint union of the exactly-j sets, j <= k, so
     its oracle values are running totals of theirs: the max (over nonempty
     sets) and two sums.  numerator_h works from that scan's gap set, checks
-    it against its denumerant table and reads h off that table's Apery set,
-    with no dense product; no closed form scans, so nothing scans again,
-    a = 1 included.  h is compared with 1 - z^ab as a polynomial, and both
-    are rendered as text only for a failure entry.
+    it against a bitset of the representable set and reads h off that
+    bitset's Apery set, with no denumerant table and no dense product; no
+    closed form scans, so nothing scans again, a = 1 included.  h is
+    compared with 1 - z^ab as a polynomial, and both are rendered as text
+    only for a failure entry.
 
     The closed-form side is checked in the form it is computed in, with
     nothing built in between.  g, c and s, of the exactly-k and of the

@@ -15,9 +15,10 @@ from frobgen.closedform import PairParams, _p_k_bytes, _rows
 from frobgen.dp import divide_binomials
 from frobgen.errors import NotPrime, WrongArity
 from frobgen.intpoly import IntPoly, _prime_factors, cyclotomic
-from frobgen.oracle import GapSet, Params, _check_bound, _run_set, enumerate_exact_k, rep_table
+from frobgen.oracle import GapSet, Params, _check_bound, _run_set, enumerate_exact_k
 
 _BIT_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+_BIT_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
 
 
 @dataclass(frozen=True)
@@ -94,23 +95,43 @@ def rational_series(numer: IntPoly, params: Params, bound: int) -> list[int]:
     return series
 
 
+def _representable(denoms: tuple[int, ...], top: int) -> bytes:
+    """flags[j] = 1 iff j <= top is a sum of the coins, read off one bit per j.
+
+    Bit j of R is set iff j is representable: R starts at 1 (only 0), and
+    each coin a, repeats included, shifts R by a, 2a, 4a, ... <= top and ors
+    each shift in, which adds every multiple 0..top of a.  The shifts are
+    masked to bits 0..top, and R is read out lowest bit first as 0/1 bytes.
+    No count is kept, so this shares nothing with the denumerant tables.
+    """
+    mask = (1 << top + 1) - 1
+    reach = 1
+    for a in denoms:
+        s = a
+        while s <= top:
+            reach |= (reach << s) & mask
+            s *= 2
+    # the sentinel bit top + 1 keeps the leading zeros; [:0:-1] drops it
+    return format(reach | 1 << top + 1, "b").encode()[:0:-1].translate(_BIT_FLAGS)
+
+
 def numerator_h(params: Params, gaps: GapSet | None = None) -> IntPoly:
     """The numerator h(z) of the representable-set generating function.
 
     The gaps come from the oracle's certified scan: `gaps` when the caller
     already holds that set (it must be for params, k = 0 and complete, else
     ValueError), otherwise enumerate_exact_k(params, 0).  They are checked
-    against the zero entries of the denumerant table up to g_0 + sum(a_i)
-    (rep_table, so the FROBGEN_MAX_BOUND ceiling applies): the zero count
-    must equal the gap count and every gap must count 0, else AssertionError
+    against a bitset of the representable set up to g_0 + sum(a_i)
+    (_representable, after the FROBGEN_MAX_BOUND ceiling): the zero count
+    must equal the gap count and every gap must read 0, else AssertionError
     names the first degree where the two differ.  Agreement there includes
     a_1 consecutive representable integers past g_0, which certifies that no
     gap lies beyond, so the set is the gap set of params.
 
-    h is then read off the Apery set of the checked table, with no dense
+    h is then read off the Apery set of the checked bitset, with no dense
     product: the representable n = r (mod a_1) are w_r + a_1 N, where w_r is
-    r plus a_1 times the number of zeros in class r (adding a_1 never lowers
-    a count, so those zeros are a prefix of the class), and
+    r plus a_1 times the number of zeros in class r (adding a_1 keeps n
+    representable, so those zeros are a prefix of the class), and
 
         h(z) = sum_r z^(w_r) * prod_{i >= 2} (1 - z^(a_i)),
 
@@ -127,14 +148,18 @@ def numerator_h(params: Params, gaps: GapSet | None = None) -> IntPoly:
     denoms = params.denominations
     elements = gaps.elements
     g0 = elements[-1] if elements else -1
-    counts = rep_table(params, g0 + sum(denoms))
+    top = g0 + sum(denoms)
+    _check_bound(top)
+    flags = _representable(denoms, top)
     # the elements strictly increase, so equal sizes make this set equality
-    if counts.count(0) != len(elements) or any(map(counts.__getitem__, elements)):
-        coeffs = [1] * len(counts)
+    if flags.count(0) != len(elements) or any(map(flags.__getitem__, elements)):
+        coeffs = [1] * len(flags)
         for g in elements:
             coeffs[g] = 0
-        j = next(j for j, (r, e) in enumerate(zip(counts, coeffs)) if bool(r) != e)
-        raise AssertionError(f"gap indicator differs from the denumerant table at degree {j}")
+        j = next(j for j, (r, e) in enumerate(zip(flags, coeffs)) if r != e)
+        raise AssertionError(
+            f"gap indicator differs from the representable-set bitset at degree {j}"
+        )
     binomials = {0: 1}
     for a in denoms[1:]:
         step = dict(binomials)
@@ -144,7 +169,7 @@ def numerator_h(params: Params, gaps: GapSet | None = None) -> IntPoly:
     a1 = params.smallest
     terms: dict[int, int] = {}
     for r in range(a1):
-        w = r + a1 * counts[r::a1].count(0)
+        w = r + a1 * flags[r::a1].count(0)
         for e, c in binomials.items():
             e += w
             terms[e] = terms.get(e, 0) + c

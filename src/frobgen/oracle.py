@@ -102,7 +102,10 @@ def _check_bound(bound: int) -> None:
 
 def rep_table(params: Params, bound: int) -> tuple[int, ...]:
     """Exact denumerant counts r(0), ..., r(bound); raises BoundTooLarge past
-    the FROBGEN_MAX_BOUND ceiling."""
+    the FROBGEN_MAX_BOUND ceiling.
+
+    Public for callers and tests: no library path calls it (numerator_h
+    checks its gap set against a bitset, and classify reads dp.rep_blocks)."""
     _check_bound(bound)
     return tuple(dp.rep_counts(params.denominations, bound))
 

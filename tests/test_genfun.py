@@ -6,7 +6,7 @@ from math import gcd
 from unittest.mock import patch
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from frobgen import closedform, dp, oracle
@@ -15,6 +15,7 @@ from frobgen.closedform import PairParams, closed_report, count_k, frobenius_k, 
 from frobgen.errors import BoundTooLarge, NotPrime, WrongArity
 from frobgen.genfun import (
     IndicatorSeries,
+    _representable,
     cyclotomic_identity_check,
     denham_term_count,
     numerator_h,
@@ -454,12 +455,77 @@ class TestNumerator:
     )
     def test_wrong_gap_set_raises(self, gaps, degree):
         # certified-looking sets that are not the gaps (1, 2, 4) of (3, 5, 7):
-        # the table of denumerants disagrees with each at the given degree.
-        # "swapped" has as many elements as the table has zeros, so only the
-        # check that each element counts 0 catches it
+        # the representable-set bitset disagrees with each at the given
+        # degree.  "swapped" has as many elements as the bitset has zeros, so
+        # only the check that each element reads 0 catches it
         params = validate_params([3, 5, 7])
         with pytest.raises(AssertionError, match=f"at degree {degree}$"):
             numerator_h(params, GapSet(params, 0, gaps, complete=True))
+
+    def test_makes_no_denumerant_table(self, monkeypatch):
+        def no_table(*args):
+            raise AssertionError("numerator_h built a denumerant table")
+
+        monkeypatch.setattr(dp, "rep_counts", no_table)
+        monkeypatch.setattr(oracle, "rep_table", no_table)
+        monkeypatch.setattr("frobgen.genfun.rep_table", no_table, raising=False)
+        assert numerator_h(validate_params([1])) == IntPoly.one()
+        assert numerator_h(validate_params([3, 5])) == IntPoly.one_minus_pow(15)
+        assert numerator_h(validate_params([12, 21, 28])) == IntPoly({0: 1, 84: -2, 168: 1})
+        assert numerator_h(validate_params([3, 3, 5])) == IntPoly({0: 1, 3: -1, 15: -1, 18: 1})
+        params = validate_params([4, 4, 6, 9])
+        assert numerator_h(params) == _reference_h(params)
+
+    @settings(deadline=None)
+    @given(st.lists(st.integers(1, 40), min_size=1, max_size=5), st.integers(0, 50))
+    @example([1], 50)
+    @example([1, 1, 1, 1, 1], 50)
+    @example([3, 3, 5], 50)
+    @example([4, 4, 6, 9], 50)
+    @example([40], 0)
+    def test_bitset_marks_the_positive_counts(self, coins, top):
+        # coins need not be coprime here: the bitset only sums them
+        flags = _representable(tuple(coins), top)
+        assert flags == bytes(c > 0 for c in brute_counts(tuple(coins), top))
+
+    @settings(deadline=None)
+    @given(coin_set(), st.data())
+    def test_mutated_gap_set_raises_at_the_first_difference(self, denoms, data):
+        # one gap dropped, or one representable j <= g_0 + sum(a_i) added:
+        # the symmetric difference is that one degree
+        params = validate_params(list(denoms))
+        gaps = enumerate_exact_k(params, 0).elements
+        top = (gaps[-1] if gaps else -1) + sum(denoms)
+        if gaps and data.draw(st.booleans()):
+            i = data.draw(st.integers(0, len(gaps) - 1))
+            degree, mutated = gaps[i], gaps[:i] + gaps[i + 1 :]
+        else:
+            gap_set = set(gaps)
+            degree = data.draw(st.sampled_from([j for j in range(top + 1) if j not in gap_set]))
+            mutated = tuple(sorted(gaps + (degree,)))
+        with pytest.raises(AssertionError, match=f"at degree {degree}$"):
+            numerator_h(params, GapSet(params, 0, mutated, complete=True))
+
+    @pytest.mark.parametrize("denoms", [(3, 5, 7), (311, 313, 317)], ids=["3-5-7", "311-313-317"])
+    def test_ceiling_refuses_before_allocating(self, denoms, monkeypatch):
+        # the bound is g_0 + sum(a_i): one under it is refused with nothing
+        # table-sized allocated (at 311, 313, 317 the bitset alone is 33,595
+        # bytes), and at exactly it h is given
+        params = validate_params(list(denoms))
+        gaps = enumerate_exact_k(params, 0)
+        top = gaps.elements[-1] + sum(denoms)
+        expected = numerator_h(params, gaps)
+        monkeypatch.setenv("FROBGEN_MAX_BOUND", str(top - 1))
+        tracemalloc.start()
+        try:
+            with pytest.raises(BoundTooLarge):
+                numerator_h(params, gaps)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4096
+        monkeypatch.setenv("FROBGEN_MAX_BOUND", str(top))
+        assert numerator_h(params, gaps) == expected
 
 
 class TestDenham:
