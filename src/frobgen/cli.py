@@ -50,6 +50,7 @@ from frobgen.dp import rep_blocks
 from frobgen.errors import FrobgenError, ValidationError, WrongArity
 from frobgen.genfun import (
     _BIT_DIGITS,
+    _numerator,
     denham_term_count,
     numerator_h,
     p_k_exponents,
@@ -377,12 +378,12 @@ def verify_pair(a: int, b: int, kmax: int, mmax: int) -> tuple[int, list[dict]]:
     closed form's step by ab still fails at every k it reaches.  The
     at-most-k set is the disjoint union of the exactly-j sets, j <= k, so
     its oracle values are running totals of theirs: the max (over nonempty
-    sets) and two sums.  numerator_h works from that scan's gap set, checks
-    it against a bitset of the representable set and reads h off that
-    bitset's Apery set, with no denumerant table and no dense product; no
-    closed form scans, so nothing scans again, a = 1 included.  h is
-    compared with 1 - z^ab as a polynomial, and both are rendered as text
-    only for a failure entry.
+    sets) and two sums.  h comes from that scan's E_0 run (genfun._numerator),
+    checked against a bitset of the representable set in one comparison of
+    bytes and read off the Apery set of the checked gaps, with no
+    denumerant table and no dense product; no closed form scans, so nothing
+    scans again, a = 1 included.  h is compared with 1 - z^ab as a
+    polynomial, and both are rendered as text only for a failure entry.
 
     The closed-form side is checked in the form it is computed in, with
     nothing built in between.  g, c and s, of the exactly-k and of the
@@ -391,9 +392,10 @@ def verify_pair(a: int, b: int, kmax: int, mmax: int) -> tuple[int, list[dict]]:
     strict=False: the complement of the representable n <= g_0 for k = 0,
     and for k >= 1 the pair's product-form bytes, since every exactly-k set
     with k >= 1 is the sumset {ia + jb} translated by ab(k-1).  Those bytes,
-    their 0/1 check (every byte 0 or 1 and ab of them 1, which a collision
-    of two sums lowers) and their support (every nonzero byte made 1, then
-    cut to its first 1 through its last) are read once per pair; per k, E_k
+    their 0/1 check (every byte 0 or 1, and as many of them 1 as Sylvester's
+    (a-1)(b-1)/2 for k = 0 and ab for k >= 1, which a collision of two sums
+    lowers) and their support (every nonzero byte made 1, then cut to its
+    first 1 through its last) are read once per pair; per k, E_k
     matches iff its run starts at ab(k-1) plus the support's first 1 and
     equals the support's bytes, one compare of bytes.  A coefficient 2 thus
     fails the 0/1 check alone.  The s^m values of every k come from one
@@ -430,8 +432,7 @@ def verify_pair(a: int, b: int, kmax: int, mmax: int) -> tuple[int, list[dict]]:
     step = _shift_rows(ab, orders) if orders < ab else None
 
     runs = _by_count_bytes(params, kmax)
-    gaps = _run_set(params, 0, *runs[0])
-    h, unit = numerator_h(params, gaps), IntPoly.one_minus_pow(ab)
+    h, unit = _numerator(params, *runs[0]), IntPoly.one_minus_pow(ab)
     if h != unit:
         fail("h == 1 - z^ab", None, None, unit.to_text(), h.to_text())
 
@@ -443,7 +444,8 @@ def verify_pair(a: int, b: int, kmax: int, mmax: int) -> tuple[int, list[dict]]:
         start, run = runs[k]
         if k <= 1:  # the form's bytes: k = 0's own, then the pair's R_1
             _, form = _p_k_bytes(pair, k, strict=False)
-            zero_one = _zero_one(form, ab if k else None)
+            # Sylvester's count written out, so a fault in _count fails c alone
+            zero_one = _zero_one(form, ab if k else (a - 1) * (b - 1) // 2)
             support = form.translate(_SUPPORT)
             first = support.find(1)
             support = support[first : support.rfind(1) + 1]  # empty when no 1
@@ -454,8 +456,7 @@ def verify_pair(a: int, b: int, kmax: int, mmax: int) -> tuple[int, list[dict]]:
         if stepped and matched:
             oracle_sums = _shift_sums(step, oracle_sums)
         else:
-            exact = _run_set(params, k, start, run) if k else gaps
-            oracle_sums = exact.power_sums(orders if k else 1)
+            oracle_sums = _run_set(params, k, start, run).power_sums(orders if k else 1)
         g, c, s = (start + len(run) - 1 if run else None), oracle_sums[0], oracle_sums[1]
         if g is not None:
             g_le = g if g_le is None else max(g_le, g)
@@ -505,7 +506,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         pairs = [tuple(params.denominations)]
     else:  # the parser requires exactly one of --params and --sweep
         # the last pair (MAXB - 1, MAXB) reaches furthest: its window ends at
-        # (kmax + 1)ab - b, and at kmax 0 numerator_h checks up to ab
+        # (kmax + 1)ab - b, and at kmax 0 h's check bitset ends at ab
         a, b = args.sweep - 1, args.sweep
         _check_bound((args.kmax + 1) * a * b - b if args.kmax else a * b)
         pairs = [

@@ -321,13 +321,10 @@ def closed_report(p: PairParams, stat: str, k: int, m: int | None = None) -> Sta
     raise ValueError(f"unknown statistic {stat!r}")
 
 
-def _zero_one(coeffs: bytes, ones: int | None = None) -> bool:
-    """Whether every byte of coeffs is 0 or 1 and, when ones is given,
-    exactly ones of them are 1."""
+def _zero_one(coeffs: bytes, ones: int) -> bool:
+    """Whether every byte of coeffs is 0 or 1 and exactly ones of them are 1."""
     set_bytes = coeffs.count(1)
-    if ones is not None and set_bytes != ones:
-        return False
-    return coeffs.count(0) + set_bytes == len(coeffs)
+    return set_bytes == ones and coeffs.count(0) + set_bytes == len(coeffs)
 
 
 def _rows(p: PairParams, length: int) -> bytearray:

@@ -11,9 +11,9 @@ The two binomial steps work in place on a list of coefficients truncated
 at degree len(table) - 1: divide_binomials is the running sum above, and
 multiply_binomials its inverse, t(j) - t(j - a).  Denumerant tables and
 cyclotomic polynomials are built from these two.  The numerator h(z) uses
-neither: genfun.numerator_h checks the gap set against a bitset of the
-representable set, one bit per j, kept apart from these tables so that the
-check stays independent of them, and reads h off its Apery set.
+neither: genfun.numerator_h compares the scan's gap bytes with a bitset of
+the representable set, one bit per j, kept apart from these tables so that
+the check stays independent of them, and reads h off its Apery set.
 rep_blocks gives a denumerant table a block at a time, each coin carrying
 its last a values from block to block; rep_counts is its one-block case.
 """

@@ -11,11 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from frobgen.closedform import PairParams, _p_k_bytes, _rows
+from frobgen.closedform import _FLIP, PairParams, _p_k_bytes, _rows
 from frobgen.dp import divide_binomials
 from frobgen.errors import NotPrime, WrongArity
 from frobgen.intpoly import IntPoly, _prime_factors, cyclotomic
-from frobgen.oracle import GapSet, Params, _check_bound, _run_set, enumerate_exact_k
+from frobgen.oracle import Params, _by_count_bytes, _check_bound, _run_set
 
 _BIT_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 _BIT_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
@@ -115,48 +115,42 @@ def _representable(denoms: tuple[int, ...], top: int) -> bytes:
     return format(reach | 1 << top + 1, "b").encode()[:0:-1].translate(_BIT_FLAGS)
 
 
-def numerator_h(params: Params, gaps: GapSet | None = None) -> IntPoly:
-    """The numerator h(z) of the representable-set generating function.
+def numerator_h(params: Params) -> IntPoly:
+    """The numerator h(z) of the representable-set generating function,
+    from the gap set of the oracle's certified scan (_by_count_bytes at
+    kmax 0) and checked as _numerator says."""
+    return _numerator(params, *_by_count_bytes(params, 0)[0])
 
-    The gaps come from the oracle's certified scan: `gaps` when the caller
-    already holds that set (it must be for params, k = 0 and complete, else
-    ValueError), otherwise enumerate_exact_k(params, 0).  They are checked
-    against a bitset of the representable set up to g_0 + sum(a_i)
-    (_representable, after the FROBGEN_MAX_BOUND ceiling): the zero count
-    must equal the gap count and every gap must read 0, else AssertionError
-    names the first degree where the two differ.  Agreement there includes
-    a_1 consecutive representable integers past g_0, which certifies that no
-    gap lies beyond, so the set is the gap set of params.
 
-    h is then read off the Apery set of the checked bitset, with no dense
+def _numerator(params: Params, start: int, run: bytes) -> IntPoly:
+    """h(z) of params from its gap set as the scan's exactly-0 run: 0/1
+    bytes, 1 at a gap, from the first gap, start, to the last, g_0.
+
+    The gaps are checked against a bitset of the representable set up to
+    g_0 + sum(a_i) (_representable, after the FROBGEN_MAX_BOUND ceiling):
+    the bitset with 0 and 1 swapped must equal the run padded with zeros to
+    0..g_0 + sum(a_i), one comparison of two byte strings, else
+    AssertionError names the first degree where the two differ.  Agreement
+    there includes a_1 consecutive representable integers past g_0, which
+    certifies that no gap lies beyond, so the run is the gap set of params.
+
+    h is then read off the Apery set of the checked gaps, with no dense
     product: the representable n = r (mod a_1) are w_r + a_1 N, where w_r is
-    r plus a_1 times the number of zeros in class r (adding a_1 keeps n
-    representable, so those zeros are a prefix of the class), and
+    r plus a_1 times the number of gaps in class r (adding a_1 keeps n
+    representable, so those gaps are a prefix of the class), and
 
         h(z) = sum_r z^(w_r) * prod_{i >= 2} (1 - z^(a_i)),
 
     the product taken once as a term map and shifted by each w_r.
     """
-    if gaps is None:
-        gaps = enumerate_exact_k(params, 0)
-    elif gaps.params != params:
-        raise ValueError(
-            f"gap set is for {gaps.params.denominations}, not {params.denominations}"
-        )
-    elif gaps.k != 0 or not gaps.complete:
-        raise ValueError("numerator_h needs the certified gap set: k = 0 and complete")
     denoms = params.denominations
-    elements = gaps.elements
-    g0 = elements[-1] if elements else -1
+    g0 = start + len(run) - 1
     top = g0 + sum(denoms)
     _check_bound(top)
-    flags = _representable(denoms, top)
-    # the elements strictly increase, so equal sizes make this set equality
-    if flags.count(0) != len(elements) or any(map(flags.__getitem__, elements)):
-        coeffs = [1] * len(flags)
-        for g in elements:
-            coeffs[g] = 0
-        j = next(j for j, (r, e) in enumerate(zip(flags, coeffs)) if r != e)
+    gaps = _representable(denoms, top).translate(_FLIP)
+    given = b"".join((bytes(start), run, bytes(top - g0)))
+    if gaps != given:
+        j = next(j for j, (x, y) in enumerate(zip(gaps, given)) if x != y)
         raise AssertionError(
             f"gap indicator differs from the representable-set bitset at degree {j}"
         )
@@ -169,7 +163,7 @@ def numerator_h(params: Params, gaps: GapSet | None = None) -> IntPoly:
     a1 = params.smallest
     terms: dict[int, int] = {}
     for r in range(a1):
-        w = r + a1 * flags[r::a1].count(0)
+        w = r + a1 * gaps[r::a1].count(1)
         for e, c in binomials.items():
             e += w
             terms[e] = terms.get(e, 0) + c

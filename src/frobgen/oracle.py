@@ -105,7 +105,8 @@ def rep_table(params: Params, bound: int) -> tuple[int, ...]:
     the FROBGEN_MAX_BOUND ceiling.
 
     Public for callers and tests: no library path calls it (numerator_h
-    checks its gap set against a bitset, and classify reads dp.rep_blocks)."""
+    checks the scan's gap bytes against a bitset, and classify reads
+    dp.rep_blocks)."""
     _check_bound(bound)
     return tuple(dp.rep_counts(params.denominations, bound))
 
@@ -502,7 +503,9 @@ def _by_count_bytes(params: Params, kmax: int) -> list[tuple[int, bytearray]]:
     FROBGEN_MAX_BOUND cap and its refusal before the scan apply at kmax, and
     the scan's window of a_1 counts > kmax also certifies every smaller k.
     An unbounded scan that does not close raises Indeterminate, so every
-    run it returns is a complete set.
+    run it returns is a complete set.  Read by enumerate_by_count,
+    cli.verify_pair and, at kmax 0, genfun.numerator_h, whose gap check
+    compares runs[0] as bytes.
     """
     return _scan(params, kmax, True, None, split=True)[0]
 

@@ -845,7 +845,7 @@ class TestVerify:
         # gives both as text, and the check count does not move
         checks, _ = cli.verify_pair(3, 5, 2, 1)
         wrong = IntPoly({0: 1, 1: 1, 15: -1})
-        monkeypatch.setattr(cli, "numerator_h", lambda params, gaps=None: wrong)
+        monkeypatch.setattr(cli, "_numerator", lambda params, start, run: wrong)
         code, out = run_main(
             capsys, "verify", "--params", "3,5", "--kmax", "2", "--mmax", "1"
         )
@@ -854,6 +854,28 @@ class TestVerify:
             '{"check":"h == 1 - z^ab","a":3,"b":5,"expected":"1 - z^15","actual":"1 + z - z^15"}'
         ]
         assert cli.verify_pair(3, 5, 2, 1)[0] == checks
+
+    def test_reports_a_gap_form_short_of_a_representable_n(self, capsys, monkeypatch):
+        # the k = 0 form with its last representable n dropped marks 6 as a
+        # fourth gap of (3, 5): its 0/1 check against Sylvester's count
+        # (a-1)(b-1)/2 = 3 fails as well as its support
+        real = closedform._rows
+
+        def drop_last(p, length):
+            bits = real(p, length)
+            bits[bits.rfind(1)] = 0
+            return bits
+
+        monkeypatch.setattr(closedform, "_rows", drop_last)
+        code, out = run_main(
+            capsys, "verify", "--params", "3,5", "--kmax", "2", "--mmax", "2"
+        )
+        assert code == 1
+        assert out.splitlines() == [
+            '{"check":"p_k 0/1 coefficients","a":3,"b":5,"k":0,"expected":"True","actual":"False"}',
+            '{"check":"p_k support","a":3,"b":5,"k":0,"expected":"(1, 2, 4, 7)",'
+            '"actual":"(1, 2, 4, 6, 7)"}',
+        ]
 
     def test_reports_a_wrong_power_sum(self, capsys, monkeypatch):
         real = cli._power_sums_by_k
@@ -1016,7 +1038,8 @@ class TestVerify:
 
     def test_reports_a_wrong_k0_form(self, capsys, monkeypatch):
         # n = 1 marked representable: k = 0's form, which verify reads through
-        # closedform's one builder, loses the gap 1 and fails its support alone
+        # closedform's one builder, loses the gap 1, so it holds two ones
+        # where Sylvester's count is 3 and fails its 0/1 check and its support
         real = closedform._rows
 
         def marked(p, length):
@@ -1028,8 +1051,10 @@ class TestVerify:
         code, out = run_main(capsys, "verify", "--params", "3,5", "--kmax", "2", "--mmax", "1")
         assert code == 1
         assert [json.loads(line) for line in out.splitlines()] == [
+            {"check": "p_k 0/1 coefficients", "a": 3, "b": 5, "k": 0,
+             "expected": "True", "actual": "False"},
             {"check": "p_k support", "a": 3, "b": 5, "k": 0,
-             "expected": "(1, 2, 4, 7)", "actual": "(2, 4, 7)"}
+             "expected": "(1, 2, 4, 7)", "actual": "(2, 4, 7)"},
         ]
 
     def test_oracle_step_is_not_the_closed_forms_translate(self, capsys, monkeypatch):

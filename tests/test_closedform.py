@@ -306,11 +306,11 @@ class TestGridBytes:
     @pytest.mark.parametrize(
         "coeffs,ones,expected",
         [
-            (b"", None, True),
-            (b"\x01\x00\x01", None, True),
+            (b"", 0, True),
+            (b"\x00\x01\x00\x00", 1, True),
             (b"\x01\x00\x01", 2, True),
             (b"\x01\x00\x01", 3, False),
-            (b"\x01\x02\x01", None, False),
+            (b"\x01\x02\x01", 2, False),
             (b"\x01\x02", 1, False),
             (b"\x00\xff", 0, False),
         ],

@@ -15,6 +15,7 @@ from frobgen.closedform import PairParams, closed_report, count_k, frobenius_k, 
 from frobgen.errors import BoundTooLarge, NotPrime, WrongArity
 from frobgen.genfun import (
     IndicatorSeries,
+    _numerator,
     _representable,
     cyclotomic_identity_check,
     denham_term_count,
@@ -25,7 +26,7 @@ from frobgen.genfun import (
     s_k_indicator,
 )
 from frobgen.intpoly import IntPoly
-from frobgen.oracle import GapSet, enumerate_exact_k, rep_table, validate_params
+from frobgen.oracle import GapSet, _by_count_bytes, enumerate_exact_k, rep_table, validate_params
 
 from helpers import brute_counts, coprime_pairs
 
@@ -140,7 +141,7 @@ class TestPkPoly:
         def no_oracle(*args, **kwargs):
             raise AssertionError("p_k_poly(pair, 0) called the oracle")
 
-        monkeypatch.setattr("frobgen.genfun.enumerate_exact_k", no_oracle)
+        monkeypatch.setattr("frobgen.genfun._by_count_bytes", no_oracle)
         got = p_k_poly(PairParams(5, 7), 0)
         assert got == IntPoly(dict.fromkeys([1, 2, 3, 4, 6, 8, 9, 11, 13, 16, 18, 23], 1))
 
@@ -312,6 +313,15 @@ class TestNoOracleInTwoCoinBuilders:
                 closed_report(p, "s^m", k, m)
 
 
+def _run_of(indicator):
+    """(start, run) of a 0/1 gap indicator from 0, cut to its first and
+    last 1 as the scan's runs are: (0, b"") when it has none."""
+    first = indicator.find(1)
+    if first < 0:
+        return 0, b""
+    return first, bytes(indicator[first : indicator.rfind(1) + 1])
+
+
 def _reference_h(params):
     """h by the identity the package used before the dense product:
     (1 + z + ... + z^(a_1 - 1)) prod_{i>=2} (1 - z^(a_i)) - p_0 prod_i (1 - z^(a_i))."""
@@ -379,13 +389,12 @@ class TestNumerator:
     @example((4, 4, 6, 9))
     def test_apery_numerator_matches_the_reference(self, denoms):
         # repeated coins and a coin of 1 included: h against the identity,
-        # with and without a given gap set, and h / prod_i (1 - z^(a_i))
-        # re-expanded to the gap indicator up to g_0 + sum(a_i)
+        # and h / prod_i (1 - z^(a_i)) re-expanded to the gap indicator up
+        # to g_0 + sum(a_i)
         params = validate_params(list(denoms))
         gaps = enumerate_exact_k(params, 0)
         h = numerator_h(params)
         assert h == _reference_h(params)
-        assert numerator_h(params, gaps) == h
         bound = (gaps.elements[-1] if gaps.elements else -1) + sum(denoms)
         gap_set = set(gaps.elements)
         expected = [0 if j in gap_set else 1 for j in range(bound + 1)]
@@ -421,32 +430,20 @@ class TestNumerator:
         ids=lambda d: "-".join(map(str, d)),
     )
     def test_given_gap_set_gives_the_same_h(self, denoms):
+        # the E_0 run of a deeper scan, which verify_pair hands to _numerator,
+        # gives the h of the run numerator_h scans for at kmax 0
         params = validate_params(list(denoms))
-        gaps = enumerate_exact_k(params, 0)
-        assert numerator_h(params, gaps) == numerator_h(params)
+        assert _numerator(params, *_by_count_bytes(params, 2)[0]) == numerator_h(params)
 
     def test_given_gap_set_skips_the_scan(self, monkeypatch):
         params = validate_params([4, 6, 9])
-        gaps = enumerate_exact_k(params, 0)
+        start, run = _by_count_bytes(params, 0)[0]
 
         def no_scan(*args, **kwargs):
-            raise AssertionError("numerator_h scanned for a gap set it was given")
+            raise AssertionError("_numerator scanned for a gap set it was given")
 
-        monkeypatch.setattr("frobgen.genfun.enumerate_exact_k", no_scan)
-        assert len(numerator_h(params, gaps)) in (4, 6)
-
-    @pytest.mark.parametrize(
-        "bad",
-        [
-            GapSet(validate_params([3, 7]), 0, (1, 2, 4, 5, 8, 11), complete=True),
-            GapSet(validate_params([3, 5]), 1, (0, 3, 5, 6), complete=True),
-            GapSet(validate_params([3, 5]), 0, (1, 2, 4), complete=False),
-        ],
-        ids=["other-params", "k-1", "incomplete"],
-    )
-    def test_bad_gap_set_raises(self, bad):
-        with pytest.raises(ValueError):
-            numerator_h(validate_params([3, 5]), bad)
+        monkeypatch.setattr(oracle, "_stream", no_scan)
+        assert len(_numerator(params, start, run)) in (4, 6)
 
     @pytest.mark.parametrize(
         "gaps,degree",
@@ -454,13 +451,16 @@ class TestNumerator:
         ids=["extra-gap", "missing-last", "missing-middle", "empty", "swapped"],
     )
     def test_wrong_gap_set_raises(self, gaps, degree):
-        # certified-looking sets that are not the gaps (1, 2, 4) of (3, 5, 7):
-        # the representable-set bitset disagrees with each at the given
-        # degree.  "swapped" has as many elements as the bitset has zeros, so
-        # only the check that each element reads 0 catches it
+        # runs shaped like the scan's that are not the gaps (1, 2, 4) of
+        # (3, 5, 7): the representable-set bitset disagrees with each at the
+        # given degree.  "swapped" has as many gaps as the bitset has zeros,
+        # and the one byte comparison still catches it
         params = validate_params([3, 5, 7])
+        indicator = bytearray(max(gaps, default=0) + 1)
+        for g in gaps:
+            indicator[g] = 1
         with pytest.raises(AssertionError, match=f"at degree {degree}$"):
-            numerator_h(params, GapSet(params, 0, gaps, complete=True))
+            _numerator(params, *_run_of(indicator))
 
     def test_makes_no_denumerant_table(self, monkeypatch):
         def no_table(*args):
@@ -475,6 +475,20 @@ class TestNumerator:
         assert numerator_h(validate_params([3, 3, 5])) == IntPoly({0: 1, 3: -1, 15: -1, 18: 1})
         params = validate_params([4, 4, 6, 9])
         assert numerator_h(params) == _reference_h(params)
+
+    def test_builds_no_gap_set(self, monkeypatch):
+        # the gaps reach the check as the scan's bytes: no GapSet is made,
+        # checked or wrapped on the way
+        cases = [(1,), (3, 5), (12, 21, 28), (3, 3, 5), (4, 4, 6, 9)]
+        expected = [_reference_h(validate_params(list(d))) for d in cases]
+
+        def no_gap_set(*args, **kwargs):
+            raise AssertionError("numerator_h built a GapSet")
+
+        monkeypatch.setattr(GapSet, "_of", no_gap_set)
+        monkeypatch.setattr(GapSet, "__post_init__", no_gap_set)
+        for denoms, h in zip(cases, expected):
+            assert numerator_h(validate_params(list(denoms))) == h, denoms
 
     @settings(deadline=None)
     @given(st.lists(st.integers(1, 40), min_size=1, max_size=5), st.integers(0, 50))
@@ -491,20 +505,18 @@ class TestNumerator:
     @settings(deadline=None)
     @given(coin_set(), st.data())
     def test_mutated_gap_set_raises_at_the_first_difference(self, denoms, data):
-        # one gap dropped, or one representable j <= g_0 + sum(a_i) added:
-        # the symmetric difference is that one degree
+        # one byte of the gap indicator over 0..g_0 + sum(a_i) flipped: a gap
+        # dropped or a representable j added, and the run cut to its first
+        # and last gap as the scan's are; the symmetric difference is that
+        # one degree
         params = validate_params(list(denoms))
-        gaps = enumerate_exact_k(params, 0).elements
-        top = (gaps[-1] if gaps else -1) + sum(denoms)
-        if gaps and data.draw(st.booleans()):
-            i = data.draw(st.integers(0, len(gaps) - 1))
-            degree, mutated = gaps[i], gaps[:i] + gaps[i + 1 :]
-        else:
-            gap_set = set(gaps)
-            degree = data.draw(st.sampled_from([j for j in range(top + 1) if j not in gap_set]))
-            mutated = tuple(sorted(gaps + (degree,)))
+        start, run = _by_count_bytes(params, 0)[0]
+        top = start + len(run) - 1 + sum(denoms)
+        indicator = bytearray(start) + run + bytes(top + 1 - start - len(run))
+        degree = data.draw(st.integers(0, top))
+        indicator[degree] ^= 1
         with pytest.raises(AssertionError, match=f"at degree {degree}$"):
-            numerator_h(params, GapSet(params, 0, mutated, complete=True))
+            _numerator(params, *_run_of(indicator))
 
     @pytest.mark.parametrize("denoms", [(3, 5, 7), (311, 313, 317)], ids=["3-5-7", "311-313-317"])
     def test_ceiling_refuses_before_allocating(self, denoms, monkeypatch):
@@ -512,20 +524,20 @@ class TestNumerator:
         # table-sized allocated (at 311, 313, 317 the bitset alone is 33,595
         # bytes), and at exactly it h is given
         params = validate_params(list(denoms))
-        gaps = enumerate_exact_k(params, 0)
-        top = gaps.elements[-1] + sum(denoms)
-        expected = numerator_h(params, gaps)
+        start, run = _by_count_bytes(params, 0)[0]
+        top = start + len(run) - 1 + sum(denoms)
+        expected = _numerator(params, start, run)
         monkeypatch.setenv("FROBGEN_MAX_BOUND", str(top - 1))
         tracemalloc.start()
         try:
             with pytest.raises(BoundTooLarge):
-                numerator_h(params, gaps)
+                _numerator(params, start, run)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 4096
         monkeypatch.setenv("FROBGEN_MAX_BOUND", str(top))
-        assert numerator_h(params, gaps) == expected
+        assert _numerator(params, start, run) == expected
 
 
 class TestDenham:
