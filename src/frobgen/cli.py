@@ -37,12 +37,9 @@ from typing import Iterable, Iterator, Sequence
 
 from frobgen.closedform import (
     PairParams,
-    _at_most,
-    _count,
-    _frobenius,
+    _closed_row,
     _p_k_bytes,
     _power_sums_by_k,
-    _sum,
     _zero_one,
     closed_report,
 )
@@ -384,10 +381,13 @@ def verify_pair(a: int, b: int, kmax: int, mmax: int) -> tuple[int, list[dict]]:
     denumerant table and no dense product; no closed form scans, so nothing
     scans again, a = 1 included.  h is compared with 1 - z^ab as a
     polynomial, and both are rendered as text only for a failure entry.
+    When E_0's run is not the gap set, _numerator's AssertionError is that
+    entry's actual value, and the k loop reports how E_0 differs.
 
     The closed-form side is checked in the form it is computed in, with
     nothing built in between.  g, c and s, of the exactly-k and of the
-    at-most-k set alike, are the integers of closedform's formulas.  p_k is
+    at-most-k set alike, are the integers of closedform._closed_row, the
+    row closed_report reads.  p_k is
     read off its 0/1 bytes from closedform's one builder, _p_k_bytes, with
     strict=False: the complement of the representable n <= g_0 for k = 0,
     and for k >= 1 the pair's product-form bytes, since every exactly-k set
@@ -432,9 +432,14 @@ def verify_pair(a: int, b: int, kmax: int, mmax: int) -> tuple[int, list[dict]]:
     step = _shift_rows(ab, orders) if orders < ab else None
 
     runs = _by_count_bytes(params, kmax)
-    h, unit = _numerator(params, *runs[0]), IntPoly.one_minus_pow(ab)
-    if h != unit:
-        fail("h == 1 - z^ab", None, None, unit.to_text(), h.to_text())
+    unit = IntPoly.one_minus_pow(ab)
+    try:
+        h = _numerator(params, *runs[0])
+    except AssertionError as exc:  # E_0's run is not the gap set: the k loop says how
+        fail("h == 1 - z^ab", None, None, unit.to_text(), exc)
+    else:
+        if h != unit:
+            fail("h == 1 - z^ab", None, None, unit.to_text(), h.to_text())
 
     closed_sums = [(), *_power_sums_by_k(pair, kmax, mmax)]
     oracle_rows, closed_rows = [], []
@@ -444,7 +449,7 @@ def verify_pair(a: int, b: int, kmax: int, mmax: int) -> tuple[int, list[dict]]:
         start, run = runs[k]
         if k <= 1:  # the form's bytes: k = 0's own, then the pair's R_1
             _, form = _p_k_bytes(pair, k, strict=False)
-            # Sylvester's count written out, so a fault in _count fails c alone
+            # Sylvester's count written out, so a fault in the row's c fails c alone
             zero_one = _zero_one(form, ab if k else (a - 1) * (b - 1) // 2)
             support = form.translate(_SUPPORT)
             first = support.find(1)
@@ -465,10 +470,8 @@ def verify_pair(a: int, b: int, kmax: int, mmax: int) -> tuple[int, list[dict]]:
         oracle_rows.append(
             (g, c, s, True, True, g_le, c_le, s_le, *(oracle_sums[: mmax + 1] if k else ()))
         )
-        closed_rows.append((
-            _frobenius(pair, k), _count(pair, k), _sum(pair, k), zero_one, matched,
-            *_at_most(pair, k), *closed_sums[k],
-        ))
+        row = _closed_row(pair, k)
+        closed_rows.append((*row[:3], zero_one, matched, *row[3:], *closed_sums[k]))
 
     if oracle_rows != closed_rows:
         for k, (expected, actual) in enumerate(zip(oracle_rows, closed_rows)):

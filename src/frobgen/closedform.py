@@ -13,10 +13,11 @@ and for k >= 1 the exactly-k set is the sumset of {ia : 0 <= i < b} and
 {jb : 0 <= j < a} translated by ab(k-1), so its power sums are one binomial
 convolution of theirs, translated (power_sums_k; power_sum_k reads order m).
 Both come from the sums S_i(x) = sum_{j<x} j^i, which power_sums_below gets
-by Pascal's identity.  Every other statistic comes as a StatReport
-with closed-form provenance; g, c and s (exactly-k and at-most-k alike)
-each come from one integer formula.  All arithmetic is in integers; each
-division is exact and checked by _exact_div.  Every exactly-k set of a pair
+by Pascal's identity.  g, c and s, of the exactly-k and the at-most-k
+set alike, are the six integer formulas of one row, _closed_row.
+closed_report is the one builder of a closed-form StatReport, and verify
+reads the same row.  All arithmetic is in integers; each division is
+exact and checked by _exact_div.  Every exactly-k set of a pair
 is read off one builder, _p_k_bytes, which lays out p_k's coefficients as
 0/1 bytes from a base: for k = 0 the complement of the representable
 n <= g_0 (_rows), for k >= 1 the sumset bytes of R_1 (_grid_bytes) at base
@@ -95,47 +96,53 @@ def power_sums_below(x: int, m: int) -> list[int]:
     return sums
 
 
-def _frobenius(p: PairParams, k: int) -> int | None:
-    """(k+1)ab - a - b, or None where that is negative (the empty set)."""
-    value = (k + 1) * p.a * p.b - p.a - p.b
-    return value if value >= 0 else None
+def _closed_row(p: PairParams, k: int) -> tuple[int | None, int, int, int | None, int, int]:
+    """(g, c, s, g<=, c<=, s<=) for k >= 0: the max, cardinality and sum of
+    the exactly-k set, then of the at-most-k set.
 
+        g = g<= = (k+1)ab - a - b     (None where negative: the empty set)
+        c = (a-1)(b-1)/2 for k = 0, ab for k >= 1
+        s = (a-1)(b-1)(2ab-a-b-1)/12 for k = 0, ab(2abk - a - b)/2 for k >= 1
+        c<= = c_0 + abk
+        s<= = s_0 + k ab (ab(k+1) - a - b)/2
 
-def _count(p: PairParams, k: int) -> int:
+    g is negative only for min(a,b) = 1 and k = 0, where every n >= 0 is
+    representable.  g<= = g_k is a two-denomination fact.  s<= is
+    s_0 + k(s_1 + s_k)/2 (s_i is linear in i for i >= 1) with
+    s_1 + s_k = ab(ab(k+1) - a - b) written out, so no s_i with i >= 1 is
+    computed.  It is an integer: ab is even unless a and b are both odd,
+    and then ab(k+1) - a - b has the parity of k + 1.
+    """
     a, b = p.a, p.b
-    return _exact_div((a - 1) * (b - 1), 2) if k == 0 else a * b
+    ab = a * b
+    g = (k + 1) * ab - a - b
+    if g < 0:
+        g = None
+    c_0 = _exact_div((a - 1) * (b - 1), 2)
+    s_0 = _exact_div((a - 1) * (b - 1) * (2 * ab - a - b - 1), 12)
+    c, s = (ab, _exact_div(ab * (2 * ab * k - a - b), 2)) if k else (c_0, s_0)
+    s_le = s_0 + _exact_div(k * ab * (ab * (k + 1) - a - b), 2)
+    return g, c, s, g, c_0 + ab * k, s_le
 
 
-def _sum(p: PairParams, k: int) -> int:
-    a, b = p.a, p.b
-    if k == 0:
-        return _exact_div((a - 1) * (b - 1) * (2 * a * b - a - b - 1), 12)
-    return _exact_div(a * b * (2 * a * b * k - a - b), 2)
+# the StatReport names of _closed_row's entries, in its order
+_ROW_STATS = ("g", "c", "s", *AT_MOST_STATS)
 
 
 def frobenius_k(p: PairParams, k: int) -> StatReport:
-    """Largest integer with exactly k representations: (k+1)ab - a - b.
-
-    The formula is negative only for min(a,b) = 1 and k = 0, where every
-    n >= 0 is representable and the set is empty: the value is then None.
-    """
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    return StatReport("g", p.pair, k, _frobenius(p, k), provenance=CLOSED_FORM)
+    """Largest integer with exactly k representations: (k+1)ab - a - b, or
+    None where every n >= 0 is representable (min(a,b) = 1, k = 0)."""
+    return closed_report(p, "g", k)
 
 
 def count_k(p: PairParams, k: int) -> StatReport:
     """Cardinality: (a-1)(b-1)/2 for k = 0, else ab."""
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    return StatReport("c", p.pair, k, _count(p, k), provenance=CLOSED_FORM)
+    return closed_report(p, "c", k)
 
 
 def sum_k(p: PairParams, k: int) -> StatReport:
     """Sum of all elements: Brown--Shiue for k = 0, ab(2abk - a - b)/2 after."""
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    return StatReport("s", p.pair, k, _sum(p, k), provenance=CLOSED_FORM)
+    return closed_report(p, "s", k)
 
 
 def _powers(x: int, m: int) -> list[int]:
@@ -244,81 +251,47 @@ def _power_sums_by_k(p: PairParams, kmax: int, m: int) -> list[list[int]]:
 
 
 def power_sum_k(p: PairParams, k: int, m: int) -> StatReport:
-    """Power sum of order m over the exactly-k set.
-
-    For k >= 1 it is entry m of power_sums_k(p, k, m): the sumset's power
-    sums translated by ab(k-1), the derivation verify checks against the
-    oracle (_power_sums_by_k steps the same translate by ab).  k = 0 with
-    m <= 1 is the count or the sum; k = 0 with m >= 2 is refused: a closed
-    form exists (Rodseth 1994; Tuenter 2006) but is not implemented.
-    """
-    if k < 0 or m < 0:
-        raise ValueError("k and m must be >= 0")
-    if k == 0:
-        if m == 0:
-            value = _count(p, 0)
-        elif m == 1:
-            value = _sum(p, 0)
-        else:
-            raise UnsupportedK(k, m)
-        return StatReport("s^m", p.pair, k, value, m=m, provenance=CLOSED_FORM)
-    total = power_sums_k(p, k, m)[m]
-    return StatReport("s^m", p.pair, k, total, m=m, provenance=CLOSED_FORM)
-
-
-def _at_most(p: PairParams, k: int) -> tuple[int | None, int, int]:
-    """(max, cardinality, sum) of the at-most-k set, read off the exactly-k
-    forms:
-
-        g<= = g_k = (k+1)ab - a - b         (a two-denomination fact)
-        c<= = c_0 + abk
-        s<= = s_0 + k ab (ab(k+1) - a - b)/2
-
-    The last is s_0 + k(s_1 + s_k)/2 (s_i is linear in i for i >= 1) with
-    s_1 + s_k = ab(ab(k+1) - a - b) written out, so no s_i with i >= 1 is
-    computed.  It is an integer: ab is even unless a and b are both odd,
-    and then ab(k+1) - a - b has the parity of k + 1.
-    """
-    a, b = p.a, p.b
-    ab = a * b
-    c_le = _count(p, 0) + ab * k
-    s_le = _sum(p, 0) + _exact_div(k * ab * (ab * (k + 1) - a - b), 2)
-    return _frobenius(p, k), c_le, s_le
+    """Power sum of order m over the exactly-k set (closed_report's s^m)."""
+    return closed_report(p, "s^m", k, m)
 
 
 def at_most_stats(p: PairParams, k: int) -> tuple[StatReport, StatReport, StatReport]:
-    """Exact (max, cardinality, sum) of the at-most-k set (_at_most), as
-    the StatReports g<=, c<= and s<=."""
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    g_le, c_le, s_le = _at_most(p, k)
-    return (
-        StatReport("g<=", p.pair, k, g_le, provenance=CLOSED_FORM),
-        StatReport("c<=", p.pair, k, c_le, provenance=CLOSED_FORM),
-        StatReport("s<=", p.pair, k, s_le, provenance=CLOSED_FORM),
-    )
+    """Exact (max, cardinality, sum) of the at-most-k set, as the
+    StatReports g<=, c<= and s<=."""
+    return tuple(closed_report(p, stat, k) for stat in AT_MOST_STATS)
 
 
 def closed_report(p: PairParams, stat: str, k: int, m: int | None = None) -> StatReport:
     """The closed form of one statistic, under its StatReport name.
 
-    g, c, s and s^m (which needs m) are frobenius_k, count_k, sum_k and
-    power_sum_k; g<=, c<= and s<= are the entries of at_most_stats.  Any
-    other name raises ValueError.
+    g, c, s, g<=, c<=, s<= are the entries of _closed_row; k < 0 raises
+    ValueError.  s^m needs m (ValueError first when it is None; then
+    ValueError for k < 0 or m < 0).  For k >= 1 it is entry m of
+    power_sums_k(p, k, m): the sumset's power sums translated by ab(k-1),
+    the derivation verify checks against the oracle (_power_sums_by_k steps
+    the same translate by ab).  k = 0 with m <= 1 is the count or the sum;
+    k = 0 with m >= 2 raises UnsupportedK: a closed form exists (Rodseth
+    1994; Tuenter 2006) but is not implemented.  Any other name raises
+    ValueError before k is read.
     """
-    if stat == "g":
-        return frobenius_k(p, k)
-    if stat == "c":
-        return count_k(p, k)
-    if stat == "s":
-        return sum_k(p, k)
     if stat == "s^m":
         if m is None:
             raise ValueError("s^m needs an order m")
-        return power_sum_k(p, k, m)
-    if stat in AT_MOST_STATS:
-        return at_most_stats(p, k)[AT_MOST_STATS.index(stat)]
-    raise ValueError(f"unknown statistic {stat!r}")
+        if k < 0 or m < 0:
+            raise ValueError("k and m must be >= 0")
+        if k:
+            value = power_sums_k(p, k, m)[m]
+        elif m <= 1:
+            value = _closed_row(p, 0)[1 + m]
+        else:
+            raise UnsupportedK(k, m)
+    elif stat in _ROW_STATS:
+        if k < 0:
+            raise ValueError("k must be >= 0")
+        value, m = _closed_row(p, k)[_ROW_STATS.index(stat)], None
+    else:
+        raise ValueError(f"unknown statistic {stat!r}")
+    return StatReport(stat, p.pair, k, value, m=m, provenance=CLOSED_FORM)
 
 
 def _zero_one(coeffs: bytes, ones: int) -> bool:

@@ -826,8 +826,11 @@ class TestVerify:
         assert proc.stdout == "False\n", proc.stderr
 
     def test_reports_every_failure(self, capsys, monkeypatch):
-        real = cli._count
-        monkeypatch.setattr(cli, "_count", lambda p, k: real(p, k) + 1)
+        # the closed row's c one too high at every k, its other entries kept
+        real = cli._closed_row
+        monkeypatch.setattr(
+            cli, "_closed_row", lambda p, k: tuple(v + (i == 1) for i, v in enumerate(real(p, k)))
+        )
         code, out = run_main(
             capsys, "verify", "--params", "3,5", "--kmax", "2", "--mmax", "0"
         )
@@ -852,6 +855,37 @@ class TestVerify:
         assert code == 1
         assert out.splitlines() == [
             '{"check":"h == 1 - z^ab","a":3,"b":5,"expected":"1 - z^15","actual":"1 + z - z^15"}'
+        ]
+        assert cli.verify_pair(3, 5, 2, 1)[0] == checks
+
+    def test_reports_a_faulty_gap_run(self, capsys, monkeypatch):
+        # the scan's E_0 run short of its last gap (7): h's check fails
+        # with _numerator's assertion as its actual value, not a traceback,
+        # and the k loop reports E_0's own g, c, s and support; the check
+        # count does not move
+        checks, _ = cli.verify_pair(3, 5, 2, 1)
+        real = cli._by_count_bytes
+
+        def drop_last_gap(params, kmax):
+            runs = real(params, kmax)
+            start, run = runs[0]
+            run = run[: run.rfind(1)]
+            runs[0] = (start, run[: run.rfind(1) + 1])
+            return runs
+
+        monkeypatch.setattr(cli, "_by_count_bytes", drop_last_gap)
+        code, out = run_main(
+            capsys, "verify", "--params", "3,5", "--kmax", "2", "--mmax", "1"
+        )
+        assert code == 1
+        assert out.splitlines()[:5] == [
+            '{"check":"h == 1 - z^ab","a":3,"b":5,"expected":"1 - z^15",'
+            '"actual":"gap indicator differs from the representable-set bitset at degree 7"}',
+            '{"check":"g","a":3,"b":5,"k":0,"expected":"4","actual":"7"}',
+            '{"check":"c","a":3,"b":5,"k":0,"expected":"3","actual":"4"}',
+            '{"check":"s","a":3,"b":5,"k":0,"expected":"7","actual":"14"}',
+            '{"check":"p_k support","a":3,"b":5,"k":0,"expected":"(1, 2, 4)",'
+            '"actual":"(1, 2, 4, 7)"}',
         ]
         assert cli.verify_pair(3, 5, 2, 1)[0] == checks
 
@@ -904,15 +938,15 @@ class TestVerify:
 
     def test_reports_a_wrong_at_most_stat(self, capsys, monkeypatch):
         # the closed form of one at-most statistic is off by one at each k: g<=
-        # at k = 0, c<= at k = 1, s<= at k = 2
-        real = cli._at_most
+        # at k = 0, c<= at k = 1, s<= at k = 2 (entries 3, 4, 5 of the row)
+        real = cli._closed_row
 
         def off_by_one(p, k):
             values = list(real(p, k))
-            values[k] += 1
+            values[3 + k] += 1
             return tuple(values)
 
-        monkeypatch.setattr(cli, "_at_most", off_by_one)
+        monkeypatch.setattr(cli, "_closed_row", off_by_one)
         code, out = run_main(capsys, "verify", "--params", "3,5", "--kmax", "2")
         assert code == 1
         failures = [json.loads(line) for line in out.splitlines()]
@@ -927,8 +961,11 @@ class TestVerify:
         "name,fault,line",
         [
             (
-                "_frobenius",
-                lambda real: lambda p, k: real(p, k) + (k == 4),
+                "_closed_row",
+                # the closed g of E_4 alone one too high
+                lambda real: lambda p, k: tuple(
+                    v + (k == 4 and i == 0) for i, v in enumerate(real(p, k))
+                ),
                 '{"check":"g","a":3,"b":5,"k":4,"expected":"67","actual":"68"}',
             ),
             (

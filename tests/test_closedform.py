@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from frobgen import closedform
 from frobgen.closedform import (
     PairParams,
-    _at_most,
+    _closed_row,
     _grid_bytes,
     _p_k_bytes,
     _power_sums_by_k,
@@ -299,7 +299,10 @@ class TestAtMost:
     def test_reports_wrap_the_integers(self, a, b):
         p = PairParams(a, b)
         for k in range(4):
-            assert tuple(r.value for r in at_most_stats(p, k)) == _at_most(p, k)
+            row = _closed_row(p, k)
+            assert tuple(r.value for r in at_most_stats(p, k)) == row[3:]
+            names = ("g", "c", "s", "g<=", "c<=", "s<=")
+            assert tuple(closed_report(p, stat, k).value for stat in names) == row
 
 
 class TestGridBytes:
@@ -346,6 +349,13 @@ class TestGridBytes:
             _p_k_bytes(p, 1)
 
 
+# the refusal messages of the closed entries
+K_NEGATIVE = "k must be >= 0"
+K_OR_M_NEGATIVE = "k and m must be >= 0"
+NO_M = "s^m needs an order m"
+K0_M2 = "no closed form implemented for power sums with k=0, m=2; use the oracle"
+
+
 class TestClosedReport:
     @pytest.mark.parametrize(
         "stat,m,value",
@@ -368,6 +378,70 @@ class TestClosedReport:
     def test_unknown_name_or_missing_m(self, stat, m):
         with pytest.raises(ValueError):
             closed_report(PairParams(3, 5), stat, 1, m)
+
+    @pytest.mark.parametrize(
+        "call,error,message",
+        [
+            pytest.param(lambda p: frobenius_k(p, -1), ValueError, K_NEGATIVE, id="frobenius_k-k"),
+            pytest.param(lambda p: count_k(p, -1), ValueError, K_NEGATIVE, id="count_k-k"),
+            pytest.param(lambda p: sum_k(p, -1), ValueError, K_NEGATIVE, id="sum_k-k"),
+            pytest.param(
+                lambda p: at_most_stats(p, -1), ValueError, K_NEGATIVE, id="at_most_stats-k"
+            ),
+            pytest.param(
+                lambda p: power_sum_k(p, -1, 1), ValueError, K_OR_M_NEGATIVE, id="power_sum_k-k"
+            ),
+            pytest.param(
+                lambda p: power_sum_k(p, 1, -1), ValueError, K_OR_M_NEGATIVE, id="power_sum_k-m"
+            ),
+            pytest.param(
+                lambda p: power_sum_k(p, 0, 2), UnsupportedK, K0_M2, id="power_sum_k-k0-m2"
+            ),
+            *[
+                pytest.param(
+                    lambda p, stat=stat: closed_report(p, stat, -1),
+                    ValueError,
+                    K_NEGATIVE,
+                    id=f"closed_report-{stat}-k",
+                )
+                for stat in ("g", "c", "s", "g<=", "c<=", "s<=")
+            ],
+            pytest.param(
+                lambda p: closed_report(p, "s^m", -1, 1),
+                ValueError,
+                K_OR_M_NEGATIVE,
+                id="closed_report-s^m-k",
+            ),
+            pytest.param(
+                lambda p: closed_report(p, "s^m", 1, -1),
+                ValueError,
+                K_OR_M_NEGATIVE,
+                id="closed_report-s^m-m",
+            ),
+            # a missing m is refused before k is read
+            pytest.param(
+                lambda p: closed_report(p, "s^m", -1), ValueError, NO_M, id="closed_report-no-m"
+            ),
+            # an unknown name is refused before k (and m) are read
+            pytest.param(
+                lambda p: closed_report(p, "median", -1, -1),
+                ValueError,
+                "unknown statistic 'median'",
+                id="closed_report-unknown",
+            ),
+            pytest.param(
+                lambda p: closed_report(p, "s^m", 0, 2),
+                UnsupportedK,
+                K0_M2,
+                id="closed_report-k0-m2",
+            ),
+        ],
+    )
+    def test_refusal(self, call, error, message):
+        with pytest.raises(error) as info:
+            call(PairParams(3, 5))
+        assert type(info.value) is error
+        assert str(info.value) == message
 
 
 class TestStructured:
